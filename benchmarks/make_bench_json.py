@@ -111,7 +111,11 @@ def obs_overhead():
 
 def axiomatic_kernel():
     """The cross-checker's unit of work, on its bounding shapes."""
-    from repro.axiomatic import enumerate_candidates, model_by_name
+    from repro.axiomatic import (
+        axiomatic_model_names,
+        enumerate_candidates,
+        model_by_name,
+    )
     from repro.axiomatic.crosscheck import allowed_outcomes
     from repro.litmus.catalog import iriw
 
@@ -129,10 +133,17 @@ def axiomatic_kernel():
     iriw_s, candidates = best_of(
         lambda: sum(1 for _ in enumerate_candidates(iriw_program))
     )
+    iriw_models_s, _ = best_of(
+        lambda: [
+            allowed_outcomes(iriw_program, model_by_name(name))
+            for name in axiomatic_model_names()
+        ]
+    )
     return {
         "dekker_all_models_s": round(dekker_s, 4),
         "iriw_enumerate_s": round(iriw_s, 4),
         "iriw_candidates": candidates,
+        "iriw_all_models_s": round(iriw_models_s, 4),
         "sc_outcomes": len(sets["SC"]),
     }
 

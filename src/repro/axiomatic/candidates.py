@@ -1,30 +1,74 @@
-"""Enumerating the candidate executions of a straight-line program.
+"""Candidate executions of a straight-line program, and the allowed-set kernel.
 
 A herd-style checker does not interleave anything: it generates every
 *candidate* execution — a free choice of reads-from and coherence order
 — resolves the values that choice implies, and lets the model's axioms
-reject the inconsistent ones.  This module produces the candidates; the
-axioms live in :mod:`repro.axiomatic.model`.
+reject the inconsistent ones.  The axioms live in
+:mod:`repro.axiomatic.model`; this module produces what they judge.
 
-The enumerator handles **straight-line** programs only (no ``Branch`` /
-``Jump``): with control flow fixed, each thread contributes one static
-sequence of operations and the candidate space is finite.  Spinning
-litmus tests are out of scope and reported as skipped by the
-cross-checker rather than silently mis-modelled.
+Both entry points compile the program once per call into an int-indexed
+table (:class:`_Table`) and share one value resolver (:func:`_resolve`):
+
+* :func:`enumerate_candidates` is the **raw** enumerator: every rf
+  choice × every co permutation, as :class:`Candidate` objects carrying
+  full :class:`~repro.axiomatic.relations.Relations`.  Together with
+  :meth:`AxiomaticModel.allows <repro.axiomatic.model.AxiomaticModel.allows>`
+  it is the per-execution API and the oracle the kernel is tested
+  against.
+* :func:`allowed_outcomes` is the **kernel** (re-exported by
+  :mod:`repro.axiomatic.crosscheck` and the package).  It prunes only
+  what the model-independent ``sc-per-location`` axiom rejects under
+  every model:
+
+  - an rf choice where a read reads itself or a po-later write to its
+    location;
+  - the initial-value choice for a read whose thread has a po-earlier
+    write to the location;
+  - per location, every (rf, co) pair whose ``po_loc ∪ rf ∪ co ∪ fr``
+    has a cycle or that breaks RMW atomicity.  Every coherence edge
+    joins two accesses to one location, so the axiom holds for a
+    candidate exactly when it holds at each location.
+
+  Each surviving combination is checked against ``ghb`` once, as
+  successor bitmasks of ``ppo ∪ rfe ∪ co ∪ fr``; ``ppo`` is the
+  model's own :meth:`~repro.axiomatic.model.AxiomaticModel.ppo`.  Values
+  are resolved only for rf choices that some allowed combination uses.
+
+**Budget.**  The kernel compares ``max_candidates`` with the static size
+of the candidate space — Π over locations of (writes to it)! times Π
+over reads of (writes to the read's location + 1) — before resolving any
+value, and raises :class:`CandidateBudgetExceeded` when the size is
+larger.  The raw enumerator counts the candidates it generates instead,
+and raises once the count passes the budget.
+
+Both handle **straight-line** programs only (no ``Branch`` / ``Jump``):
+with control flow fixed, each thread contributes one static sequence of
+operations and the candidate space is finite.  Spinning litmus tests
+are out of scope and reported as skipped by the cross-checker rather
+than silently mis-modelled.
 
 Value resolution is a fixpoint: register files are replayed per thread
-with each read returning its chosen writer's value, until the write
-values stabilise.  A choice whose values never stabilise has no
-consistent assignment and is discarded.  Read-modify-writes are kept
-atomic structurally — the RMW's write must coherence-follow its
-reads-from source immediately.
+with each read returning its chosen writer's value, until the values
+stabilise.  A choice whose values never stabilise has no consistent
+assignment and is discarded.  Read-modify-writes are kept atomic
+structurally — the RMW's write must coherence-follow its reads-from
+source immediately.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    FrozenSet,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.execution import Observable
 from repro.core.instructions import (
@@ -35,18 +79,28 @@ from repro.core.instructions import (
     MemInstruction,
     RegInstruction,
 )
-from repro.core.operation import Location, MemoryOp, OpKind
+from repro.core.operation import Location, MemoryOp
 from repro.core.program import Program
 from repro.core.registers import RegisterFile
+from repro.axiomatic.model import AxiomaticModel
 from repro.axiomatic.relations import (
+    Edge,
     Relations,
     fence_separated_pairs,
     program_order_pairs,
 )
 
-#: Default ceiling on generated candidates; litmus-sized programs stay
-#: in the hundreds, so hitting this means the program is out of scope.
+#: Default ceiling on the candidate space.  The catalog's largest is
+#: warm IRIW at 4,096; hitting this means the program is out of scope.
 DEFAULT_MAX_CANDIDATES = 250_000
+
+#: A thread-body step the resolver replays: the instruction, the index
+#: of its op (-1 for a register instruction), and whether that op reads
+#: and writes memory.
+_Step = Tuple[Instruction, int, bool, bool]
+
+#: Successor-bitmask edges ``(source op, mask of target ops)``.
+_Edges = List[Tuple[int, int]]
 
 
 class CandidateBudgetExceeded(RuntimeError):
@@ -75,117 +129,201 @@ class Candidate:
 
 
 @dataclass
-class _Step:
-    """A thread-body step: the instruction plus its op, if it has one."""
+class _Table:
+    """A straight-line program compiled to int-indexed ops.
 
-    instr: Instruction
-    op: Optional[MemoryOp]
+    Ops are numbered thread by thread in program order, so a po edge
+    always goes from a lower index to a higher one.
+    """
+
+    ops: Tuple[MemoryOp, ...]
+    po: FrozenSet[Edge]
+    fenced: FrozenSet[Edge]
+    #: Location index -> name, in order of first access.
+    locations: Tuple[Location, ...]
+    #: Op index -> location index, and the op's initial memory value.
+    loc: Tuple[int, ...]
+    init: Tuple[int, ...]
+    #: Op index -> bitmask of the po-later ops of its thread.
+    po_later: Tuple[int, ...]
+    #: Indices of the ops with a read component, in op order.
+    reads: Tuple[int, ...]
+    #: Location index -> its reads, writes and RMWs, in op order.
+    loc_reads: Tuple[Tuple[int, ...], ...]
+    loc_writes: Tuple[Tuple[int, ...], ...]
+    loc_rmws: Tuple[Tuple[int, ...], ...]
+    #: Per-thread steps for the value resolver.
+    steps: Tuple[Tuple[_Step, ...], ...]
+
+    def space_size(self) -> int:
+        """Candidate-space size: rf choices × co orders (see Budget)."""
+        size = 1
+        for writes in self.loc_writes:
+            size *= math.factorial(len(writes))
+        for read in self.reads:
+            size *= len(self.loc_writes[self.loc[read]]) + 1
+        return size
 
 
-def _thread_steps(program: Program) -> List[List[_Step]]:
-    """Static per-thread step sequences (truncated at the first Halt)."""
-    threads: List[List[_Step]] = []
+def _compile(program: Program) -> _Table:
+    """Compile a straight-line program (truncated at each thread's Halt)."""
+    if not is_straightline(program):
+        raise NotStraightLine(
+            f"program {program.name!r} has branches; candidate enumeration "
+            f"handles straight-line programs only"
+        )
+    ops: List[MemoryOp] = []
+    steps: List[Tuple[_Step, ...]] = []
+    ops_by_proc: Dict[int, List[MemoryOp]] = {}
     for proc, thread in enumerate(program.threads):
-        steps: List[_Step] = []
-        occurrences: Dict[tuple, int] = {}
+        thread_steps: List[_Step] = []
+        thread_ops = ops_by_proc[proc] = []
         for pos, instr in enumerate(thread.instructions):
             if isinstance(instr, Halt):
                 break
-            op = None
             if isinstance(instr, MemInstruction):
-                key = (instr.kind, instr.location, pos)
-                occurrence = occurrences.get(key, 0)
-                occurrences[key] = occurrence + 1
+                # Straight-line: each instruction runs once, in issue
+                # slot ``pos``.
                 op = MemoryOp(
                     proc=proc,
                     kind=instr.kind,
                     location=instr.location,
                     thread_pos=pos,
-                    occurrence=occurrence,
-                    issue_index=len(steps),
+                    issue_index=pos,
                 )
-            steps.append(_Step(instr, op))
-        threads.append(steps)
-    return threads
+                thread_steps.append((
+                    instr, len(ops),
+                    instr.kind.reads_memory, instr.kind.writes_memory,
+                ))
+                ops.append(op)
+                thread_ops.append(op)
+            elif isinstance(instr, RegInstruction):
+                thread_steps.append((instr, -1, False, False))
+        steps.append(tuple(thread_steps))
+
+    location_index: Dict[Location, int] = {}
+    for op in ops:
+        location_index.setdefault(op.location, len(location_index))
+    loc = tuple(location_index[op.location] for op in ops)
+    count = len(location_index)
+    loc_reads: List[List[int]] = [[] for _ in range(count)]
+    loc_writes: List[List[int]] = [[] for _ in range(count)]
+    loc_rmws: List[List[int]] = [[] for _ in range(count)]
+    po_later: List[int] = []
+    for i, op in enumerate(ops):
+        reads, writes = op.kind.reads_memory, op.kind.writes_memory
+        if reads:
+            loc_reads[loc[i]].append(i)
+        if writes:
+            loc_writes[loc[i]].append(i)
+        if reads and writes:
+            loc_rmws[loc[i]].append(i)
+        later = 0
+        for j in range(i + 1, len(ops)):
+            if ops[j].proc != op.proc:
+                break
+            later |= 1 << j
+        po_later.append(later)
+
+    return _Table(
+        ops=tuple(ops),
+        po=program_order_pairs(ops_by_proc),
+        fenced=fence_separated_pairs(program, ops_by_proc),
+        locations=tuple(location_index),
+        loc=loc,
+        init=tuple(program.initial_value(op.location) for op in ops),
+        po_later=tuple(po_later),
+        reads=tuple(i for i, op in enumerate(ops) if op.kind.reads_memory),
+        loc_reads=tuple(map(tuple, loc_reads)),
+        loc_writes=tuple(map(tuple, loc_writes)),
+        loc_rmws=tuple(map(tuple, loc_rmws)),
+        steps=tuple(steps),
+    )
 
 
-def _resolve_values(
-    program: Program,
-    threads: Sequence[Sequence[_Step]],
-    rf: Dict[MemoryOp, Optional[MemoryOp]],
-) -> Optional[Tuple[Dict[MemoryOp, int], Dict[MemoryOp, int], List[Dict[str, int]]]]:
+def _resolve(
+    table: _Table, rf: Sequence[int]
+) -> Optional[Tuple[List[int], List[int], List[RegisterFile]]]:
     """Fixpoint value resolution for one reads-from choice.
 
-    Returns ``(read_values, write_values, final_registers)`` or ``None``
-    when the choice admits no stable value assignment (an unresolvable
-    value cycle).
+    ``rf[i]`` is the index of the write read op ``i`` reads from, or -1
+    for the initial value.  Returns ``(read_values, write_values,
+    register_files)``, indexed like the ops, or ``None`` when the choice
+    admits no stable value assignment (a value cycle).
+
+    Bound: one round replays every thread once, reading writes at their
+    latest values, so an op whose values depend on ``h`` rf hops is
+    final after round ``h + 1``.  Without a value cycle a dependence
+    chain visits each op at most once, so ``h < len(ops)``: every value
+    is final after ``len(ops)`` rounds and round ``len(ops) + 1``
+    confirms it.  A choice still changing then has a value cycle.
     """
-    ops = [step.op for steps in threads for step in steps if step.op is not None]
-    read_values: Dict[MemoryOp, int] = {
-        op: 0 for op in ops if op.reads_memory
-    }
-    write_values: Dict[MemoryOp, int] = {
-        op: 0 for op in ops if op.writes_memory
-    }
-
-    def source_value(read: MemoryOp) -> int:
-        writer = rf[read]
-        if writer is None:
-            return program.initial_value(read.location)
-        return write_values[writer]
-
-    registers: List[RegisterFile] = []
-    # Each full replay propagates values one rf-hop further; len(ops)+1
-    # rounds therefore suffice for any acyclic value dependence.  A
-    # choice still changing after that has a genuine value cycle.
-    for _ in range(len(ops) + 2):
+    count = len(table.ops)
+    init = table.init
+    read_values = [0] * count
+    write_values = [0] * count
+    for _ in range(count + 1):
         changed = False
-        registers = []
-        for steps in threads:
+        files: List[RegisterFile] = []
+        for steps in table.steps:
             regs = RegisterFile()
-            for step in steps:
-                instr, op = step.instr, step.op
-                if op is None:
-                    if isinstance(instr, RegInstruction):
-                        instr.apply(regs)
-                    continue  # Fence: no register effect
-                if op.reads_memory:
-                    value = source_value(op)
-                    if read_values[op] != value:
-                        read_values[op] = value
+            for instr, i, reads, writes in steps:
+                if i < 0:
+                    instr.apply(regs)
+                    continue
+                if reads:
+                    writer = rf[i]
+                    value = init[i] if writer < 0 else write_values[writer]
+                    if read_values[i] != value:
+                        read_values[i] = value
                         changed = True
                     if instr.dest is not None:
                         regs.write(instr.dest, value)
-                if op.writes_memory:
-                    old = read_values.get(op, 0)
-                    value = instr.compute_write(regs, old)
-                    if write_values[op] != value:
-                        write_values[op] = value
+                if writes:
+                    value = instr.compute_write(regs, read_values[i])
+                    if write_values[i] != value:
+                        write_values[i] = value
                         changed = True
-            registers.append(regs)
+            files.append(regs)
         if not changed:
-            return (
-                read_values,
-                write_values,
-                [regs.as_dict() for regs in registers],
-            )
+            return read_values, write_values, files
     return None
 
 
 def _rmw_atomic(
-    rf: Dict[MemoryOp, Optional[MemoryOp]],
-    co: Dict[Location, Tuple[MemoryOp, ...]],
+    order: Sequence[int], rmws: Sequence[int], rf: Sequence[int]
 ) -> bool:
-    """Architectural RMW atomicity: no write between source and RMW."""
-    for read, writer in rf.items():
-        if not read.writes_memory:  # only RMWs read and write
-            continue
-        order = co[read.location]
-        position = order.index(read)
-        if writer is None:
+    """Architectural RMW atomicity at one location: each RMW's write
+    coherence-follows its reads-from source immediately."""
+    for rmw in rmws:
+        position = order.index(rmw)
+        writer = rf[rmw]
+        if writer < 0:
             if position != 0:
                 return False
-        elif order.index(writer) != position - 1:
+        elif position == 0 or order[position - 1] != writer:
+            return False
+    return True
+
+
+def _acyclic(succ: Sequence[int], sweep: Sequence[Tuple[int, int]]) -> bool:
+    """Whether the graph over the ``sweep`` nodes has no cycle.
+
+    ``succ[i]`` is the bitmask of node ``i``'s successors; ``sweep``
+    lists ``(i, 1 << i)`` from the highest index down.  Each sweep peels
+    every node with no successor left; po edges point to higher indices,
+    so one sweep peels whole threads.  A sweep that peels nothing has
+    found a cycle.
+    """
+    remaining = 0
+    for _, bit in sweep:
+        remaining |= bit
+    while remaining:
+        before = remaining
+        for i, bit in sweep:
+            if remaining & bit and not succ[i] & remaining:
+                remaining ^= bit
+        if remaining == before:
             return False
     return True
 
@@ -204,43 +342,39 @@ def enumerate_candidates(
     candidate's :class:`Relations` for the conditional models.
 
     Raises :class:`NotStraightLine` on programs with control flow and
-    :class:`CandidateBudgetExceeded` past ``max_candidates``.
+    :class:`CandidateBudgetExceeded` once more than ``max_candidates``
+    candidates have been generated.
     """
-    if not is_straightline(program):
-        raise NotStraightLine(
-            f"program {program.name!r} has branches; candidate enumeration "
-            f"handles straight-line programs only"
-        )
-    threads = _thread_steps(program)
-    ops_by_proc = {
-        proc: [step.op for step in steps if step.op is not None]
-        for proc, steps in enumerate(threads)
-    }
-    po = program_order_pairs(ops_by_proc)
-    fenced = fence_separated_pairs(program, ops_by_proc)
-    all_ops = tuple(op for ops in ops_by_proc.values() for op in ops)
-    reads = [op for op in all_ops if op.reads_memory]
-    writes_by_loc: Dict[Location, List[MemoryOp]] = {}
-    for op in all_ops:
-        if op.writes_memory:
-            writes_by_loc.setdefault(op.location, []).append(op)
-
-    rf_choices = [
-        [None] + writes_by_loc.get(read.location, []) for read in reads
-    ]
+    table = _compile(program)
+    ops = table.ops
+    reads = table.reads
+    rf_choices = [(-1,) + table.loc_writes[table.loc[r]] for r in reads]
+    # Coherence orders per written location, by first write.
+    written = sorted(
+        (l for l, writes in enumerate(table.loc_writes) if writes),
+        key=lambda l: table.loc_writes[l][0],
+    )
     co_orders = [
-        list(itertools.permutations(writes))
-        for writes in writes_by_loc.values()
+        list(itertools.permutations(table.loc_writes[l])) for l in written
     ]
-    locations = list(writes_by_loc)
+    initial_memory = {
+        loc: program.initial_value(loc) for loc in program.locations()
+    }
 
+    rf = [-1] * len(ops)
     produced = 0
     for rf_pick in itertools.product(*rf_choices):
-        rf = dict(zip(reads, rf_pick))
-        resolved = _resolve_values(program, threads, rf)
+        for read, writer in zip(reads, rf_pick):
+            rf[read] = writer
+        resolved = _resolve(table, rf)
         if resolved is None:
             continue
-        read_values, write_values, final_registers = resolved
+        _, write_values, files = resolved
+        final_registers = [regs.as_dict() for regs in files]
+        rf_ops = {
+            ops[read]: ops[writer] if writer >= 0 else None
+            for read, writer in zip(reads, rf_pick)
+        }
         for co_pick in itertools.product(*co_orders):
             produced += 1
             if produced > max_candidates:
@@ -248,26 +382,202 @@ def enumerate_candidates(
                     f"program {program.name!r} exceeds "
                     f"{max_candidates} candidate executions"
                 )
-            co = dict(zip(locations, co_pick))
-            if not _rmw_atomic(rf, co):
+            if not all(
+                _rmw_atomic(order, table.loc_rmws[l], rf)
+                for l, order in zip(written, co_pick)
+            ):
                 continue
-            memory = {
-                loc: (
-                    write_values[co[loc][-1]]
-                    if co.get(loc)
-                    else program.initial_value(loc)
-                )
-                for loc in program.locations()
-            }
+            memory = dict(initial_memory)
+            for l, order in zip(written, co_pick):
+                memory[table.locations[l]] = write_values[order[-1]]
             yield Candidate(
                 relations=Relations(
-                    ops=all_ops,
-                    po=po,
-                    fenced=fenced,
-                    rf=rf,
-                    co=co,
+                    ops=ops,
+                    po=table.po,
+                    fenced=table.fenced,
+                    rf=rf_ops,
+                    co={
+                        table.locations[l]: tuple(ops[w] for w in order)
+                        for l, order in zip(written, co_pick)
+                    },
                     drf0=drf0,
                     drf0_r=drf0_r,
                 ),
                 observable=Observable.create(final_registers, memory),
             )
+
+
+#: One location's coherent configurations: reads-from choice of its
+#: reads -> (its rfe edges, last write in co (-1 if none) -> the co ∪ fr
+#: edges of every coherence order ending there).
+_LocationConfigs = Dict[
+    Tuple[int, ...], Tuple[_Edges, Dict[int, List[_Edges]]]
+]
+
+
+def _with_edges(base: Sequence[int], edge_sets) -> List[int]:
+    """``base`` successor masks plus every edge of ``edge_sets``."""
+    succ = list(base)
+    for edges in edge_sets:
+        for i, mask in edges:
+            succ[i] |= mask
+    return succ
+
+
+def _location_configs(table: _Table, l: int) -> _LocationConfigs:
+    """The (rf, co) pairs at location ``l`` that ``sc-per-location``
+    and RMW atomicity accept."""
+    reads = table.loc_reads[l]
+    writes = table.loc_writes[l]
+    ops, po_later = table.ops, table.po_later
+    nodes = sorted(set(reads) | set(writes), reverse=True)
+    sweep = [(i, 1 << i) for i in nodes]
+    here = sum(1 << i for i in nodes)
+    write_mask = sum(1 << w for w in writes)
+
+    choices = []
+    for r in reads:
+        po_earlier_write = any(po_later[w] >> r & 1 for w in writes)
+        options = [] if po_earlier_write else [-1]
+        options.extend(
+            w for w in writes if w != r and not po_later[r] >> w & 1
+        )
+        choices.append(options)
+
+    po_loc = [0] * len(ops)
+    for i in nodes:
+        po_loc[i] = po_later[i] & here
+    rf = [-1] * len(ops)
+    configs: _LocationConfigs = {}
+    for rf_pick in itertools.product(*choices):
+        for r, w in zip(reads, rf_pick):
+            rf[r] = w
+        rf_succ = list(po_loc)
+        rfe: _Edges = []
+        for r, w in zip(reads, rf_pick):
+            if w >= 0:
+                rf_succ[w] |= 1 << r
+                if ops[w].proc != ops[r].proc:
+                    rfe.append((w, 1 << r))
+        by_last: Dict[int, List[_Edges]] = {}
+        for order in itertools.permutations(writes):
+            # Coherence implies atomicity (a write between an RMW and
+            # its source closes fr;co), but this test is cheaper.
+            if not _rmw_atomic(order, table.loc_rmws[l], rf):
+                continue
+            co_after: Dict[int, int] = {}
+            later = 0
+            for w in reversed(order):
+                co_after[w] = later
+                later |= 1 << w
+            edges: _Edges = [(w, co_after[w]) for w in order if co_after[w]]
+            for r, w in zip(reads, rf_pick):
+                fr = (write_mask if w < 0 else co_after[w]) & ~(1 << r)
+                if fr:
+                    edges.append((r, fr))
+            if _acyclic(_with_edges(rf_succ, (edges,)), sweep):
+                last = order[-1] if order else -1
+                by_last.setdefault(last, []).append(edges)
+        if by_last:
+            configs[rf_pick] = (rfe, by_last)
+    return configs
+
+
+def _finals(lasts, write_values: Sequence[int]) -> Tuple[Optional[int], ...]:
+    """Final memory per location from each ``(last write, _)`` pair."""
+    return tuple(
+        write_values[last] if last >= 0 else None for last, _ in lasts
+    )
+
+
+def allowed_outcomes(
+    program: Program,
+    model: AxiomaticModel,
+    max_candidates: int = DEFAULT_MAX_CANDIDATES,
+    drf0: Optional[bool] = None,
+    drf0_r: Optional[bool] = None,
+) -> FrozenSet[Observable]:
+    """The observables ``model`` allows for a straight-line program.
+
+    Equal to the observables of the candidates :func:`enumerate_candidates`
+    yields that ``model.allows``, computed by the pruned kernel the
+    module docstring describes.  ``drf0``/``drf0_r`` say whether the
+    program obeys DRF0 / DRF0-R, for the conditional models.
+
+    Raises :class:`NotStraightLine` on programs with control flow, and
+    :class:`CandidateBudgetExceeded` when the candidate space — Π over
+    locations of (writes to it)! times Π over reads of (writes to the
+    read's location + 1) — is larger than ``max_candidates``.  The size
+    is checked before any value is resolved.
+    """
+    table = _compile(program)
+    size = table.space_size()
+    if size > max_candidates:
+        raise CandidateBudgetExceeded(
+            f"program {program.name!r} has {size} candidate executions, "
+            f"over the budget of {max_candidates}"
+        )
+    ops = table.ops
+    index = {op: i for i, op in enumerate(ops)}
+    ppo = [0] * len(ops)
+    skeleton = Relations(
+        ops=ops, po=table.po, fenced=table.fenced, rf={}, co={},
+        drf0=drf0, drf0_r=drf0_r,
+    )
+    for a, b in model.ppo(skeleton):
+        ppo[index[a]] |= 1 << index[b]
+    sweep = [(i, 1 << i) for i in reversed(range(len(ops)))]
+
+    locations = range(len(table.locations))
+    per_location = []
+    for l in locations:
+        configs = _location_configs(table, l)
+        if not configs:
+            return frozenset()
+        per_location.append(list(configs.items()))
+
+    # Observable key: (register snapshots, final value per location,
+    # None for a location nothing writes).
+    allowed = set()
+    rf = [-1] * len(ops)
+    for pick in itertools.product(*per_location):
+        for l, (rf_pick, _) in zip(locations, pick):
+            for r, w in zip(table.loc_reads[l], rf_pick):
+                rf[r] = w
+        base = _with_edges(ppo, [rfe for _, (rfe, _) in pick])
+        if not _acyclic(base, sweep):
+            continue
+        # Resolved lazily: only once some combination is allowed.
+        registers = write_values = None
+        groups = [by_last.items() for _, (_, by_last) in pick]
+        for lasts in itertools.product(*groups):
+            if write_values is not None:
+                key = (registers, _finals(lasts, write_values))
+                if key in allowed:
+                    continue
+            if not any(
+                _acyclic(_with_edges(base, edge_sets), sweep)
+                for edge_sets in itertools.product(*(e for _, e in lasts))
+            ):
+                continue
+            if write_values is None:
+                resolved = _resolve(table, rf)
+                if resolved is None:
+                    break
+                _, write_values, files = resolved
+                registers = tuple(regs.snapshot() for regs in files)
+            allowed.add((registers, _finals(lasts, write_values)))
+
+    initial_memory = {
+        loc: program.initial_value(loc) for loc in program.locations()
+    }
+    observables = set()
+    for registers, finals in allowed:
+        memory = dict(initial_memory)
+        for location, value in zip(table.locations, finals):
+            if value is not None:
+                memory[location] = value
+        observables.add(
+            Observable.create([dict(regs) for regs in registers], memory)
+        )
+    return frozenset(observables)

@@ -40,7 +40,6 @@ from typing import (
 
 from repro.campaign import Executor, PolicySpec, ResultCache, RunSpec
 from repro.core.execution import Observable
-from repro.core.program import Program
 from repro.litmus.catalog import standard_catalog
 from repro.litmus.runner import LitmusRunner
 from repro.litmus.test import LitmusTest
@@ -48,33 +47,16 @@ from repro.memsys.config import MachineConfig, NET_CACHE, NET_NOCACHE
 from repro.memsys.system import ConfigurationError, ensure_compatible
 from repro.axiomatic.candidates import (
     DEFAULT_MAX_CANDIDATES,
-    enumerate_candidates,
+    allowed_outcomes,
     is_straightline,
 )
-from repro.axiomatic.model import AxiomaticModel, model_for_policy
+from repro.axiomatic.model import model_for_policy
 
 #: What callers may pass as a policy: a report name or anything
 #: :meth:`PolicySpec.of` accepts (class, factory, spec).
 PolicyLike = Union[str, Callable, PolicySpec]
 
 DEFAULT_CONFIGS: Tuple[MachineConfig, ...] = (NET_NOCACHE, NET_CACHE)
-
-
-def allowed_outcomes(
-    program: Program,
-    model: AxiomaticModel,
-    max_candidates: int = DEFAULT_MAX_CANDIDATES,
-    drf0: Optional[bool] = None,
-    drf0_r: Optional[bool] = None,
-) -> FrozenSet[Observable]:
-    """The observables ``model`` allows for a straight-line program."""
-    return frozenset(
-        candidate.observable
-        for candidate in enumerate_candidates(
-            program, max_candidates=max_candidates, drf0=drf0, drf0_r=drf0_r
-        )
-        if model.allows(candidate.relations)
-    )
 
 
 @dataclass

@@ -1191,8 +1191,10 @@ def build_parser() -> argparse.ArgumentParser:
     crosscheck.add_argument(
         "--max-candidates", type=int, default=DEFAULT_MAX_CANDIDATES,
         metavar="N",
-        help="abort a test whose axiomatic candidate space exceeds N "
-        f"executions (default {DEFAULT_MAX_CANDIDATES})",
+        help="abort a test whose axiomatic candidate space, "
+        "prod(writes per location)! x prod(writes to each read's "
+        "location + 1), exceeds N executions; checked before any "
+        f"candidate is built (default {DEFAULT_MAX_CANDIDATES})",
     )
     add_campaign_options(crosscheck)
     add_obs_options(crosscheck)

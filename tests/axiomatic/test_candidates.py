@@ -10,6 +10,8 @@ from repro.axiomatic import (
     model_by_name,
 )
 from repro.axiomatic.crosscheck import allowed_outcomes
+from repro.core.execution import Observable
+from repro.core.instructions import BinOp
 from repro.core.program import Program, ThreadBuilder
 from repro.litmus.catalog import (
     critical_section,
@@ -80,3 +82,88 @@ class TestEnumeration:
         }
         assert sets["SC"] < sets["TSO"] <= sets["PSO"] <= sets["RELAXED"]
         assert sets["SC"] < sets["WO"] <= sets["RELAXED"]
+
+
+class TestBudget:
+    def test_allowed_outcomes_checks_the_static_space(self):
+        """Dekker's space is 1! x 1! x 2 x 2 = 4 candidates; the budget
+        is checked before any candidate is built."""
+        program = LitmusRunner().executable(fig1_dekker())
+        sc = model_by_name("SC")
+        with pytest.raises(CandidateBudgetExceeded):
+            allowed_outcomes(program, sc, max_candidates=2)
+        with pytest.raises(CandidateBudgetExceeded):
+            allowed_outcomes(program, sc, max_candidates=3)
+        assert allowed_outcomes(program, sc, max_candidates=4)
+
+
+def _rf_procs(candidate):
+    """Reading proc -> writing proc (None: initial value), per read."""
+    return sorted(
+        (read.proc, None if writer is None else writer.proc)
+        for read, writer in candidate.relations.rf.items()
+    )
+
+
+class TestValueResolution:
+    def test_value_cycle_is_discarded(self):
+        """r1=x; y=r1+1 || r3=y; x=r3+1: when each read reads the other
+        thread's write the values grow every round and never settle, so
+        that rf choice has no candidate and no outcome."""
+        p0 = ThreadBuilder("P0").load("r1", "x").add("r2", "r1", 1)
+        p1 = ThreadBuilder("P1").load("r3", "y").add("r4", "r3", 1)
+        program = Program(
+            [p0.store("y", "r2").build(), p1.store("x", "r4").build()],
+            name="value_cycle",
+        )
+        candidates = list(enumerate_candidates(program))
+        assert [_rf_procs(c) for c in candidates] == [
+            [(0, None), (1, None)], [(0, None), (1, 0)], [(0, 1), (1, None)],
+        ]
+        expected = {
+            Observable.create([{"r2": 1}, {"r4": 1}], {"x": 1, "y": 1}),
+            Observable.create(
+                [{"r2": 1}, {"r3": 1, "r4": 2}], {"x": 2, "y": 1}
+            ),
+            Observable.create(
+                [{"r1": 1, "r2": 2}, {"r4": 1}], {"x": 1, "y": 2}
+            ),
+        }
+        assert allowed_outcomes(program, model_by_name("RELAXED")) == expected
+
+    def test_stable_rf_cycle_is_kept_under_relaxed(self):
+        """LB with register-valued stores: r1=x; y=r1|1 || r3=y; x=r3.
+        The rf cycle settles at r1=r3=1, an outcome only that cycle
+        gives; RELAXED allows it and SC forbids it."""
+        p0 = ThreadBuilder("P0").load("r1", "x")
+        p0.arith(BinOp.OR, "r2", "r1", 1).store("y", "r2")
+        p1 = ThreadBuilder("P1").load("r3", "y").store("x", "r3")
+        program = Program([p0.build(), p1.build()], name="lb_registers")
+        cycle = Observable.create(
+            [{"r1": 1, "r2": 1}, {"r3": 1}], {"x": 1, "y": 1}
+        )
+        candidates = [
+            c for c in enumerate_candidates(program)
+            if _rf_procs(c) == [(0, 1), (1, 0)]
+        ]
+        assert [c.observable for c in candidates] == [cycle]
+        relaxed = allowed_outcomes(program, model_by_name("RELAXED"))
+        sc = allowed_outcomes(program, model_by_name("SC"))
+        assert cycle in relaxed
+        assert relaxed - sc == {cycle}
+
+    def test_longest_rf_chain_resolves(self):
+        """Three fetch-and-adds where P0 reads P1, which reads P2: each
+        hop runs against thread order, so it costs a full round, and the
+        chain is final only after one round per op.  The resolver's
+        bound must reach it: the axiomatic SC set still equals
+        exhaustive interleaving, chain outcome included."""
+        threads = [
+            ThreadBuilder(f"P{proc}").fetch_and_add("r", "x", 1).build()
+            for proc in range(3)
+        ]
+        program = Program(threads, name="faa_chain")
+        chain = Observable.create([{"r": 2}, {"r": 1}, {}], {"x": 3})
+        sc_set = frozenset(LitmusRunner().verifier.sc_result_set(program))
+        assert chain in sc_set
+        assert allowed_outcomes(program, model_by_name("SC")) == sc_set
