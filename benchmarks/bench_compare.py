@@ -24,6 +24,10 @@ Comparison rules, chosen to match what the numbers mean:
 
 Exit status is 0 when every compared metric is within tolerance, 1
 otherwise, so CI can use the comparison as a gate.
+
+The repository benchmark is ``BENCHMARK.json``, run by
+``benchsuite/suite.py``; this tool only diffs the older per-kernel
+snapshots.
 """
 
 import argparse

@@ -21,6 +21,9 @@ which is why CI regenerates its own copy as an artifact instead of
 diffing against the committed one, and why
 ``benchmarks/bench_compare.py`` (which *does* diff two snapshots)
 applies generous tolerance bands to ``_s``-suffixed timings.
+
+The repository benchmark is ``BENCHMARK.json``, run by
+``benchsuite/suite.py``; this snapshot is the older per-kernel record.
 """
 
 import json

@@ -28,10 +28,8 @@ FaultPlan`.
 The module also re-exports the curated surface the CLI and downstream
 tools build on, so ``from repro.api import ...`` is the only import a
 consumer needs.  Internal entry points remain importable from their
-home modules, but new code should come through here; the legacy
-call patterns (positional ``explore_program`` options, positional
-``SCVerifier``/``LitmusRunner`` arguments) warn with
-``DeprecationWarning``.
+home modules, but new code should come through here.  Every entry
+point has one calling form: options are keyword-only.
 """
 
 from __future__ import annotations

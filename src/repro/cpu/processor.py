@@ -9,7 +9,7 @@ must progress (value / commit / global perform) before the processor
 moves past it.
 
 Beyond the shared conditions in :mod:`repro.cpu.core`, this core adds
-the two structural rules the original monolithic ``Processor`` enforced:
+two structural rules:
 
 * any instruction with a destination register blocks until its value
   arrives, so no later instruction can consume a stale register;
@@ -19,14 +19,11 @@ the two structural rules the original monolithic ``Processor`` enforced:
 Every stall is attributed to a :class:`StallReason`, which is the raw
 data behind the Figure 3 and quantitative-comparison experiments.
 
-``Processor`` remains as a deprecated alias so pre-PR6 imports and
-pickled repro bundles keep replaying; new code should construct cores
-via :func:`repro.cpu.core.core_class_by_name` (or let ``System`` do it).
+Construct cores via :func:`repro.cpu.core.core_class_by_name` (or let
+``System`` do it).
 """
 
 from __future__ import annotations
-
-import warnings
 
 from repro.core.instructions import MemInstruction
 from repro.cpu.access import MemoryAccess
@@ -34,7 +31,7 @@ from repro.cpu.core import MemoryPort, ProcessorCore
 from repro.models.base import BlockKind
 from repro.sim.stats import StallReason
 
-__all__ = ["MemoryPort", "Processor", "SimpleCore"]
+__all__ = ["MemoryPort", "SimpleCore"]
 
 
 class SimpleCore(ProcessorCore):
@@ -83,21 +80,3 @@ class SimpleCore(ProcessorCore):
         self.port.submit(access)
         self._block_on(access, block)
 
-
-class Processor(SimpleCore):
-    """Deprecated alias of :class:`SimpleCore` (pre-PR6 name).
-
-    Kept so external imports and the pickled repro bundles from PR 4
-    keep replaying; it is not a registered core (``core_name`` is
-    inherited, so the registry still maps ``"simple"`` to
-    :class:`SimpleCore` itself).
-    """
-
-    def __init__(self, *args, **kwargs) -> None:
-        warnings.warn(
-            "repro.cpu.Processor is deprecated; use repro.cpu.SimpleCore "
-            "(or construct cores via repro.cpu.core.core_class_by_name)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        super().__init__(*args, **kwargs)

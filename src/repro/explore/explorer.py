@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import base64
 import pickle
-import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Set, Tuple, Union
@@ -148,26 +147,10 @@ def _restore_frontier(
     return [tuple(prefix) for prefix in state["frontier"]]
 
 
-#: Legacy positional order of :func:`explore_program`'s optional
-#: parameters, accepted (with a warning) by the deprecation shim.
-_EXPLORE_LEGACY_POSITIONALS = (
-    "max_delays",
-    "config",
-    "max_runs",
-    "max_cycles",
-    "relaxed_request_channels",
-    "inval_virtual_channel",
-    "executor",
-    "jobs",
-    "trace",
-    "sanitize",
-)
-
-
 def explore_program(
     program: Program,
     policy_factory: Callable[[], OrderingPolicy],
-    *legacy_args,
+    *,
     max_delays: int = 2,
     config: Optional[MachineConfig] = None,
     max_runs: int = 20_000,
@@ -233,34 +216,6 @@ def explore_program(
             every wave, so rate and counts reflect the whole
             exploration rather than a single campaign.
     """
-    if legacy_args:
-        warnings.warn(
-            "passing explore_program options positionally is deprecated; "
-            "pass them as keywords, or use repro.api.explore",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        if len(legacy_args) > len(_EXPLORE_LEGACY_POSITIONALS):
-            raise TypeError(
-                f"explore_program takes at most "
-                f"{2 + len(_EXPLORE_LEGACY_POSITIONALS)} positional arguments"
-            )
-        overrides = dict(zip(_EXPLORE_LEGACY_POSITIONALS, legacy_args))
-        max_delays = overrides.get("max_delays", max_delays)
-        config = overrides.get("config", config)
-        max_runs = overrides.get("max_runs", max_runs)
-        max_cycles = overrides.get("max_cycles", max_cycles)
-        relaxed_request_channels = overrides.get(
-            "relaxed_request_channels", relaxed_request_channels
-        )
-        inval_virtual_channel = overrides.get(
-            "inval_virtual_channel", inval_virtual_channel
-        )
-        executor = overrides.get("executor", executor)
-        jobs = overrides.get("jobs", jobs)
-        trace = overrides.get("trace", trace)
-        sanitize = overrides.get("sanitize", sanitize)
-
     from repro.api import campaign as run_campaign
 
     config = (config or NET_CACHE).with_overrides(start_skew=0)

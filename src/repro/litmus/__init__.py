@@ -4,7 +4,6 @@ from repro.litmus.catalog import (
     catalog_by_name,
     coherence_corr,
     critical_section,
-    dekker_racy_on_weak,
     fig1_dekker,
     fig1_dekker_all_sync,
     iriw,
@@ -35,7 +34,6 @@ __all__ = [
     "catalog_by_name",
     "coherence_corr",
     "critical_section",
-    "dekker_racy_on_weak",
     "fig1_dekker",
     "fig1_dekker_all_sync",
     "iriw",

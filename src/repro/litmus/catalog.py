@@ -251,12 +251,6 @@ def critical_section() -> LitmusTest:
     )
 
 
-def dekker_racy_on_weak() -> LitmusTest:
-    """Alias for :func:`fig1_dekker` with warm caches, the racy program
-    used to show weakly ordered hardware is *not* SC for all software."""
-    return fig1_dekker(warm=True)
-
-
 # ----------------------------------------------------------------------
 # Core-originated reordering (PR 6): shapes that only become observable
 # when the *processor core* reorders — store-to-load forwarding and

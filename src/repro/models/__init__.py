@@ -5,17 +5,12 @@ The canonical way to obtain a policy is the registry::
     from repro.models import policy_by_name
     policy = policy_by_name("TSO", core="pipelined")
 
-Importing the concrete classes from this package
-(``from repro.models import SCPolicy``) is deprecated — it still works
-for one release via a ``__getattr__`` shim, but warns; import from
-:mod:`repro.models.policies` or use the registry instead.
+The concrete classes live in :mod:`repro.models.policies`.
 
 Registered policies (derived from the registry, so this list can never
 go stale):
 
 """
-
-import warnings
 
 from repro.models import policies as _policies  # populate the registry
 from repro.models.base import (
@@ -46,27 +41,3 @@ __all__ = [
     "policy_names",
     "registered_policies",
 ]
-
-#: Legacy class-name exports (``from repro.models import SCPolicy``):
-#: resolved lazily with a DeprecationWarning for one release.
-_DEPRECATED_CLASSES = {
-    cls.__name__: cls for cls in registered_policies().values()
-}
-
-
-def __getattr__(name: str):
-    cls = _DEPRECATED_CLASSES.get(name)
-    if cls is not None:
-        warnings.warn(
-            f"importing {name} from repro.models is deprecated; use "
-            f"repro.models.policy_by_name({cls.name!r}) or import from "
-            f"repro.models.policies",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return cls
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__():
-    return sorted(set(globals()) | set(_DEPRECATED_CLASSES))

@@ -40,7 +40,9 @@ class ProgressReporter:
         self.failed = 0
         self.lines_emitted = 0
         self._started = time.monotonic()
-        self._last_emit = 0.0
+        # -inf so the first tick always emits, whatever the monotonic
+        # clock's (host-dependent) origin.
+        self._last_emit = float("-inf")
 
     # -- campaign wiring -------------------------------------------
 

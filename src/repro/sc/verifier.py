@@ -12,7 +12,6 @@ runs test hundreds of outcomes of the same program.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set
 
@@ -43,17 +42,7 @@ class SCVerifier:
     membership queries (what the litmus runner does).
     """
 
-    def __init__(self, *args, max_states: int = 2_000_000, prune: bool = True) -> None:
-        if args:
-            warnings.warn(
-                "positional SCVerifier(max_states) is deprecated; pass "
-                "max_states as a keyword, or use repro.api.verify_sc",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            max_states = args[0]
-            if len(args) > 1:  # pragma: no cover - defensive
-                raise TypeError("SCVerifier takes at most one positional argument")
+    def __init__(self, *, max_states: int = 2_000_000, prune: bool = True) -> None:
         self._max_states = max_states
         self._prune = prune
         self._cache: Dict[int, Set[Observable]] = {}

@@ -44,7 +44,6 @@ class Simulator:
         self._queue: List[Tuple[int, int, Callable[[], None]]] = []
         self._time = 0
         self._seq = 0
-        self._running = False
         #: Event tracer, created disabled (see :mod:`repro.trace`).
         self.tracer = Tracer(self)
         #: Protocol-invariant checker, created disabled (see
@@ -68,8 +67,15 @@ class Simulator:
         """Run ``callback`` at the current time, after pending same-time events."""
         self.schedule(0, callback)
 
-    def run(self, max_cycles: int = 1_000_000) -> int:
+    def run(
+        self,
+        max_cycles: int = 1_000_000,
+        until: Optional[Callable[[], bool]] = None,
+    ) -> int:
         """Drain the event queue; returns the final simulation time.
+
+        With ``until``, stop early as soon as ``until()`` holds (checked
+        before each event), leaving the remaining events queued.
 
         Raises :class:`SimulationTimeout` if time would pass
         ``max_cycles`` — the liveness watchdog backing the paper's
@@ -77,11 +83,12 @@ class Simulator:
         system always quiesces, so hitting the watchdog means a protocol
         or policy bug (or a livelocked program).
         """
-        self._running = True
         sanitizer = self.sanitizer
         entry_time, entry_seq = self._time, self._seq
         try:
             while self._queue:
+                if until is not None and until():
+                    break
                 time, _seq, callback = heapq.heappop(self._queue)
                 if time > max_cycles:
                     raise SimulationTimeout(
@@ -104,7 +111,6 @@ class Simulator:
                 )
             raise
         finally:
-            self._running = False
             if METRICS.enabled:
                 METRICS.inc(
                     "repro_sim_runs_total",
@@ -135,28 +141,6 @@ class Simulator:
             self._time = time
             callback()
         self._time = deadline
-        return self._time
-
-    def run_until(self, predicate: Callable[[], bool], max_cycles: int = 1_000_000) -> int:
-        """Drain events until ``predicate()`` holds; returns current time."""
-        self._running = True
-        sanitizer = self.sanitizer
-        try:
-            while self._queue and not predicate():
-                time, _seq, callback = heapq.heappop(self._queue)
-                if time > max_cycles:
-                    raise SimulationTimeout(
-                        f"simulation passed {max_cycles} cycles without quiescing",
-                        cycles=self._time,
-                        budget=max_cycles,
-                    )
-                if time != self._time:
-                    if sanitizer.enabled:
-                        sanitizer.on_cycle()
-                    self._time = time
-                callback()
-        finally:
-            self._running = False
         return self._time
 
     @property

@@ -90,7 +90,7 @@ class TestParallelForwarding:
         harness.read(1, "x")
         harness.read(2, "x")
         access = harness.access(0, OpKind.WRITE, "x", write_value=4)
-        harness.sim.run_until(lambda: access.committed)
+        harness.sim.run(until=lambda: access.committed)
         assert not access.globally_performed  # invals still in flight
         harness.run()
         assert access.globally_performed
@@ -107,9 +107,9 @@ class TestParallelForwarding:
         harness = ProtocolHarness(num_caches=2, transfer_cycles=20)
         harness.read(1, "x")
         write = harness.access(0, OpKind.WRITE, "x", write_value=4)
-        harness.sim.run_until(lambda: write.committed)
+        harness.sim.run(until=lambda: write.committed)
         read = harness.access(0, OpKind.READ, "x")
-        harness.sim.run_until(lambda: read.value is not None)
+        harness.sim.run(until=lambda: read.value is not None)
         assert read.value == 4  # sees the local commit
         assert not read.globally_performed  # rides the write's MemAck
         harness.run()

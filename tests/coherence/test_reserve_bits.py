@@ -45,7 +45,7 @@ class TestCounter:
         harness.read(1, "s")
         harness.read(2, "s")
         sync = harness.access(0, OpKind.SYNC_WRITE, "s", write_value=1)
-        harness.sim.run_until(lambda: sync.committed)
+        harness.sim.run(until=lambda: sync.committed)
         assert harness.caches[0].counter.value == 1
         harness.run()
         assert harness.caches[0].counter.zero
@@ -60,7 +60,7 @@ class TestReserveBit:
         harness.write(1, "x", 1)
         data = harness.access(0, OpKind.WRITE, "x", write_value=2)
         sync = harness.access(0, OpKind.SYNC_RMW, "s", compute=lambda old: 1)
-        harness.sim.run_until(lambda: sync.committed)
+        harness.sim.run(until=lambda: sync.committed)
         return harness, data, sync
 
     def test_reserve_set_while_accesses_outstanding(self):
@@ -141,7 +141,7 @@ class TestReservedEviction:
         harness.write(1, "x", 1)  # make cache 0's write to x slow
         data = harness.access(0, OpKind.WRITE, "x", write_value=2)
         sync = harness.access(0, OpKind.SYNC_RMW, "s", compute=lambda old: 1)
-        harness.sim.run_until(lambda: sync.committed)
+        harness.sim.run(until=lambda: sync.committed)
         if not harness.caches[0].is_reserved("s"):
             pytest.skip("timing did not reserve the line")
         # Fill a third line: the reserved s must survive.

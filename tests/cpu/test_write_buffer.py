@@ -89,7 +89,7 @@ class TestReads:
         harness = PortHarness(drain_delay=50)
         write = harness.submit(OpKind.WRITE, "x", value=1)
         read = harness.submit(OpKind.READ, "y")
-        harness.sim.run_until(lambda: read.globally_performed)
+        harness.sim.run(until=lambda: read.globally_performed)
         assert read.globally_performed
         assert not write.globally_performed  # still draining
 

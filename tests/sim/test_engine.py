@@ -99,7 +99,7 @@ class TestSimulator:
 
         sim.schedule(0, tick)
         with pytest.raises(SimulationTimeout) as excinfo:
-            sim.run_until(lambda: False, max_cycles=23)
+            sim.run(max_cycles=23, until=lambda: False)
         assert excinfo.value.cycles == sim.now
         assert excinfo.value.budget == 23
         assert sim.now <= 23
@@ -109,7 +109,7 @@ class TestSimulator:
         hits = []
         for delay in (1, 2, 3, 4):
             sim.schedule(delay, lambda d=delay: hits.append(d))
-        sim.run_until(lambda: len(hits) >= 2)
+        sim.run(until=lambda: len(hits) >= 2)
         assert hits == [1, 2]
         assert sim.pending_events == 2
 

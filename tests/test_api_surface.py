@@ -5,8 +5,9 @@ call signatures may only change together with this snapshot, so any
 accidental rename, parameter reorder, or keyword-only regression fails
 loudly here before it reaches a consumer.
 
-The second half checks the deprecation shims: the legacy call patterns
-must still *work* — and must warn.
+Every entry point has exactly one calling form: options after the
+leading positionals are keyword-only, and the retired positional forms
+and class aliases fail loudly rather than being translated.
 """
 
 import importlib
@@ -113,6 +114,16 @@ FACADE_SHAPES = {
     ),
 }
 
+#: Positional parameters of the lower-level entry points; everything
+#: after them is keyword-only, with no ``*args`` catch-all.
+ENTRY_POINT_POSITIONALS = {
+    "SCVerifier": (SCVerifier.__init__, ("self",)),
+    "LitmusRunner.run": (
+        LitmusRunner.run, ("self", "test", "policy_factory", "config"),
+    ),
+    "explore_program": (api.explore_program, ("program", "policy_factory")),
+}
+
 #: Every name ``repro.api`` exports.  Additions are fine but deliberate:
 #: extend the snapshot in the same commit.
 EXPORTED_NAMES = frozenset(
@@ -175,6 +186,18 @@ class TestApiSurface:
     @pytest.mark.parametrize("name", sorted(FACADE_SHAPES))
     def test_facade_signature_matches_snapshot(self, name):
         assert _shape(getattr(api, name)) == FACADE_SHAPES[name]
+
+    @pytest.mark.parametrize("name", sorted(ENTRY_POINT_POSITIONALS))
+    def test_entry_point_positionals_match_snapshot(self, name):
+        fn, expected = ENTRY_POINT_POSITIONALS[name]
+        shape = _shape(fn)
+        assert {kind for _, kind, _ in shape} <= {
+            "POSITIONAL_OR_KEYWORD", "KEYWORD_ONLY",
+        }
+        positional = tuple(
+            n for n, kind, _ in shape if kind == "POSITIONAL_OR_KEYWORD"
+        )
+        assert positional == expected
 
     def test_exported_names_match_snapshot(self):
         assert set(api.__all__) == EXPORTED_NAMES
@@ -302,18 +325,47 @@ class TestModelCentricSurface:
         assert {c.policy_name for c in report.cells} == {"SC", "TSO"}
 
 
-class TestDeprecationShims:
-    def test_models_package_class_import_warns_and_works(self):
-        # importlib, not ``import repro.models``: the package attribute
-        # ``repro.models`` names the facade function (like campaign/
-        # explore); the module itself lives in sys.modules.
-        models_pkg = importlib.import_module("repro.models")
+def _import_processor_alias():
+    from repro.cpu import Processor  # noqa: F401
 
-        with pytest.warns(DeprecationWarning, match="deprecated"):
-            cls = models_pkg.SCPolicy
-        from repro.models.policies import SCPolicy
 
-        assert cls is SCPolicy
+def _models_package_class_attribute():
+    # importlib, not ``import repro.models``: the package attribute
+    # ``repro.models`` names the facade function (like campaign/
+    # explore); the module itself lives in sys.modules.
+    return importlib.import_module("repro.models").SCPolicy
+
+
+#: Retired calling forms -> the error each now raises.
+RETIRED_FORMS = {
+    "SCVerifier-positional-max_states": (
+        lambda: SCVerifier(500_000), TypeError,
+    ),
+    "LitmusRunner.run-positional-runs": (
+        lambda: LitmusRunner().run(
+            fig1_dekker(), RelaxedPolicy, NET_NOCACHE, 5
+        ),
+        TypeError,
+    ),
+    "explore_program-positional-max_delays": (
+        lambda: api.explore_program(
+            fig1_dekker().executable_program(), RelaxedPolicy, 1
+        ),
+        TypeError,
+    ),
+    "repro.models-class-attribute": (
+        _models_package_class_attribute, AttributeError,
+    ),
+    "repro.cpu-Processor-alias": (_import_processor_alias, ImportError),
+}
+
+
+class TestOneCallingForm:
+    @pytest.mark.parametrize("form", sorted(RETIRED_FORMS))
+    def test_retired_form_fails_loudly(self, form):
+        call, error = RETIRED_FORMS[form]
+        with pytest.raises(error):
+            call()
 
     def test_models_package_registry_path_stays_silent(self):
         models_pkg = importlib.import_module("repro.models")
@@ -323,32 +375,11 @@ class TestDeprecationShims:
             models_pkg.policy_by_name("TSO")
             models_pkg.policy_names()
 
-    def test_scverifier_positional_max_states_warns_and_works(self):
-        with pytest.warns(DeprecationWarning, match="positional"):
-            verifier = SCVerifier(500_000)
-        program = fig1_dekker().program
-        assert verifier.sc_result_set(program)
-
     def test_scverifier_keyword_stays_silent(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             SCVerifier(max_states=500_000)
             SCVerifier()
-
-    def test_explore_program_positional_options_warn_and_work(self):
-        program = fig1_dekker().executable_program()
-        with pytest.warns(DeprecationWarning, match="positionally"):
-            report = api.explore_program(program, RelaxedPolicy, 1)
-        assert report.max_delays == 1
-        assert report.exhausted
-
-    def test_litmus_runner_positional_options_warn_and_work(self):
-        runner = LitmusRunner()
-        with pytest.warns(DeprecationWarning, match="positionally"):
-            result = runner.run(
-                fig1_dekker(), RelaxedPolicy, NET_NOCACHE, 5, 99
-            )
-        assert result.runs == 5
 
     def test_litmus_runner_keyword_call_stays_silent(self):
         runner = LitmusRunner()
