@@ -150,12 +150,12 @@ def _drf_flags(test: LitmusTest, cache: Dict[str, Tuple[bool, bool]]):
     loads are harness scaffolding.
     """
     if test.name not in cache:
-        from repro.drf.drf0 import check_program
+        from repro.drf.drf0 import contract_obeys
         from repro.drf.models import DRF0, DRF0_R
 
         cache[test.name] = (
-            check_program(test.program, DRF0, max_executions=5_000).obeys,
-            check_program(test.program, DRF0_R, max_executions=5_000).obeys,
+            contract_obeys(test.name, test.program, DRF0),
+            contract_obeys(test.name, test.program, DRF0_R),
         )
     return cache[test.name]
 

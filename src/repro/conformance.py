@@ -154,13 +154,11 @@ DEFAULT_POLICIES: Tuple[Callable[[], OrderingPolicy], ...] = (
 
 def _conforms(test: LitmusTest, model, cache: Dict[tuple, bool]) -> bool:
     """Does the program obey the policy's synchronization model?"""
-    from repro.drf.drf0 import check_program
+    from repro.drf.drf0 import contract_obeys
 
     key = (model.name, test.name)
     if key not in cache:
-        cache[key] = check_program(
-            test.program, model, max_executions=5_000
-        ).obeys
+        cache[key] = contract_obeys(test.name, test.program, model)
     return cache[key]
 
 

@@ -6,22 +6,42 @@ instruction set — and (2) for *any* execution on the idealized system,
 all conflicting accesses are ordered by the execution's happens-before.
 
 Deciding (2) therefore quantifies over every idealized execution.  The
-checker enumerates them (see :mod:`repro.sc.interleaving`) and runs the
-race detector on each, reporting the first witness execution that
-exhibits a race — exactly the counterexample a programmer would want.
+checker enumerates them (see :mod:`repro.sc.interleaving`) and judges
+each, reporting the first witness execution that exhibits a race —
+exactly the counterexample a programmer would want.
+
+Consecutive executions of the depth-first enumeration share all but
+their last few operations, as the very same :class:`MemoryOp` objects.
+:class:`_PrefixRaceChecker` exploits that: it keeps vector clocks for
+the current DFS path and, per execution, pops back to the shared prefix
+and pushes only the new operations, each compared with the earlier
+accesses to its own location.  The full race detector
+(:func:`repro.drf.races.find_races`) stays the oracle: it is run on the
+first racy execution and supplies the reported races.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import islice
-from typing import List, Optional, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.execution import Execution
+from repro.core.operation import Location, MemoryOp, Value
 from repro.core.program import Program
 from repro.drf.models import DRF0, SynchronizationModel
 from repro.drf.races import Race, find_races
-from repro.sc.interleaving import enumerate_executions
+from repro.hb.augment import AugmentationError, _is_reserved_location
+from repro.sc.interleaving import SearchBudgetExceeded, enumerate_executions
+
+#: Execution budget of the Definition-2 contract checks (the conformance
+#: grid and the axiomatic crosscheck); every catalog test needs at most 8.
+CONTRACT_MAX_EXECUTIONS = 5_000
+
+
+class RaceKernelMismatch(RuntimeError):
+    """The incremental race kernel and the full race detector disagree."""
 
 
 @dataclass
@@ -36,7 +56,7 @@ class DRFReport:
     races: List[Race] = field(default_factory=list)
     #: The idealized execution witnessing the races, if any.
     witness: Optional[Execution] = None
-    #: True when the search was truncated by ``max_executions``.
+    #: False when ``max_executions`` cut a clean search short.
     exhaustive: bool = True
 
     def describe(self) -> str:
@@ -75,33 +95,169 @@ def check_program(
     """
     if jobs > 1:
         return _check_program_parallel(program, model, max_executions, jobs, prune)
-    checked = 0
-    truncated = max_executions is not None
-    for execution in enumerate_executions(
-        program, max_executions=max_executions, prune=prune
-    ):
-        checked += 1
-        races = find_races(
-            execution, model=model, initial_memory=dict(program.initial_memory)
+    checked, hit = _first_race(
+        enumerate_executions(program, max_executions=max_executions, prune=prune),
+        model,
+        program.num_procs,
+        program.initial_memory,
+    )
+    return _report(program, model, checked, hit, max_executions)
+
+
+def _report(
+    program: Program,
+    model: SynchronizationModel,
+    checked: int,
+    hit: Optional[Tuple[List[Race], Execution]],
+    max_executions: Optional[int],
+) -> DRFReport:
+    """The report of a scan that judged ``checked`` executions.
+
+    A racy verdict is definitive; a clean one is exhaustive unless the
+    scan stopped at ``max_executions``.
+    """
+    if hit is not None:
+        races, witness = hit
+        return DRFReport(
+            program=program,
+            model=model,
+            obeys=False,
+            executions_checked=checked,
+            races=races,
+            witness=witness,
         )
-        if races:
-            return DRFReport(
-                program=program,
-                model=model,
-                obeys=False,
-                executions_checked=checked,
-                races=races,
-                witness=execution,
-                exhaustive=True,
-            )
-    exhaustive = not truncated or checked < max_executions
     return DRFReport(
         program=program,
         model=model,
         obeys=True,
         executions_checked=checked,
-        exhaustive=exhaustive,
+        exhaustive=max_executions is None or checked < max_executions,
     )
+
+
+class _PrefixRaceChecker:
+    """Race verdicts for a stream of executions sharing DFS prefixes.
+
+    The stack holds the ops of the previous execution.  For each pushed
+    op it keeps a vector clock of happens-before: the op's processor's
+    previous clock, with the op's own epoch (its 1-based position in
+    its processor's program order), joined — for a sync op — with the
+    clock of every earlier same-location sync the model's
+    ``sync_edge_rule`` orders before it.  An earlier access ``a`` is
+    then hb-before the new op iff the new clock's entry for ``a.proc``
+    has reached ``a``'s epoch.
+
+    Only the real ops are pushed.  Section 4's augmentation hb-orders
+    each hypothetical op with every op it conflicts with, and no hb path
+    leaves a real op through a hypothetical one and comes back, so the
+    augmentation can neither add nor remove a race.
+    """
+
+    def __init__(self, model: SynchronizationModel, num_procs: int) -> None:
+        self._edge = model.sync_edge_rule
+        self._is_exempt = model.is_exempt
+        self._zero = (0,) * num_procs
+        self._ops: List[MemoryOp] = []
+        #: Per stack entry: does the prefix ending there contain a race?
+        self._racy: List[bool] = []
+        #: Clocks of each processor's ops on the stack, in program order.
+        self._proc_clocks: Dict[int, List[tuple]] = defaultdict(list)
+        #: Per location: ``(proc, epoch, writes, op)`` of each access.
+        self._accesses: Dict[Location, List[tuple]] = {}
+        #: Per location: ``(op, clock)`` of each sync op.
+        self._syncs: Dict[Location, List[tuple]] = defaultdict(list)
+
+    def racy(self, execution: Execution) -> bool:
+        """Whether ``execution`` has a race, i.e. ``bool(find_races(...))``."""
+        ops = execution.ops
+        stack = self._ops
+        keep = 0
+        limit = min(len(ops), len(stack))
+        while keep < limit and ops[keep] is stack[keep]:
+            keep += 1
+        while len(stack) > keep:
+            self._pop()
+        for op in ops[keep:]:
+            self._push(op)
+        return bool(self._racy) and self._racy[-1]
+
+    def _pop(self) -> None:
+        op = self._ops.pop()
+        self._racy.pop()
+        self._proc_clocks[op.proc].pop()
+        self._accesses[op.location].pop()
+        if op.is_sync:
+            self._syncs[op.location].pop()
+
+    def _push(self, op: MemoryOp) -> None:
+        proc = op.proc
+        location = op.location
+        mine = self._proc_clocks[proc]
+        clock = list(mine[-1] if mine else self._zero)
+        epoch = clock[proc] = len(mine) + 1
+        accesses = self._accesses.get(location)
+        if accesses is None:
+            if _is_reserved_location(location):
+                raise AugmentationError(
+                    f"program location {location!r} is reserved for the "
+                    "hypothetical operations of the augmented execution"
+                )
+            accesses = self._accesses[location] = []
+        sync = op.is_sync
+        if sync:
+            edge = self._edge
+            for earlier, earlier_clock in self._syncs[location]:
+                if edge(earlier, op):
+                    clock = list(map(max, clock, earlier_clock))
+        racy = bool(self._racy) and self._racy[-1]
+        writes = op.writes_memory
+        if not racy:
+            is_exempt = self._is_exempt
+            for other, other_epoch, other_writes, earlier in accesses:
+                if (
+                    other != proc
+                    and (writes or other_writes)
+                    and clock[other] < other_epoch
+                    and not is_exempt(earlier, op)
+                ):
+                    racy = True
+                    break
+        frozen = tuple(clock)
+        if sync:
+            self._syncs[location].append((op, frozen))
+        mine.append(frozen)
+        accesses.append((proc, epoch, writes, op))
+        self._ops.append(op)
+        self._racy.append(racy)
+
+
+def _first_race(
+    executions: Iterable[Execution],
+    model: SynchronizationModel,
+    num_procs: int,
+    initial_memory: Mapping[Location, Value],
+) -> Tuple[int, Optional[Tuple[List[Race], Execution]]]:
+    """Scan ``executions`` in order; stop at the first racy one.
+
+    Returns how many executions were judged and, for a racy one, its
+    races as :func:`find_races` reports them and the execution itself.
+    """
+    kernel = _PrefixRaceChecker(model, num_procs)
+    checked = 0
+    for execution in executions:
+        checked += 1
+        if not kernel.racy(execution):
+            continue
+        races = find_races(
+            execution, model=model, initial_memory=dict(initial_memory)
+        )
+        if not races:
+            raise RaceKernelMismatch(
+                f"the race kernel flags execution {checked} under "
+                f"{model.name}, but find_races reports no race"
+            )
+        return checked, (races, execution)
+    return checked, None
 
 
 #: Executions per parallel work item — large enough to amortize pickling,
@@ -109,20 +265,16 @@ def check_program(
 _CHUNK = 32
 
 
-def _check_chunk(payload) -> Optional[Tuple[int, List[Race], Execution]]:
-    """Worker: first racy execution in a chunk, or None if all are clean.
+def _check_chunk(payload) -> Tuple[int, Optional[Tuple[List[Race], Execution]]]:
+    """Worker: :func:`_first_race` over one chunk of executions.
 
-    Races and witness come back in the same return value, so pickling
-    keeps their operation identities mutually consistent.
+    The chunk arrives as one pickle payload, so its executions still
+    share operation identity, which the race kernel relies on.  Races
+    and witness come back in the same return value, so pickling keeps
+    their operation identities mutually consistent.
     """
-    model, initial_memory, chunk = payload
-    for index, execution in chunk:
-        races = find_races(
-            execution, model=model, initial_memory=dict(initial_memory)
-        )
-        if races:
-            return (index, races, execution)
-    return None
+    model, num_procs, initial_memory, chunk = payload
+    return _first_race(chunk, model, num_procs, initial_memory)
 
 
 def _check_program_parallel(
@@ -141,9 +293,8 @@ def _check_program_parallel(
     from collections import deque
     from concurrent.futures import ProcessPoolExecutor
 
-    truncated = max_executions is not None
-    source = enumerate(
-        enumerate_executions(program, max_executions=max_executions, prune=prune)
+    source = enumerate_executions(
+        program, max_executions=max_executions, prune=prune
     )
     initial_memory = dict(program.initial_memory)
     checked = 0
@@ -154,12 +305,8 @@ def _check_program_parallel(
             chunk = list(islice(source, _CHUNK))
             if not chunk:
                 return False
-            pending.append(
-                (
-                    len(chunk),
-                    pool.submit(_check_chunk, (model, initial_memory, chunk)),
-                )
-            )
+            payload = (model, program.num_procs, initial_memory, chunk)
+            pending.append(pool.submit(_check_chunk, payload))
             return True
 
         # Keep one extra chunk in flight so workers never starve.
@@ -167,32 +314,34 @@ def _check_program_parallel(
             if not submit_next():
                 break
         while pending:
-            size, future = pending.popleft()
-            hit = future.result()
-            if hit is None:
-                checked += size
-                submit_next()
-                continue
-            index, races, witness = hit
-            for _, later in pending:
-                later.cancel()
-            return DRFReport(
-                program=program,
-                model=model,
-                obeys=False,
-                executions_checked=index + 1,
-                races=races,
-                witness=witness,
-                exhaustive=True,
-            )
-    exhaustive = not truncated or checked < max_executions
-    return DRFReport(
-        program=program,
-        model=model,
-        obeys=True,
-        executions_checked=checked,
-        exhaustive=exhaustive,
-    )
+            judged, hit = pending.popleft().result()
+            checked += judged
+            if hit is not None:
+                for later in pending:
+                    later.cancel()
+                return _report(program, model, checked, hit, max_executions)
+            submit_next()
+    return _report(program, model, checked, None, max_executions)
+
+
+def contract_obeys(
+    test_name: str, program: Program, model: SynchronizationModel
+) -> bool:
+    """``check_program(...).obeys`` as a proof for the Definition-2 contract.
+
+    Runs within :data:`CONTRACT_MAX_EXECUTIONS` and raises
+    :class:`SearchBudgetExceeded` if a clean search was cut short: a
+    truncated search proves nothing, and counting it as "obeys" could
+    turn a weakly ordered verdict into a broken one.
+    """
+    report = check_program(program, model, max_executions=CONTRACT_MAX_EXECUTIONS)
+    if not report.exhaustive:
+        raise SearchBudgetExceeded(
+            f"{test_name}: the {model.name} check stopped at its budget of "
+            f"{CONTRACT_MAX_EXECUTIONS} idealized executions without a "
+            "verdict"
+        )
+    return report.obeys
 
 
 def obeys_drf0(program: Program, max_executions: Optional[int] = None) -> bool:
