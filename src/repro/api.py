@@ -84,7 +84,7 @@ from repro.delayset import (
     minimal_delay_pairs,
     static_footprints,
 )
-from repro.drf.drf0 import DRFReport, check_program, obeys_drf0
+from repro.drf.drf0 import DRFReport, check_program, contract_obeys, obeys_drf0
 from repro.drf.models import DRF0, DRF0_R, SynchronizationModel
 from repro.explore.explorer import (
     ExplorationReport,
@@ -316,6 +316,11 @@ def explore(
     )
 
 
+#: The synchronization model behind each conditional axiomatic model's
+#: ``condition`` field.
+_CONDITION_MODELS = {"drf0": DRF0, "drf0_r": DRF0_R}
+
+
 def verify_sc(
     program: Program,
     outcomes: Optional[Iterable[Observable]] = None,
@@ -337,12 +342,20 @@ def verify_sc(
     :func:`~repro.axiomatic.model.axiomatic_model_names`) it is instead
     the set of outcomes that model's axioms allow — ``model="SC"``
     provably coincides with the default for straight-line programs,
-    weaker models accept more.
+    weaker models accept more.  A conditional model (``WO-DRF0``,
+    ``WO-DRF0R``) gets its condition decided here, by the same
+    exhaustive DRF check the conformance grid uses.
     """
     if model is not None:
+        axiomatic = model_by_name(model)
+        condition = {}
+        if axiomatic.condition is not None:
+            condition[axiomatic.condition] = contract_obeys(
+                program.name, program, _CONDITION_MODELS[axiomatic.condition]
+            )
         reference: Set[Observable] = set(
             allowed_outcomes(
-                program, model_by_name(model), max_candidates=max_candidates
+                program, axiomatic, max_candidates=max_candidates, **condition
             )
         )
     else:

@@ -40,20 +40,19 @@ class OpKind(enum.Enum):
     SYNC_WRITE = "sync_write"
     SYNC_RMW = "sync_rmw"
 
-    @property
-    def is_sync(self) -> bool:
-        """True for synchronization operations (DRF0's S ops)."""
-        return self in (OpKind.SYNC_READ, OpKind.SYNC_WRITE, OpKind.SYNC_RMW)
+    #: True for synchronization operations (DRF0's S ops).
+    is_sync: bool
+    #: True if the operation has a read component.
+    reads_memory: bool
+    #: True if the operation has a write component.
+    writes_memory: bool
 
-    @property
-    def reads_memory(self) -> bool:
-        """True if the operation has a read component."""
-        return self in (OpKind.READ, OpKind.SYNC_READ, OpKind.SYNC_RMW)
-
-    @property
-    def writes_memory(self) -> bool:
-        """True if the operation has a write component."""
-        return self in (OpKind.WRITE, OpKind.SYNC_WRITE, OpKind.SYNC_RMW)
+    def __init__(self, value: str) -> None:
+        # Plain attributes rather than properties: the searches and the
+        # simulator ask these tens of thousands of times per check.
+        self.is_sync = value.startswith("sync_")
+        self.reads_memory = value in ("read", "sync_read", "sync_rmw")
+        self.writes_memory = value in ("write", "sync_write", "sync_rmw")
 
 
 _uid_counter = itertools.count()

@@ -370,13 +370,14 @@ class System:
                     recorded, dropped=self.sim.tracer.dropped
                 )
 
+        observable = self._observable()
         return HardwareRun(
             program=self.program,
             policy_name=self.policy.name,
             config_name=self.config.name,
             seed=self.seed,
-            observable=self._observable(),
-            execution=self._trace(),
+            observable=observable,
+            execution=self._trace(observable),
             stats=self.stats,
             cycles=cycles,
             completed=completed,
@@ -424,12 +425,14 @@ class System:
             halts[processor.logical_proc] = processor.halt_time
         return halts
 
-    def _trace(self) -> Execution:
+    def _trace(self, observable: Observable) -> Execution:
         ops = [op for p in self.processors for op in p.trace]
         ops.sort(key=lambda op: (op.commit_time, op.proc))
-        execution = Execution(ops=ops, completed=all(p.halted for p in self.processors))
-        execution.observable = self._observable()
-        return execution
+        return Execution(
+            ops=ops,
+            observable=observable,
+            completed=all(p.halted for p in self.processors),
+        )
 
 
 def run_program(

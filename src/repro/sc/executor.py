@@ -14,7 +14,6 @@ enumerator in :mod:`repro.sc.interleaving` can drive exhaustive searches.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.execution import Execution, Observable
@@ -35,17 +34,67 @@ class LocalLoopError(RuntimeError):
     """A thread looped without touching memory for too many steps."""
 
 
-#: Hashable machine-state key: (pcs, register snapshots, memory items).
-StateKey = Tuple[Tuple[int, ...], Tuple, Tuple[Tuple[Location, Value], ...]]
+#: Hashable machine-state key: each thread's ``(pc, register snapshot)``,
+#: then the value of every program location in sorted location order.
+StateKey = Tuple
+
+#: Parent-linked trace: ``(newest op, rest of the chain)``, ``None`` empty.
+_Trace = Optional[Tuple[MemoryOp, "_Trace"]]
 
 
-@dataclass
 class _ThreadState:
-    pc: int
-    regs: RegisterFile
+    """One thread's pc, registers and per-instruction occurrence counts.
 
-    def copy(self) -> "_ThreadState":
-        return _ThreadState(self.pc, self.regs.copy())
+    Its fields never change once built (only the ``advanced`` cache is
+    filled in later), so forks share it freely: a step replaces the
+    stepped thread's state with a new one.  ``snapshot`` (the
+    canonical register view), ``ident`` (the thread's part of the state
+    key) and ``halted`` are fixed at construction; ``advanced`` caches
+    where the thread's local instructions lead, so peeking and stepping
+    run them once per state.
+    """
+
+    __slots__ = ("pc", "regs", "occurrences", "snapshot", "ident", "halted",
+                 "advanced")
+
+    def __init__(self, pc, regs, occurrences, snapshot, halted) -> None:
+        self.pc: int = pc
+        self.regs: RegisterFile = regs
+        self.occurrences: Dict[int, int] = occurrences
+        self.snapshot: Tuple = snapshot
+        self.ident: Tuple[int, Tuple] = (pc, snapshot)
+        self.halted: bool = halted
+        self.advanced: Optional[Tuple[int, RegisterFile]] = None
+
+
+class _Code:
+    """Per-program tables shared by a machine and all its forks.
+
+    ``halts[p][pc]`` says whether thread ``p`` is halted at ``pc``;
+    ``accesses[p][pc]`` is the access summary of the memory instruction
+    there (``None`` elsewhere).
+    """
+
+    __slots__ = ("halts", "accesses")
+
+    def __init__(self, program: Program) -> None:
+        self.halts: List[Tuple[bool, ...]] = []
+        self.accesses: List[Tuple[Optional[Tuple[Location, bool, bool]], ...]] = []
+        for thread in program.threads:
+            body = thread.instructions
+            self.halts.append(
+                tuple(isinstance(i, Halt) for i in body) + (True,)
+            )
+            self.accesses.append(tuple(
+                (i.location, i.kind.writes_memory, i.kind.is_sync)
+                if isinstance(i, MemInstruction) else None
+                for i in body
+            ) + (None,))
+
+    def state(self, proc, pc, regs, occurrences, snapshot=None) -> _ThreadState:
+        if snapshot is None:
+            snapshot = regs.snapshot()
+        return _ThreadState(pc, regs, occurrences, snapshot, self.halts[proc][pc])
 
 
 class IdealizedMachine:
@@ -54,6 +103,10 @@ class IdealizedMachine:
     The trace (:attr:`execution`) records every memory operation in the
     exact order it executed — which on this architecture is both a legal
     completion order and, per thread, program order.
+
+    Forking is cheap: a fork shares the (immutable) thread states and the
+    trace chain with its parent and copies only the memory dict; a step
+    rebuilds only the stepped thread's state.
     """
 
     #: Bound on consecutive local (non-memory) instructions per step; a
@@ -62,80 +115,83 @@ class IdealizedMachine:
 
     def __init__(self, program: Program) -> None:
         self.program = program
-        self._threads = [_ThreadState(0, RegisterFile()) for _ in program.threads]
-        self._memory: Dict[Location, Value] = dict(program.initial_memory)
-        self._occurrences: Dict[Tuple[int, int], int] = {}
-        self.execution = Execution()
+        self._code = _Code(program)
+        empty = RegisterFile()
+        self._threads = [
+            self._code.state(p, 0, empty, {}, ()) for p in range(program.num_procs)
+        ]
+        #: Every program location, in sorted order, so the memory part of
+        #: the state key is just the values.
+        self._memory: Dict[Location, Value] = {
+            loc: program.initial_value(loc) for loc in sorted(program.locations())
+        }
+        self._trace: _Trace = None
+        self._trace_len = 0
+        self._execution: Optional[Execution] = None
 
     # -- forking / state identity -----------------------------------------
     def fork(self) -> "IdealizedMachine":
-        """An independent copy sharing no mutable state (trace included)."""
+        """An independent copy; stepping either never changes the other."""
         clone = IdealizedMachine.__new__(IdealizedMachine)
         clone.program = self.program
-        clone._threads = [t.copy() for t in self._threads]
+        clone._code = self._code
+        clone._threads = list(self._threads)
         clone._memory = dict(self._memory)
-        clone._occurrences = dict(self._occurrences)
-        clone.execution = Execution(ops=list(self.execution.ops))
+        clone._trace = self._trace
+        clone._trace_len = self._trace_len
+        clone._execution = None
         return clone
 
     def state_key(self) -> StateKey:
         """Hashable identity of the *forward-relevant* machine state.
 
         Occurrence counters and the trace are excluded: they do not affect
-        future behaviour, only bookkeeping of the past.
+        future behaviour, only bookkeeping of the past.  Every part is
+        cached or kept in canonical order, so building the key sorts
+        nothing.
         """
-        return (
-            tuple(t.pc for t in self._threads),
-            tuple(t.regs.snapshot() for t in self._threads),
-            tuple(sorted((k, v) for k, v in self._memory.items() if v != 0)),
-        )
+        return (*[t.ident for t in self._threads], *self._memory.values())
 
     # -- execution ----------------------------------------------------------
     def thread_halted(self, proc: int) -> bool:
-        state = self._threads[proc]
-        thread = self.program.threads[proc]
-        if state.pc >= len(thread.instructions):
-            return True
-        return isinstance(thread.instructions[state.pc], Halt)
+        return self._threads[proc].halted
 
     def runnable_threads(self) -> List[int]:
-        return [p for p in range(self.program.num_procs) if not self.thread_halted(p)]
+        return [p for p, t in enumerate(self._threads) if not t.halted]
 
     def thread_pc(self, proc: int) -> int:
         """Current program counter of thread ``proc``."""
         return self._threads[proc].pc
 
-    def next_access(self, proc: int) -> Optional[Tuple[Location, bool, bool]]:
-        """``(location, writes_memory, is_sync)`` of the thread's next
-        memory operation, or ``None`` if it halts without another one.
+    def _advance(self, proc: int, state: _ThreadState) -> Tuple[int, RegisterFile]:
+        """``(pc, regs)`` once ``state``'s local instructions have run:
+        ``pc`` is the thread's next memory instruction or its halt.
 
-        A pure peek: local instructions are simulated on a register-file
-        copy, so the machine is unchanged.  Because registers are
-        thread-private and local control flow is deterministic, the
-        answer is *exact* — no other thread can steer ``proc`` onto a
-        different path before its next memory access.  That exactness is
-        what makes persistent-set pruning in :mod:`repro.sc.interleaving`
-        a proof: a thread whose next access is known cannot halt, nor
-        touch memory anywhere else, without first performing it.
+        Local instructions run on a register-file copy (the state's own
+        file is shared by forks), and the answer is cached on the state.
         """
-        state = self._threads[proc]
+        if state.advanced is not None:
+            return state.advanced
         thread = self.program.threads[proc]
+        body = thread.instructions
+        halts = self._code.halts[proc]
         pc = state.pc
         regs = state.regs
         for _ in range(self.MAX_LOCAL_STEPS):
-            if pc >= len(thread.instructions):
-                return None
-            instr = thread.instructions[pc]
-            if isinstance(instr, Halt):
-                return None
+            if halts[pc]:
+                break
+            instr = body[pc]
             if isinstance(instr, MemInstruction):
-                return (instr.location, instr.kind.writes_memory, instr.kind.is_sync)
+                break
             if isinstance(instr, RegInstruction):
                 if regs is state.regs:
                     regs = regs.copy()
                 instr.apply(regs)
                 pc += 1
             elif isinstance(instr, Fence):
+                # On the idealized architecture every access is already
+                # atomic and globally performed in program order, so a
+                # fence is a no-op.
                 pc += 1
             elif isinstance(instr, Branch):
                 pc = thread.target_of(instr) if instr.taken(regs) else pc + 1
@@ -143,14 +199,35 @@ class IdealizedMachine:
                 pc = thread.target_of(instr)
             else:  # pragma: no cover - defensive
                 raise TypeError(f"unknown instruction {instr!r}")
-        raise LocalLoopError(
-            f"thread {thread.name!r} executed {self.MAX_LOCAL_STEPS} local "
-            "instructions without a memory access"
-        )
+        else:
+            raise LocalLoopError(
+                f"thread {thread.name!r} executed {self.MAX_LOCAL_STEPS} local "
+                "instructions without a memory access"
+            )
+        state.advanced = (pc, regs)
+        return state.advanced
+
+    def next_access(self, proc: int) -> Optional[Tuple[Location, bool, bool]]:
+        """``(location, writes_memory, is_sync)`` of the thread's next
+        memory operation, or ``None`` if it halts without another one.
+
+        A pure peek: the machine's state is unchanged.  Because registers
+        are thread-private and local control flow is deterministic, the
+        answer is *exact* — no other thread can steer ``proc`` onto a
+        different path before its next memory access.  That exactness is
+        what makes persistent-set pruning in :mod:`repro.sc.interleaving`
+        a proof: a thread whose next access is known cannot halt, nor
+        touch memory anywhere else, without first performing it.
+        """
+        state = self._threads[proc]
+        if state.halted:
+            return None
+        pc, _ = self._advance(proc, state)
+        return self._code.accesses[proc][pc]
 
     @property
     def halted(self) -> bool:
-        return not self.runnable_threads()
+        return all(t.halted for t in self._threads)
 
     def step(self, proc: int) -> Optional[MemoryOp]:
         """Run thread ``proc`` up to and including its next memory op.
@@ -160,79 +237,82 @@ class IdealizedMachine:
         memory-free infinite loop.
         """
         state = self._threads[proc]
-        thread = self.program.threads[proc]
-        for _ in range(self.MAX_LOCAL_STEPS):
-            if self.thread_halted(proc):
-                return None
-            instr = thread.instructions[state.pc]
-            if isinstance(instr, MemInstruction):
-                op = self._perform_memory(proc, state, instr)
-                state.pc += 1
-                return op
-            if isinstance(instr, RegInstruction):
-                instr.apply(state.regs)
-                state.pc += 1
-            elif isinstance(instr, Fence):
-                # On the idealized architecture every access is already
-                # atomic and globally performed in program order, so a
-                # fence is a no-op.
-                state.pc += 1
-            elif isinstance(instr, Branch):
-                state.pc = thread.target_of(instr) if instr.taken(state.regs) else state.pc + 1
-            elif isinstance(instr, Jump):
-                state.pc = thread.target_of(instr)
-            else:  # pragma: no cover - defensive
-                raise TypeError(f"unknown instruction {instr!r}")
-        raise LocalLoopError(
-            f"thread {thread.name!r} executed {self.MAX_LOCAL_STEPS} local "
-            "instructions without a memory access"
-        )
-
-    def _perform_memory(
-        self, proc: int, state: _ThreadState, instr: MemInstruction
-    ) -> MemoryOp:
-        pos = state.pc
-        occ_key = (proc, pos)
-        occurrence = self._occurrences.get(occ_key, 0)
-        self._occurrences[occ_key] = occurrence + 1
-
-        old = self._memory.get(instr.location, self.program.initial_value(instr.location))
+        if state.halted:
+            return None
+        code = self._code
+        pc, regs = self._advance(proc, state)
+        snapshot = state.snapshot if regs is state.regs else None
+        if code.halts[proc][pc]:
+            self._threads[proc] = code.state(
+                proc, pc, regs, state.occurrences, snapshot
+            )
+            return None
+        instr = self.program.threads[proc].instructions[pc]
+        kind = instr.kind
+        location = instr.location
+        old = self._memory[location]
         value_read: Optional[Value] = None
         value_written: Optional[Value] = None
-        if instr.kind.reads_memory:
+        if kind.reads_memory:
             value_read = old
             if instr.dest is not None:
-                state.regs.write(instr.dest, old)
-        if instr.kind.writes_memory:
-            value_written = instr.compute_write(state.regs, old)
-            self._memory[instr.location] = value_written
-
+                regs = regs.copy()
+                regs.write(instr.dest, old)
+                snapshot = None
+        if kind.writes_memory:
+            value_written = instr.compute_write(regs, old)
+            self._memory[location] = value_written
+        occurrences = state.occurrences
+        occurrence = occurrences.get(pc, 0)
         op = MemoryOp(
             proc=proc,
-            kind=instr.kind,
-            location=instr.location,
-            thread_pos=pos,
+            kind=kind,
+            location=location,
+            thread_pos=pc,
             occurrence=occurrence,
             value_read=value_read,
             value_written=value_written,
             # Trace order is issue order on the idealized architecture.
-            issue_index=len(self.execution.ops),
+            issue_index=self._trace_len,
         )
-        self.execution.append(op)
+        self._trace = (op, self._trace)
+        self._trace_len += 1
+        self._execution = None
+        self._threads[proc] = code.state(
+            proc, pc + 1, regs, {**occurrences, pc: occurrence + 1}, snapshot
+        )
         return op
 
     # -- results -----------------------------------------------------------
+    @property
+    def execution(self) -> Execution:
+        """The trace so far, materialised from the shared chain.
+
+        Its ops are the chain's own :class:`MemoryOp` objects, so two
+        executions sharing a search prefix share those ops by identity.
+        """
+        if self._execution is None:
+            ops: List[MemoryOp] = []
+            node = self._trace
+            while node is not None:
+                op, node = node
+                ops.append(op)
+            ops.reverse()
+            self._execution = Execution(ops=ops)
+        return self._execution
+
     def observable(self) -> Observable:
-        return Observable.create(
-            registers=[t.regs.as_dict() for t in self._threads],
-            memory=self._memory,
+        return Observable(
+            registers=tuple(t.snapshot for t in self._threads),
+            memory=tuple((k, v) for k, v in self._memory.items() if v != 0),
         )
 
     def finish(self) -> Execution:
         """Mark the trace complete and attach the observable."""
-        self.execution.completed = self.halted
-        self.execution.observable = self.observable()
-        return self.execution
+        execution = self.execution
+        execution.completed = self.halted
+        execution.observable = self.observable()
+        return execution
 
     def memory_value(self, location: Location) -> Value:
         return self._memory.get(location, self.program.initial_value(location))

@@ -18,7 +18,8 @@ import pytest
 
 import repro
 import repro.api as api
-from repro.litmus.catalog import fig1_dekker
+from repro.core.program import Program, ThreadBuilder
+from repro.litmus.catalog import fig1_dekker, fig1_dekker_all_sync
 from repro.litmus.runner import LitmusRunner
 from repro.memsys.config import NET_NOCACHE
 from repro.models.policies import RelaxedPolicy
@@ -301,6 +302,36 @@ class TestModelCentricSurface:
         sc_set = api.verify_sc(program)
         tso_set = api.verify_sc(program, model="TSO")
         assert sc_set < tso_set
+
+    def test_conditional_model_is_sc_for_a_program_meeting_its_condition(self):
+        # The all-sync Dekker obeys DRF0, so Definition 2 promises SC.
+        # It is not DRF0-R (a read-only sync races with a writing sync),
+        # so WO-DRF0R keeps only its fence/coherence rule there.
+        program = fig1_dekker_all_sync().program
+        sc_set = api.verify_sc(program)
+        assert api.verify_sc(program, model="WO-DRF0") == sc_set
+        relaxed = api.verify_sc(program, model="RELAXED")
+        assert api.verify_sc(program, model="WO-DRF0R") == relaxed != sc_set
+
+    def test_conditional_drf0_r_model_is_sc_for_a_drf0_r_program(self):
+        # Dekker over swaps: every conflict is between writing syncs.
+        program = Program(
+            [
+                ThreadBuilder("P0").swap("a", "x", 1).swap("r0", "y", 1).build(),
+                ThreadBuilder("P1").swap("b", "y", 1).swap("r1", "x", 1).build(),
+            ],
+            name="dekker_swap",
+        )
+        sc_set = api.verify_sc(program)
+        assert api.verify_sc(program, model="WO-DRF0R") == sc_set
+        assert api.verify_sc(program, model="WO-DRF0") == sc_set
+        assert api.verify_sc(program, model="RELAXED") != sc_set
+
+    def test_conditional_model_is_relaxed_for_a_racy_program(self):
+        program = fig1_dekker().program
+        relaxed = api.verify_sc(program, model="RELAXED")
+        assert api.verify_sc(program, model="WO-DRF0") == relaxed
+        assert relaxed != api.verify_sc(program)
 
     def test_models_lists_every_registered_policy(self):
         rows = api.models()
