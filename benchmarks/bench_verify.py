@@ -117,8 +117,8 @@ def test_verify_race_scan_at_scale(benchmark):
 
 
 def test_verify_trace_checker_scales(benchmark):
-    """The constraint-graph SC checker handles traces far beyond the
-    enumerator's reach: a 16-processor lock workload in one pass."""
+    """The relational SC trace checker handles traces far beyond the
+    enumerator's reach: an 8-processor lock workload in one pass."""
     from repro.sc.trace_check import check_trace_sc
     from repro.workloads.locks import critical_section_program
 

@@ -32,7 +32,9 @@ from repro.axiomatic.model import (
 )
 from repro.axiomatic.relations import (
     Relations,
-    acyclic,
+    ThinAirError,
+    find_cycle,
+    reads_from,
     relations_from_execution,
 )
 
@@ -45,13 +47,15 @@ __all__ = [
     "CrosscheckReport",
     "NotStraightLine",
     "Relations",
-    "acyclic",
+    "ThinAirError",
     "allowed_outcomes",
     "axiomatic_model_names",
     "crosscheck_models",
     "enumerate_candidates",
+    "find_cycle",
     "is_straightline",
     "model_by_name",
     "model_for_policy",
+    "reads_from",
     "relations_from_execution",
 ]

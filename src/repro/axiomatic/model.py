@@ -35,10 +35,15 @@ other.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, Optional, Tuple
+from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
 from repro.core.operation import MemoryOp
-from repro.axiomatic.relations import Edge, Relations, acyclic
+from repro.axiomatic.relations import (
+    Edge,
+    LabelledEdge,
+    Relations,
+    find_cycle,
+)
 
 #: ppo predicate: whether the po-pair ``(a, b)`` is preserved.  The
 #: third argument says whether the pair is fence-separated.
@@ -96,23 +101,34 @@ class AxiomaticModel:
             (a, b) for a, b in relations.po if rule(a, b, (a, b) in fenced)
         )
 
+    def witness(
+        self, relations: Relations
+    ) -> Optional[Tuple[str, List[LabelledEdge]]]:
+        """The first violated axiom and a cycle witnessing it, or None if
+        the candidate is consistent.
+
+        Cycle edges are labelled ``po``/``rf``/``co``/``fr``; a ``ghb``
+        cycle labels its program-order edges ``ppo`` unless ppo is all
+        of po.
+        """
+        co_fr = {"co": relations.co_edges(), "fr": relations.fr_edges()}
+        local = {"po": relations.po_loc_edges(), "rf": relations.rf_edges()}
+        cycle = find_cycle({**local, **co_fr})
+        if cycle is not None:
+            return "sc-per-location", cycle
+        ppo = self.ppo(relations)
+        label = "po" if ppo == relations.po else "ppo"
+        cycle = find_cycle({label: ppo, "rf": relations.rfe_edges(), **co_fr})
+        return None if cycle is None else ("ghb", cycle)
+
     def violated_axiom(self, relations: Relations) -> Optional[str]:
         """The name of the first violated axiom, or None if consistent."""
-        if not acyclic(relations.po_loc_edges() | relations.com_edges()):
-            return "sc-per-location"
-        ghb = (
-            self.ppo(relations)
-            | relations.rfe_edges()
-            | relations.co_edges()
-            | relations.fr_edges()
-        )
-        if not acyclic(ghb):
-            return "ghb"
-        return None
+        found = self.witness(relations)
+        return None if found is None else found[0]
 
     def allows(self, relations: Relations) -> bool:
         """Whether the candidate is consistent under this model."""
-        return self.violated_axiom(relations) is None
+        return self.witness(relations) is None
 
 
 _MODELS: Tuple[AxiomaticModel, ...] = (

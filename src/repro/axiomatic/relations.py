@@ -19,7 +19,8 @@ instructions.Fence`, which every core drains on regardless of policy).
 It can be *derived* from an operational execution
 (:func:`relations_from_execution`) or *chosen* freely by the candidate
 enumerator (:mod:`repro.axiomatic.candidates`); the axioms in
-:mod:`repro.axiomatic.model` consume either.
+:mod:`repro.axiomatic.model` consume either, and :func:`find_cycle`
+names the labelled edges of a cycle that violates one.
 """
 
 from __future__ import annotations
@@ -39,45 +40,59 @@ from typing import (
 
 from repro.core.execution import Execution
 from repro.core.instructions import Fence
-from repro.core.operation import Location, MemoryOp
+from repro.core.operation import INITIAL_VALUE, Location, MemoryOp, Value
 from repro.core.program import Program
 
 #: An ordered pair of operations — one edge of a relation.
 Edge = Tuple[MemoryOp, MemoryOp]
 
 
-def acyclic(edges: Iterable[Edge]) -> bool:
-    """Whether the directed graph formed by ``edges`` has no cycle.
+#: One edge of a cycle, tagged with the relation it came from.
+LabelledEdge = Tuple[MemoryOp, MemoryOp, str]
 
-    Iterative three-colour depth-first search; the op graphs here are a
-    handful of nodes, so no cleverness is warranted.
+
+def find_cycle(
+    relations: Mapping[str, Iterable[Edge]]
+) -> Optional[List[LabelledEdge]]:
+    """The first cycle in the union of some labelled relations, or None.
+
+    ``relations`` maps a label (``"po"``, ``"rf"``, ...) to its edges.
+    The cycle comes back as consecutive ``(src, dst, label)`` edges, each
+    edge's ``dst`` the next one's ``src`` and the last closing on the
+    first; an edge in several relations carries the first label given.
+    Iterative three-colour depth-first search: the op graphs here are a
+    few hundred nodes at most, so no cleverness is warranted.
     """
-    adjacency: Dict[MemoryOp, List[MemoryOp]] = {}
-    for src, dst in edges:
-        adjacency.setdefault(src, []).append(dst)
-    WHITE, GREY, BLACK = 0, 1, 2
+    adjacency: Dict[MemoryOp, Dict[MemoryOp, str]] = {}
+    for label, edges in relations.items():
+        for src, dst in edges:
+            adjacency.setdefault(src, {}).setdefault(dst, label)
+    GREY, BLACK = 1, 2
     colour: Dict[MemoryOp, int] = {}
     for root in adjacency:
-        if colour.get(root, WHITE) is not WHITE:
+        if root in colour:
             continue
-        stack: List[Tuple[MemoryOp, int]] = [(root, 0)]
         colour[root] = GREY
-        while stack:
-            node, child_index = stack[-1]
-            children = adjacency.get(node, ())
-            if child_index < len(children):
-                stack[-1] = (node, child_index + 1)
-                child = children[child_index]
-                state = colour.get(child, WHITE)
+        path = [root]
+        children = [iter(adjacency[root])]
+        while path:
+            for child in children[-1]:
+                state = colour.get(child)
                 if state == GREY:
-                    return False
-                if state == WHITE:
+                    loop = path[path.index(child):] + [child]
+                    return [
+                        (src, dst, adjacency[src][dst])
+                        for src, dst in zip(loop, loop[1:])
+                    ]
+                if state is None:
                     colour[child] = GREY
-                    stack.append((child, 0))
+                    path.append(child)
+                    children.append(iter(adjacency.get(child, ())))
+                    break
             else:
-                colour[node] = BLACK
-                stack.pop()
-    return True
+                colour[path.pop()] = BLACK
+                children.pop()
+    return None
 
 
 @dataclass
@@ -153,13 +168,6 @@ class Relations:
 
         return self._derived("fr", build)
 
-    def com_edges(self) -> FrozenSet[Edge]:
-        """Communication: ``rf ∪ co ∪ fr``."""
-        return self._derived(
-            "com",
-            lambda: self.rf_edges() | self.co_edges() | self.fr_edges(),
-        )
-
     def po_loc_edges(self) -> FrozenSet[Edge]:
         """Program-order pairs over the same location."""
         return self._derived(
@@ -225,48 +233,97 @@ def fence_separated_pairs(
     return frozenset(edges)
 
 
+def _trace_coherence(
+    execution: Execution,
+) -> Dict[Location, Tuple[MemoryOp, ...]]:
+    """Each location's real writes, in trace (commit) order."""
+    co: Dict[Location, List[MemoryOp]] = {}
+    for op in execution.ops:
+        if op.writes_memory and not op.is_hypothetical:
+            co.setdefault(op.location, []).append(op)
+    return {loc: tuple(writes) for loc, writes in co.items()}
+
+
+class ThinAirError(ValueError):
+    """Reads returned values that no write and no initial value explain."""
+
+    def __init__(self, reads: Sequence[MemoryOp]) -> None:
+        listed = ", ".join(repr(op) for op in reads)
+        super().__init__(f"reads of values never written: {listed}")
+        self.reads = list(reads)
+
+
+def reads_from(
+    execution: Execution, initial_memory: Mapping[Location, Value]
+) -> Dict[MemoryOp, Optional[MemoryOp]]:
+    """Bind every real read to the write it observed (None: initial value).
+
+    Trace (commit) order is the serialization, so a read takes the last
+    same-location write before it in trace order, if that write stored
+    the value read.  Otherwise it takes the latest write of that value
+    committed no later than the read, or else the initial value.  Raises
+    :class:`ThinAirError` carrying the reads none of these explains.
+    """
+    writes = _trace_coherence(execution)
+    rf: Dict[MemoryOp, Optional[MemoryOp]] = {}
+    last_write: Dict[Location, MemoryOp] = {}
+    thin_air: List[MemoryOp] = []
+    for op in execution.ops:
+        if op.is_hypothetical:
+            continue
+        if op.reads_memory:
+            source = last_write.get(op.location)
+            if source is None or source.value_written != op.value_read:
+                source = None
+                for write in writes.get(op.location, ()):
+                    if write is op or write.value_written != op.value_read:
+                        continue
+                    if (
+                        write.commit_time is None
+                        or op.commit_time is None
+                        or write.commit_time <= op.commit_time
+                    ):
+                        source = write  # trace order: keep the latest
+            initial = initial_memory.get(op.location, INITIAL_VALUE)
+            if source is not None or op.value_read == initial:
+                rf[op] = source
+            else:
+                thin_air.append(op)
+        if op.writes_memory:
+            last_write[op.location] = op
+    if thin_air:
+        raise ThinAirError(thin_air)
+    return rf
+
+
 def relations_from_execution(
     execution: Execution,
+    initial_memory: Mapping[Location, Value],
     program: Optional[Program] = None,
     drf0: Optional[bool] = None,
     drf0_r: Optional[bool] = None,
 ) -> Relations:
     """Derive the candidate relations an operational execution witnesses.
 
-    The execution's trace order serves as the serialization: ``rf``
-    binds each read to the last same-location write before it in trace
-    order (the idealized architecture's semantics), ``co`` is the trace
-    order of each location's writes.  ``fenced`` pairs need the program
-    the trace came from; without one they are empty.
+    The execution's trace order serves as the serialization: ``co`` is
+    the trace order of each location's writes and ``rf`` follows
+    :func:`reads_from`.  ``po`` is the execution's program order without
+    the hypothetical augmentation ops.  ``fenced`` pairs need the
+    program the trace came from; without one they are empty.
     """
-    real_ops = tuple(op for op in execution.ops if not op.is_hypothetical)
-    by_proc: Dict[int, List[MemoryOp]] = {}
-    for op in real_ops:
-        by_proc.setdefault(op.proc, []).append(op)
-    for proc, ops in by_proc.items():
-        if all(op.issue_index is not None for op in ops):
-            ops.sort(key=lambda op: op.issue_index)
-
-    rf: Dict[MemoryOp, Optional[MemoryOp]] = {}
-    co: Dict[Location, List[MemoryOp]] = {}
-    last_write: Dict[Location, MemoryOp] = {}
-    for op in real_ops:
-        if op.reads_memory:
-            rf[op] = last_write.get(op.location)
-        if op.writes_memory:
-            co.setdefault(op.location, []).append(op)
-            last_write[op.location] = op
-
+    by_proc = execution.program_order()
+    for proc in (MemoryOp.INIT_PROC, MemoryOp.FINAL_PROC):
+        by_proc.pop(proc, None)
     fenced: FrozenSet[Edge] = frozenset()
     if program is not None:
         fenced = fence_separated_pairs(program, by_proc)
 
     return Relations(
-        ops=real_ops,
+        ops=tuple(op for op in execution.ops if not op.is_hypothetical),
         po=program_order_pairs(by_proc),
         fenced=fenced,
-        rf=rf,
-        co={loc: tuple(order) for loc, order in co.items()},
+        rf=reads_from(execution, initial_memory),
+        co=_trace_coherence(execution),
         drf0=drf0,
         drf0_r=drf0_r,
     )

@@ -101,6 +101,23 @@ class Execution:
         """The (program-ordered) real ops of one processor."""
         return [op for op in self.ops if op.proc == proc]
 
+    def program_order(self) -> Dict[int, List[MemoryOp]]:
+        """Each processor's ops in program order, keyed by processor.
+
+        On the idealized architecture trace order restricted to one
+        processor *is* its program order.  Hardware traces are
+        commit-ordered, which can differ from issue order under relaxed
+        policies; a processor whose ops all carry an ``issue_index`` is
+        sorted by it.
+        """
+        by_proc: Dict[int, List[MemoryOp]] = {}
+        for op in self.ops:
+            by_proc.setdefault(op.proc, []).append(op)
+        for ops in by_proc.values():
+            if all(op.issue_index is not None for op in ops):
+                ops.sort(key=lambda op: op.issue_index)
+        return by_proc
+
     def reads(self) -> List[MemoryOp]:
         return [op for op in self.ops if op.reads_memory]
 

@@ -89,11 +89,6 @@ class PartialOrder(Generic[N]):
             if not any(other is not c and self.ordered(c, other) for other in before)
         ]
 
-    def topological_order(self) -> List[N]:
-        """Some total order extending the partial order."""
-        self._ensure_closed()
-        return [self._nodes[i] for i in self._topo]
-
     @property
     def nodes(self) -> Tuple[N, ...]:
         return tuple(self._nodes)
@@ -123,7 +118,6 @@ class PartialOrder(Generic[N]):
                 acc |= closure[ib]
             closure[ia] = acc
         self._closure = closure
-        self._topo = order
         self._closed = True
 
     def _toposort(self) -> List[int]:

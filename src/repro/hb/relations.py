@@ -65,18 +65,9 @@ class HappensBefore:
 
     # -- construction ---------------------------------------------------
     def _add_program_order(self, execution: Execution) -> None:
-        by_proc: Dict[int, List[MemoryOp]] = defaultdict(list)
-        for op in execution.ops:
-            by_proc[op.proc].append(op)
-        for ops in by_proc.values():
-            # On the idealized architecture trace order restricted to one
-            # processor *is* its program order.  Hardware traces are
-            # commit-ordered, which can differ from issue order under
-            # relaxed policies; ops carrying an issue_index are sorted by
-            # it.  A chain of direct edges suffices; transitivity comes
-            # from the closure.
-            if all(op.issue_index is not None for op in ops):
-                ops = sorted(ops, key=lambda op: op.issue_index)
+        for ops in execution.program_order().values():
+            # A chain of direct edges suffices; transitivity comes from
+            # the closure.
             self._order.add_chain(ops)
             self._po_edges.extend(zip(ops, ops[1:]))
 

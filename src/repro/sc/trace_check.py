@@ -3,46 +3,45 @@
 The result-set oracle (:mod:`repro.sc.verifier`) decides "appears SC" by
 enumerating every idealized execution — exact, but exponential in
 program size.  This module implements the classic alternative used by
-trace checkers (TSOtool-style): given one hardware trace, build the
-constraint graph
+trace checkers (TSOtool-style): derive one hardware trace's po/rf/co/fr
+relations (:func:`~repro.axiomatic.relations.relations_from_execution`)
+and check the ``SC`` model's axioms over them, i.e. that
+``po ∪ rf ∪ co ∪ fr`` is acyclic; any total order extending it is a
+legal SC execution producing these reads.  A violation comes back as a
+cycle of labelled edges.
 
-* ``po``  — per-processor program order,
-* ``ws``  — per-location write serialization (commit order, which
-  conditions 2-3 of Section 5.1 make authoritative on the cache-coherent
-  machines),
-* ``rf``  — reads-from: each read to the write whose value it returned,
-* ``fr``  — from-read: a read precedes the write *following* its source
-  in ``ws`` (it did not see that later write),
-
-and declare the trace SC-explainable iff the graph is acyclic — any
-total order extending it is a legal SC execution producing these reads.
-
-Reads-from inference is by value: when several writes wrote the same
-value, the checker picks the latest one committed no later than the
-read (the same charitable assignment the invariant checker uses), so a
-reported cycle is genuine but value-duplication can hide one.  With
-distinct written values — the convention all catalog litmus tests follow
-— the check is exact.
+``co`` is commit order, which conditions 2-3 of Section 5.1 make the
+authoritative write serialization on the cache-coherent machines, and
+``rf`` follows commit order with value matching as the fallback
+(:func:`~repro.axiomatic.relations.reads_from`).  The check is exact
+where commit order is memory's serialization.  The no-cache machines
+stamp a read's commit when its reply reaches the processor, so there it
+can flag an SC trace.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import List, Mapping, Optional
 
+from repro.axiomatic.model import model_by_name
+from repro.axiomatic.relations import (
+    LabelledEdge,
+    ThinAirError,
+    relations_from_execution,
+)
 from repro.core.execution import Execution
 from repro.core.operation import Location, MemoryOp, Value
-from repro.hb.poset import CycleError, PartialOrder
 
 
 @dataclass
 class TraceCheckResult:
-    """Outcome of the acyclicity check."""
+    """Outcome of the SC check."""
 
     is_sc: bool
-    #: Ops on the offending cycle (empty when ``is_sc``).
-    cycle: List[MemoryOp] = field(default_factory=list)
+    #: The offending cycle as consecutive ``(src, dst, label)`` edges
+    #: (empty when ``is_sc``).
+    cycle: List[LabelledEdge] = field(default_factory=list)
     #: Reads whose source write could not be inferred (thin air).
     unexplained_reads: List[MemoryOp] = field(default_factory=list)
 
@@ -52,41 +51,9 @@ class TraceCheckResult:
         if self.unexplained_reads:
             reads = ", ".join(repr(op) for op in self.unexplained_reads)
             return f"trace reads values never written: {reads}"
-        cycle = " -> ".join(repr(op) for op in self.cycle)
-        return f"no SC order exists: constraint cycle {cycle}"
-
-
-def _infer_reads_from(
-    execution: Execution,
-    writes_by_loc: Dict[Location, List[MemoryOp]],
-    initial_memory: Mapping[Location, Value],
-) -> Tuple[Dict[int, Optional[MemoryOp]], List[MemoryOp]]:
-    """Map each read's uid to its source write (None = initial value)."""
-    sources: Dict[int, Optional[MemoryOp]] = {}
-    unexplained: List[MemoryOp] = []
-    for op in execution.ops:
-        if not op.reads_memory or op.value_read is None:
-            continue
-        best: Optional[MemoryOp] = None
-        for write in writes_by_loc.get(op.location, []):
-            if write is op:
-                continue
-            if write.value_written != op.value_read:
-                continue
-            if (
-                write.commit_time is not None
-                and op.commit_time is not None
-                and write.commit_time > op.commit_time
-            ):
-                continue
-            best = write  # writes iterate in ws order; keep the latest
-        if best is not None:
-            sources[op.uid] = best
-        elif op.value_read == initial_memory.get(op.location, 0):
-            sources[op.uid] = None
-        else:
-            unexplained.append(op)
-    return sources, unexplained
+        arrows = "".join(f"{a!r} -{label}-> " for a, _, label in self.cycle)
+        closing = self.cycle[0][0]
+        return f"no SC order exists: constraint cycle {arrows}{closing!r}"
 
 
 def check_trace_sc(
@@ -94,65 +61,11 @@ def check_trace_sc(
     initial_memory: Optional[Mapping[Location, Value]] = None,
 ) -> TraceCheckResult:
     """Decide whether the trace admits a sequentially consistent order."""
-    initial_memory = initial_memory or {}
-    ops = list(execution.ops)
-    order = PartialOrder(ops)
-
-    # po: a processor's program order is its *issue* order, which under
-    # relaxed policies differs from the trace's commit order (a write may
-    # commit after a later read).
-    by_proc: Dict[int, List[MemoryOp]] = defaultdict(list)
-    for op in ops:
-        by_proc[op.proc].append(op)
-    for proc_ops in by_proc.values():
-        if all(op.issue_index is not None for op in proc_ops):
-            proc_ops = sorted(proc_ops, key=lambda op: op.issue_index)
-        order.add_chain(proc_ops)
-
-    # ws: commit order per location.
-    writes_by_loc: Dict[Location, List[MemoryOp]] = defaultdict(list)
-    for op in ops:
-        if op.writes_memory and op.value_written is not None:
-            writes_by_loc[op.location].append(op)
-    for writes in writes_by_loc.values():
-        order.add_chain(writes)
-
-    sources, unexplained = _infer_reads_from(
-        execution, writes_by_loc, initial_memory
-    )
-    if unexplained:
-        return TraceCheckResult(
-            is_sc=False, unexplained_reads=unexplained
-        )
-
-    # rf and fr edges.
-    for op in ops:
-        if op.uid not in sources:
-            continue
-        source = sources[op.uid]
-        writes = writes_by_loc.get(op.location, [])
-        if source is None:
-            # Initial value: the read precedes every write to the location.
-            for write in writes:
-                if write is not op:
-                    _add_edge_safe(order, op, write)
-        else:
-            if source is not op:
-                _add_edge_safe(order, source, op)
-            index = writes.index(source)
-            if index + 1 < len(writes):
-                nxt = writes[index + 1]
-                if nxt is not op:
-                    _add_edge_safe(order, op, nxt)
-
     try:
-        order.topological_order()
-    except CycleError as error:
-        return TraceCheckResult(is_sc=False, cycle=list(error.cycle))
-    return TraceCheckResult(is_sc=True)
-
-
-def _add_edge_safe(order: PartialOrder, a: MemoryOp, b: MemoryOp) -> None:
-    """Add an edge, tolerating a==b (RMW reading its own location)."""
-    if a is not b:
-        order.add_edge(a, b)
+        relations = relations_from_execution(execution, initial_memory or {})
+    except ThinAirError as error:
+        return TraceCheckResult(is_sc=False, unexplained_reads=error.reads)
+    found = model_by_name("SC").witness(relations)
+    if found is None:
+        return TraceCheckResult(is_sc=True)
+    return TraceCheckResult(is_sc=False, cycle=found[1])

@@ -103,15 +103,6 @@ class TestDerivedQueries:
         order = self.build_chain()
         assert order.maximal_before("a", ["b", "c"]) == []
 
-    def test_topological_order_extends_partial_order(self):
-        order = PartialOrder("abcd")
-        order.add_edge("a", "c")
-        order.add_edge("b", "c")
-        order.add_edge("c", "d")
-        topo = order.topological_order()
-        for earlier, later in [("a", "c"), ("b", "c"), ("c", "d")]:
-            assert topo.index(earlier) < topo.index(later)
-
     def test_direct_edges_iteration(self):
         order = PartialOrder("abc")
         order.add_edge("a", "b")
