@@ -111,6 +111,9 @@ def run_campaign(
             *deterministic* failures (exceptions, simulation timeouts)
             are stored; environment-dependent failures (wall-clock
             timeouts, lost workers) are always re-attempted next time.
+            With a ``journal``, an entry is written once its journal
+            record is durable and is not fsync'd again; without one,
+            each entry is fsync'd on its own.
         label: tag carried on the emitted :class:`CampaignMetrics`.
         run_timeout: per-run wall-clock budget in seconds (parallel
             executors only; ignored when ``executor`` is supplied).
@@ -211,9 +214,14 @@ def run_campaign(
             finally:
                 executor.result_callback = None
             for i, result in zip(pending, fresh):
-                if cache is not None and _journalable(result):
-                    cache.put(spec_list[i], result)
                 record(i, result)
+                if cache is not None and _journalable(result):
+                    # The journal's fsync is the durability point: an
+                    # entry whose record is durable skips its own.
+                    durable = journal is not None and journal.durable(
+                        digests[i]
+                    )
+                    cache.put(spec_list[i], result, fsync=not durable)
                 results[i] = result
     finally:
         try:

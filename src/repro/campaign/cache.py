@@ -4,12 +4,20 @@ Because a :class:`~repro.campaign.spec.RunSpec` determines its
 :class:`~repro.campaign.spec.RunResult` exactly, results can be memoised
 across processes and sessions: the cache maps ``spec.digest()`` — a
 sha256 over program content, policy spec, machine configuration, seed,
-cycle bound, schedule, and fault plan — to a pickled result.  Writes are
-atomic (temp file + ``os.replace``), so an interrupted campaign can
-never leave a truncated entry under a digest's name; and if a corrupt
-entry somehow appears anyway, reading it quarantines the file (renamed
-``*.corrupt``) and reports a miss, so a cache directory can never poison
-a campaign, only fail to accelerate it.
+cycle bound, schedule, and fault plan — to a pickled result.
+
+Durability order.  When a campaign journals its results, the journal's
+fsync is the durability point: a result's cache entry is written only
+after its journal record is durable, and is not fsync'd again.  A cache
+used without a journal fsyncs each entry itself.  Either way an entry
+is written to a temp file and renamed into place (``os.replace``), and
+it carries a sha256 checksum of its pickle.  So after a kill or a power
+loss an entry may be missing, or present but failing verification
+(truncated, zero-filled, or written in an older format); reading such
+an entry quarantines the file (renamed ``*.corrupt``) and reports a
+miss.  A cache directory can never poison a campaign, only fail to
+accelerate it, and a result lost from the cache is still in the
+journal.
 
 With ``max_bytes`` set the cache is additionally *size-bounded*: after
 each put that pushes the directory past the budget, the least recently
@@ -34,6 +42,7 @@ evictions.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import os
 import pickle
 import tempfile
@@ -48,6 +57,32 @@ from repro.obs import METRICS
 #: killed sweeper and broken.  Sweeps take milliseconds; a minute is
 #: generous headroom even on a thrashing machine.
 EVICT_LOCK_TTL = 60.0
+
+#: An entry is ``_MAGIC``, the pickle, then the pickle's sha256 digest.
+_MAGIC = b"RPC1"
+_CHECKSUM_BYTES = hashlib.sha256().digest_size
+
+
+class _Checksummed:
+    """A write-only file wrapper that hashes everything written through it."""
+
+    def __init__(self, fh) -> None:
+        self._fh = fh
+        self.sha = hashlib.sha256()
+
+    def write(self, data) -> int:
+        self.sha.update(data)
+        return self._fh.write(data)
+
+
+def _verified_payload(data: bytes) -> memoryview:
+    """The pickle inside an entry; ValueError when it fails verification."""
+    if len(data) < len(_MAGIC) + _CHECKSUM_BYTES or not data.startswith(_MAGIC):
+        raise ValueError("not a checksummed cache entry")
+    body = memoryview(data)[len(_MAGIC):-_CHECKSUM_BYTES]
+    if hashlib.sha256(body).digest() != data[-_CHECKSUM_BYTES:]:
+        raise ValueError("cache entry fails its checksum")
+    return body
 
 
 class ResultCache:
@@ -81,14 +116,13 @@ class ResultCache:
     def get(self, spec: RunSpec) -> Optional[RunResult]:
         path = self._path(spec)
         try:
-            with path.open("rb") as fh:
-                result = pickle.load(fh)
+            result = pickle.loads(_verified_payload(path.read_bytes()))
         except FileNotFoundError:
             self._miss()
             return None
         except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
                 ImportError, IndexError, ValueError):
-            # A half-written or stale-format entry must never be
+            # A torn, zero-filled or stale-format entry must never be
             # trusted; move it aside so it cannot shadow a future put
             # and is available for post-mortem.
             self._quarantine(path)
@@ -130,29 +164,47 @@ class ResultCache:
         except OSError:
             pass
 
-    def put(self, spec: RunSpec, result: RunResult) -> None:
-        # Write-then-fsync-then-rename: the temp file lives in the same
-        # directory (os.replace must not cross filesystems) and is
-        # fsync'd before the rename, so a kill — even SIGKILL or power
-        # loss — at any instant leaves either the old entry, no entry,
-        # or the complete new entry under the digest's name.  A torn
-        # entry is unreachable by construction; _quarantine remains as
-        # defence against foreign writers only.
+    def put(self, spec: RunSpec, result: RunResult, fsync: bool = True) -> None:
+        """Store ``result`` under ``spec``'s digest; errors are swallowed.
+
+        ``fsync=False`` skips the entry's own fsync: the campaign layer
+        passes it only once the result's journal record is durable.
+        """
+        # Write, checksum, then rename: the temp file lives in the same
+        # directory (os.replace must not cross filesystems), so a kill
+        # at any instant leaves either the old entry, no entry, or the
+        # complete new entry under the digest's name.  Without the
+        # fsync a power loss may also leave a torn or zero-filled entry
+        # there; its checksum fails and the read quarantines it.
         path = self._path(spec)
-        fd, tmp = tempfile.mkstemp(dir=str(self.directory), suffix=".tmp")
+        tmp = None
         try:
+            fd, tmp = tempfile.mkstemp(dir=str(self.directory), suffix=".tmp")
             with os.fdopen(fd, "wb") as fh:
-                pickle.dump(result, fh)
-                fh.flush()
-                os.fsync(fh.fileno())
+                fh.write(_MAGIC)
+                checksummed = _Checksummed(fh)
+                pickle.dump(result, checksummed)
+                fh.write(checksummed.sha.digest())
+                if fsync:
+                    fh.flush()
+                    os.fsync(fh.fileno())
             os.replace(tmp, path)
         except (OSError, pickle.PicklingError):
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
+            if tmp is not None:
+                try:
+                    os.unlink(tmp)
+                except OSError:
+                    pass
+            if METRICS.enabled:
+                METRICS.inc("repro_cache_put_errors_total",
+                            help="Result-cache puts lost to an I/O or "
+                                 "pickling error")
             return
         if METRICS.enabled:
+            if fsync:
+                METRICS.inc("repro_cache_fsyncs_total",
+                            help="Result-cache puts that fsync'd their "
+                                 "own entry")
             METRICS.inc("repro_cache_puts_total",
                         help="Result-cache entries written")
         if self.max_bytes is not None:
@@ -289,14 +341,17 @@ class ResultCache:
     def sweep_stale(self) -> int:
         """Remove temp files orphaned by killed writers; returns count.
 
-        Safe against concurrent campaigns only in the sense that a
-        racing put's temp file may be deleted under it (its ``replace``
-        then fails and that put is lost, never torn); call this from
-        campaign setup, not mid-flight.
+        Only temp files older than :data:`EVICT_LOCK_TTL` go: a live
+        put holds its temp file for milliseconds, so a concurrent
+        campaign's put is never deleted under it.  Call this where a
+        long-lived cache is opened, not per put.
         """
+        cutoff = time.time() - EVICT_LOCK_TTL
         removed = 0
         for tmp in self.directory.glob("*.tmp"):
             try:
+                if tmp.stat().st_mtime > cutoff:
+                    continue
                 tmp.unlink()
                 removed += 1
             except OSError:

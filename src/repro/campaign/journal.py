@@ -12,9 +12,18 @@ periodic ``checkpoint`` markers, and arbitrary consumer checkpoints
 Durability model:
 
 * **Append-only, fsync'd.**  Every record is one JSON line, flushed and
-  ``fsync``'d before :meth:`append` returns (tunable via
+  ``fsync``'d before the method that wrote it returns (tunable via
   ``fsync_every``), so a ``SIGKILL`` at any instant loses at most the
-  record currently being written.
+  record currently being written.  The automatic ``checkpoint`` marker
+  that :meth:`record` adds every ``checkpoint_interval`` results shares
+  one fsync with the result that triggered it.
+* **The journal fsync is the campaign's durability point.**  A result
+  cached behind a journal record is not fsync'd a second time:
+  :meth:`durable` says whether a digest's record is on disk, syncing
+  the pending group first if it is not, and the campaign layer writes
+  the cache entry without an fsync of its own only when it is.  After a
+  power loss such an entry may be missing or fail its checksum; the
+  cache reads it as a miss, and the result is still in the journal.
 * **Torn tails are expected, not fatal.**  A kill mid-write leaves a
   truncated final line; :meth:`load` skips unparseable lines (counting
   them in ``torn_records``) instead of refusing the journal, so a
@@ -52,7 +61,7 @@ import pickle
 import threading
 import time
 from pathlib import Path
-from typing import Any, Dict, Iterable, List, Optional, Union
+from typing import Any, Dict, Iterable, List, Optional, Set, Union
 
 from repro.campaign.spec import RunResult
 from repro.obs import METRICS
@@ -120,6 +129,11 @@ class CampaignJournal:
         #: Records appended by this instance.
         self.appended = 0
         self._unsynced = 0
+        #: Result digests appended since the last fsync.
+        self._unsynced_digests: Set[str] = set()
+        #: True once this instance has fsync'd the file: records replayed
+        #: from disk may predate it and are durable only after that.
+        self._synced_once = False
         self._since_checkpoint = 0
         self._lock = threading.RLock()
         #: True when the existing file ends mid-line (torn tail from a
@@ -197,8 +211,11 @@ class CampaignJournal:
                 help="Journal append (write+flush) latency",
                 buckets=_IO_BUCKETS,
             )
+
+    def _group_commit(self) -> None:
+        """Sync once ``fsync_every`` records are pending (lock held)."""
         if self._unsynced >= self.fsync_every:
-            self.sync()
+            self._fsync()
 
     def begin_campaign(self, label: str, digest: str, total: int) -> None:
         """Stamp a campaign header: what batch this journal is serving."""
@@ -213,6 +230,7 @@ class CampaignJournal:
                     "already_completed": len(self.replayed),
                 }
             )
+            self._group_commit()
 
     def record(self, digest: str, result: RunResult) -> bool:
         """Append one completed run; idempotent per digest.
@@ -221,7 +239,8 @@ class CampaignJournal:
         was already journaled (replayed or recorded earlier).  The
         membership check and the append happen under the journal lock,
         so concurrent campaigns sharing one journal (the service tier)
-        still record each digest at most once.
+        still record each digest at most once.  A due ``checkpoint``
+        marker is appended before the sync, so both share one fsync.
         """
         with self._lock:
             if digest in self.replayed:
@@ -234,6 +253,7 @@ class CampaignJournal:
                     "result": _encode_result(result),
                 }
             )
+            self._unsynced_digests.add(digest)
             self._since_checkpoint += 1
             if self._since_checkpoint >= self.checkpoint_interval:
                 self._append(
@@ -241,6 +261,23 @@ class CampaignJournal:
                      "completed": len(self.replayed)}
                 )
                 self._since_checkpoint = 0
+            self._group_commit()
+            return True
+
+    def durable(self, digest: str) -> bool:
+        """Whether ``digest``'s result record is fsync'd to disk.
+
+        A digest recorded but not yet synced (``fsync_every > 1``, or a
+        record another thread appended to a shared journal) is synced
+        first, and so is a digest replayed from a file this instance has
+        not yet synced.  False for a digest the journal does not hold,
+        or when the record cannot be synced.
+        """
+        with self._lock:
+            if digest not in self.replayed:
+                return False
+            if digest in self._unsynced_digests or not self._synced_once:
+                return self._fsync()
             return True
 
     def checkpoint(self, kind: str, payload: Dict[str, Any]) -> None:
@@ -254,19 +291,27 @@ class CampaignJournal:
         with self._lock:
             self._append(record)
             self._checkpoints[kind] = record
+            self._group_commit()
 
     def sync(self) -> None:
         """Flush and fsync pending appends to disk."""
         with self._lock:
-            if self._handle is None or self._unsynced == 0:
-                return
-            started = time.perf_counter() if METRICS.enabled else 0.0
-            self._handle.flush()
-            try:
-                os.fsync(self._handle.fileno())
-            except OSError:  # pragma: no cover - exotic filesystems
-                pass
-            self._unsynced = 0
+            if self._unsynced:
+                self._fsync()
+
+    def _fsync(self) -> bool:
+        """Flush and fsync the file (lock held); True when it synced."""
+        if self._handle is None:
+            return False
+        started = time.perf_counter() if METRICS.enabled else 0.0
+        self._handle.flush()
+        self._unsynced = 0
+        try:
+            os.fsync(self._handle.fileno())
+        except OSError:  # pragma: no cover - exotic filesystems
+            return False
+        self._unsynced_digests.clear()
+        self._synced_once = True
         if METRICS.enabled:
             METRICS.inc("repro_journal_fsyncs_total",
                         help="Journal fsync group commits")
@@ -276,6 +321,7 @@ class CampaignJournal:
                 help="Journal fsync latency",
                 buckets=_IO_BUCKETS,
             )
+        return True
 
     def close(self) -> None:
         with self._lock:

@@ -255,9 +255,11 @@ def _cache_for(args: argparse.Namespace) -> Optional[ResultCache]:
             raise SystemExit("error: --cache-max-bytes requires --cache")
         return None
     try:
-        return ResultCache(directory, max_bytes=max_bytes)
+        cache = ResultCache(directory, max_bytes=max_bytes)
     except ValueError as exc:
         raise SystemExit(f"error: bad --cache-max-bytes value: {exc}")
+    cache.sweep_stale()
+    return cache
 
 
 @contextlib.contextmanager

@@ -162,6 +162,7 @@ class VerificationService:
         self.cache = ResultCache(
             self.state_dir / "cache", max_bytes=cache_max_bytes
         )
+        self.cache.sweep_stale()
         self._jobs_log = self.state_dir / "jobs.jsonl"
         self._log_lock = threading.Lock()
         self._log_handle = None

@@ -1,9 +1,13 @@
 """On-disk result cache: hits, misses, corruption tolerance."""
 
+import argparse
+import os
 import pickle
 import sys
+import time
 
 from repro.campaign import PolicySpec, ResultCache, RunSpec, run_campaign
+from repro.campaign.cache import EVICT_LOCK_TTL
 from repro.litmus.catalog import fig1_dekker
 from repro.memsys.config import NET_NOCACHE
 from repro.models.policies import RelaxedPolicy
@@ -16,6 +20,11 @@ def _specs(n):
         RunSpec(program=program, policy=policy, config=NET_NOCACHE, seed=seed)
         for seed in range(n)
     ]
+
+
+def _age(path, seconds):
+    then = time.time() - seconds
+    os.utime(path, (then, then))
 
 
 class TestResultCache:
@@ -61,6 +70,18 @@ class TestResultCache:
         cache.put(spec, result)
         assert cache.get(spec) == result
 
+    def test_entry_failing_its_checksum_is_quarantined(self, tmp_path):
+        # The pickle still loads, but the checksum behind it was never
+        # written (an unsynced entry after a power loss): not trusted.
+        cache = ResultCache(tmp_path)
+        spec = _specs(1)[0]
+        cache.put(spec, spec.execute(), fsync=False)
+        entry = tmp_path / f"{spec.digest()}.pkl"
+        data = entry.read_bytes()
+        entry.write_bytes(data[:-32] + bytes(32))
+        assert cache.get(spec) is None
+        assert cache.quarantined == 1
+
     def test_atomic_put_leaves_no_temp_files(self, tmp_path):
         cache = ResultCache(tmp_path)
         for spec in _specs(3):
@@ -98,12 +119,38 @@ class TestResultCache:
         cache = ResultCache(tmp_path)
         spec = _specs(1)[0]
         cache.put(spec, spec.execute())
-        # A SIGKILLed writer leaves its temp file behind; sweep it.
-        (tmp_path / "orphan-1.tmp").write_bytes(b"partial")
-        (tmp_path / "orphan-2.tmp").write_bytes(b"")
+        # A SIGKILLed writer leaves its temp file behind; sweep it once
+        # it is older than any live put could be.
+        for name, data in (("orphan-1.tmp", b"partial"), ("orphan-2.tmp", b"")):
+            (tmp_path / name).write_bytes(data)
+            _age(tmp_path / name, 2 * EVICT_LOCK_TTL)
         assert cache.sweep_stale() == 2
         assert list(tmp_path.glob("*.tmp")) == []
         assert cache.get(spec) is not None
+
+    def test_sweep_stale_spares_a_live_put_temp_file(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        old, fresh = tmp_path / "orphan.tmp", tmp_path / "in-flight.tmp"
+        old.write_bytes(b"partial")
+        _age(old, 2 * EVICT_LOCK_TTL)
+        fresh.write_bytes(b"partial")
+        assert cache.sweep_stale() == 1
+        assert not old.exists()
+        assert fresh.exists(), "a concurrent put's temp file must survive"
+
+    def test_long_lived_caches_sweep_orphans_on_open(self, tmp_path):
+        from repro.cli import _cache_for
+        from repro.service.engine import VerificationService
+
+        cli_dir, state = tmp_path / "cli", tmp_path / "state"
+        for directory in (cli_dir, state / "cache"):
+            directory.mkdir(parents=True)
+            (directory / "orphan.tmp").write_bytes(b"partial")
+            _age(directory / "orphan.tmp", 2 * EVICT_LOCK_TTL)
+        _cache_for(argparse.Namespace(cache=str(cli_dir), cache_max_bytes=None))
+        VerificationService(state).stop(timeout=1)
+        assert list(cli_dir.glob("*.tmp")) == []
+        assert list((state / "cache").glob("*.tmp")) == []
 
     def test_len_counts_entries(self, tmp_path):
         cache = ResultCache(tmp_path)

@@ -7,6 +7,8 @@ same campaign agree on every simulator-level counter — the same
 byte-identity discipline the campaign results themselves obey.
 """
 
+import os
+
 import pytest
 
 from repro.api import campaign as run_campaign
@@ -98,6 +100,38 @@ class TestCacheAndJournalCounters:
         assert metrics.value("repro_cache_misses_total") == 4
         assert metrics.value("repro_cache_puts_total") == 4
         assert metrics.value("repro_cache_hits_total") == 4
+
+    def test_cache_fsyncs_count_only_puts_without_a_journal(
+        self, metrics, tmp_path
+    ):
+        run_campaign(_specs(runs=4), cache=ResultCache(tmp_path / "alone"))
+        assert metrics.value("repro_cache_fsyncs_total") == 4
+        journal = CampaignJournal(tmp_path / "j.jsonl")
+        run_campaign(
+            _specs(runs=4), cache=ResultCache(tmp_path / "journaled"),
+            journal=journal,
+        )
+        journal.close()
+        assert metrics.value("repro_cache_puts_total") == 8
+        assert metrics.value("repro_cache_fsyncs_total") == 4
+
+    def test_cache_put_errors_counter(self, metrics, tmp_path, monkeypatch):
+        cache = ResultCache(tmp_path / "cache")
+        spec = _specs(runs=1)[0]
+        result = spec.execute()
+
+        def full_disk(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(os, "replace", full_disk)
+        cache.put(spec, result)  # swallowed, but counted
+        monkeypatch.undo()
+        assert metrics.value("repro_cache_put_errors_total") == 1
+        assert metrics.value("repro_cache_puts_total") is None
+        assert list((tmp_path / "cache").glob("*.tmp")) == []
+        cache.put(spec, result)
+        assert metrics.value("repro_cache_put_errors_total") == 1
+        assert metrics.value("repro_cache_puts_total") == 1
 
     def test_journal_append_and_fsync_counters(self, metrics, tmp_path):
         journal = CampaignJournal(tmp_path / "j.jsonl")
