@@ -58,6 +58,10 @@ from repro.obs import METRICS
 #: generous headroom even on a thrashing machine.
 EVICT_LOCK_TTL = 60.0
 
+#: The current :class:`RunResult` layout; a cached entry with any other
+#: attribute set was pickled by an older or newer layout.
+_RESULT_FIELDS = frozenset(f.name for f in dataclasses.fields(RunResult))
+
 #: An entry is ``_MAGIC``, the pickle, then the pickle's sha256 digest.
 _MAGIC = b"RPC1"
 _CHECKSUM_BYTES = hashlib.sha256().digest_size
@@ -128,9 +132,10 @@ class ResultCache:
             self._quarantine(path)
             self._miss()
             return None
-        if not isinstance(result, RunResult) or result.__dict__.keys() != {
-            f.name for f in dataclasses.fields(RunResult)
-        }:
+        if (
+            not isinstance(result, RunResult)
+            or result.__dict__.keys() != _RESULT_FIELDS
+        ):
             # Either not a result at all, or pickled by an older/newer
             # RunResult layout (missing or extra fields) — re-run rather
             # than hand back an object whose attributes may not resolve.

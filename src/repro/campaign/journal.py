@@ -149,6 +149,7 @@ class CampaignJournal:
     # Reading (replay)
     # ------------------------------------------------------------------
     def _load(self) -> None:
+        started = time.perf_counter() if METRICS.enabled else 0.0
         try:
             raw = self.path.read_bytes()
         except FileNotFoundError:
@@ -174,6 +175,17 @@ class CampaignJournal:
                 # written; anything unparseable is dropped, never
                 # trusted, and never blocks the resume.
                 self.torn_records += 1
+        if METRICS.enabled:
+            METRICS.observe(
+                "repro_journal_load_seconds",
+                time.perf_counter() - started,
+                help="Journal replay (read+decode) latency",
+                buckets=_IO_BUCKETS,
+            )
+            if self.torn_records:
+                METRICS.inc("repro_journal_torn_records_total",
+                            self.torn_records,
+                            help="Unparseable journal lines dropped on load")
 
     def last_checkpoint(self, kind: str) -> Optional[dict]:
         """The most recent checkpoint record of ``kind`` (or None)."""

@@ -284,8 +284,12 @@ class RunSpec:
 
         Memoised per instance (the spec is frozen): the journal replay
         check, the result cache, and the incremental journal callback
-        all key on the digest, and hashing the program fingerprint is
-        the most expensive non-I/O step in a journaled campaign.
+        all key on the digest.  Its two costly parts are computed once
+        per object, not once per spec: the program fingerprint is
+        memoised on the frozen :class:`Program` and the config's
+        ``repr`` on the frozen :class:`MachineConfig`, so a plan of
+        hundreds of specs over a few dozen programs hashes each program
+        once.  The hashed bytes are the same either way.
         """
         cached = self.__dict__.get("_digest")
         if cached is not None:
@@ -294,7 +298,7 @@ class RunSpec:
             program_fingerprint(self.program),
             self.policy.name,
             repr(self.policy.params),
-            repr(self.config),
+            _config_key(self.config),
             str(self.seed),
             str(self.max_cycles),
             repr(self.schedule),
@@ -411,8 +415,19 @@ def program_fingerprint(program: Program) -> str:
 
     Dataclass ``repr`` is deterministic for the instruction types, so
     two structurally identical programs fingerprint equal regardless of
-    the objects' identities or display names' provenance.
+    the objects' identities or display names' provenance.  Computed
+    once per :class:`Program` object and memoised on it (programs are
+    immutable after construction), so every spec and runner lookup
+    sharing a program pays one hash between them.
     """
+    cached = program.__dict__.get("_fingerprint")
+    if cached is None:
+        cached = _fingerprint(program)
+        object.__setattr__(program, "_fingerprint", cached)
+    return cached
+
+
+def _fingerprint(program: Program) -> str:
     parts = [program.name]
     for thread in program.threads:
         parts.append(thread.name)
@@ -420,3 +435,12 @@ def program_fingerprint(program: Program) -> str:
         parts.append(repr(sorted(thread.labels.items())))
     parts.append(repr(sorted(program.initial_memory.items())))
     return hashlib.sha256("\x1e".join(parts).encode()).hexdigest()
+
+
+def _config_key(config: MachineConfig) -> str:
+    """``repr(config)``, memoised on the frozen config object."""
+    cached = config.__dict__.get("_key")
+    if cached is None:
+        cached = repr(config)
+        object.__setattr__(config, "_key", cached)
+    return cached

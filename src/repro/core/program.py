@@ -58,7 +58,9 @@ class Thread:
     """A straight sequence of instructions plus branch-target labels.
 
     Labels map label names to instruction indices; a label at index
-    ``len(instructions)`` is permitted and means "jump to halt".
+    ``len(instructions)`` is permitted and means "jump to halt".  The
+    thread keeps its own copies (a tuple and a fresh dict), so a caller
+    editing the sequence or mapping it passed in cannot change it.
     """
 
     name: str
@@ -66,6 +68,8 @@ class Thread:
     labels: Mapping[str, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "instructions", tuple(self.instructions))
+        object.__setattr__(self, "labels", dict(self.labels))
         for label, pos in self.labels.items():
             if not 0 <= pos <= len(self.instructions):
                 raise ProgramError(
@@ -102,6 +106,9 @@ class Program:
     Thread ``i`` runs on processor ``i`` throughout the library (process
     migration is out of scope; the paper only sketches the drain rule a
     migration would need).
+
+    Immutable after construction; fingerprints are memoised (see
+    :func:`repro.campaign.spec.program_fingerprint`).
     """
 
     threads: Tuple[Thread, ...]
@@ -235,7 +242,7 @@ class ThreadBuilder:
 
     # -- finish -----------------------------------------------------------
     def build(self) -> Thread:
-        return Thread(self._name, tuple(self._instructions), dict(self._labels))
+        return Thread(self._name, self._instructions, self._labels)
 
     def _push(self, instr: Instruction) -> "ThreadBuilder":
         self._instructions.append(instr)
@@ -244,4 +251,4 @@ class ThreadBuilder:
 
 def straightline(name: str, instructions: Iterable[Instruction]) -> Thread:
     """Build a branch-free thread directly from instructions."""
-    return Thread(name, tuple(instructions), {})
+    return Thread(name, instructions, {})

@@ -109,6 +109,11 @@ class LitmusRunner:
         #: display name, so two distinct tests sharing a name can never
         #: silently reuse each other's executable.
         self._program_cache: Dict[str, object] = {}
+        #: ``(base_seed, runs)`` -> derived seeds.  A conformance plan
+        #: asks for the same seeds once per (test, cell) block; a pure
+        #: function of its key, held only as long as the runner (one
+        #: plan or one command).
+        self._seed_cache: Dict[Tuple[int, int], Tuple[int, ...]] = {}
 
     def run(
         self,
@@ -193,6 +198,10 @@ class LitmusRunner:
     ) -> List[RunSpec]:
         """The campaign's unit-of-work list: one spec per derived seed."""
         program = self.executable(test)
+        seeds = self._seed_cache.get((base_seed, runs))
+        if seeds is None:
+            seeds = tuple(seed_stream(base_seed, runs))
+            self._seed_cache[(base_seed, runs)] = seeds
         return [
             RunSpec(
                 program=program,
@@ -204,7 +213,7 @@ class LitmusRunner:
                 trace=trace,
                 sanitize=sanitize,
             )
-            for seed in seed_stream(base_seed, runs)
+            for seed in seeds
         ]
 
     def collect(

@@ -1,6 +1,7 @@
 """On-disk result cache: hits, misses, corruption tolerance."""
 
 import argparse
+import hashlib
 import os
 import pickle
 import sys
@@ -79,6 +80,21 @@ class TestResultCache:
         entry = tmp_path / f"{spec.digest()}.pkl"
         data = entry.read_bytes()
         entry.write_bytes(data[:-32] + bytes(32))
+        assert cache.get(spec) is None
+        assert cache.quarantined == 1
+
+    def test_entry_with_a_stale_result_layout_is_quarantined(self, tmp_path):
+        # A verified entry whose RunResult carries a field the current
+        # layout lacks was written by another version: re-run, never
+        # hand back an object whose attributes may not resolve.
+        cache = ResultCache(tmp_path)
+        spec = _specs(1)[0]
+        result = spec.execute()
+        object.__setattr__(result, "legacy_field", 1)
+        body = pickle.dumps(result)
+        (tmp_path / f"{spec.digest()}.pkl").write_bytes(
+            b"RPC1" + body + hashlib.sha256(body).digest()
+        )
         assert cache.get(spec) is None
         assert cache.quarantined == 1
 

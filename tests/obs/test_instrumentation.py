@@ -142,6 +142,27 @@ class TestCacheAndJournalCounters:
         latency = metrics.value("repro_journal_append_seconds")
         assert latency["count"] >= 4
 
+    def test_journal_load_latency_and_torn_records(self, metrics, tmp_path):
+        path = tmp_path / "j.jsonl"
+        journal = CampaignJournal(path)
+        run_campaign(_specs(runs=4), journal=journal)
+        journal.close()
+        # A fresh journal has nothing to load: no observation.
+        assert metrics.value("repro_journal_load_seconds") is None
+
+        CampaignJournal(path).close()
+        assert metrics.value("repro_journal_load_seconds")["count"] == 1
+        assert metrics.value("repro_journal_torn_records_total") is None
+
+        with path.open("ab") as fh:
+            fh.write(b'{"type": "result", "dig')  # a writer killed mid-append
+        resumed = CampaignJournal(path)
+        resumed.close()
+        assert resumed.torn_records == 1
+        assert len(resumed.replayed) == 4
+        assert metrics.value("repro_journal_load_seconds")["count"] == 2
+        assert metrics.value("repro_journal_torn_records_total") == 1
+
 
 class TestCampaignPublication:
     def test_totals_agree_with_campaign_metrics(self, metrics):
