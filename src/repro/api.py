@@ -44,6 +44,7 @@ from repro.campaign import (
     CampaignJournal,
     CampaignMetrics,
     CampaignResult,
+    EXIT_PREEMPTED,
     Executor,
     JournalError,
     ParallelExecutor,
@@ -99,6 +100,7 @@ from repro.litmus.catalog import (
     fig1_dekker,
     fig1_dekker_all_sync,
     forwarding_catalog,
+    load_test,
     standard_catalog,
 )
 from repro.litmus.parse import parse_litmus
@@ -128,6 +130,7 @@ from repro.memsys.config import (
     NET_NOCACHE,
     MachineConfig,
     config_by_name,
+    machine_names,
 )
 from repro.memsys.system import System
 from repro.models.base import policy_names, registered_policies
@@ -558,6 +561,7 @@ __all__ = [
     "CampaignJournal",
     "CampaignMetrics",
     "CampaignResult",
+    "EXIT_PREEMPTED",
     "Executor",
     "JournalError",
     "ParallelExecutor",
@@ -589,6 +593,7 @@ __all__ = [
     "NET_NOCACHE",
     "System",
     "config_by_name",
+    "machine_names",
     "Def1Policy",
     "Def2Policy",
     "Def2RPolicy",
@@ -619,6 +624,7 @@ __all__ = [
     "fig1_dekker",
     "fig1_dekker_all_sync",
     "forwarding_catalog",
+    "load_test",
     "parse_litmus",
     "standard_catalog",
     "ConformancePlan",

@@ -34,6 +34,7 @@ from repro.campaign.journal import (
     open_journal,
 )
 from repro.campaign.preempt import (
+    EXIT_PREEMPTED,
     PreemptionToken,
     current_token,
     graceful_preemption,
@@ -61,6 +62,7 @@ __all__ = [
     "CampaignMetrics",
     "CampaignResult",
     "DETERMINISTIC_FAILURES",
+    "EXIT_PREEMPTED",
     "Executor",
     "FAILURE_KINDS",
     "JournalError",

@@ -29,6 +29,11 @@ import signal
 import threading
 from typing import Iterator, Optional
 
+#: Exit status of a process whose campaign stopped on SIGTERM/SIGINT with
+#: its journal flushed — EX_TEMPFAIL, "try again": here, by resuming
+#: from the journal.
+EXIT_PREEMPTED = 75
+
 
 class PreemptionToken:
     """A latch flipped by a signal handler (or a test) to request stop."""

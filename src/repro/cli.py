@@ -28,26 +28,25 @@ Subcommands:
 ``status``    list service jobs or long-poll one;
 ``result``    fetch a finished service job's result document.
 
-``litmus``, ``explore``, and ``conformance`` accept ``--trace FILE``
-(with ``--trace-format`` and ``--trace-filter``) to record every run's
-event stream, and ``--sanitize {log,strict}`` to run the protocol
-sanitizer; ``-v``/``-q`` raise/lower progress logging on stderr.
+A flag that means the same thing on several subcommands is declared
+once, as a module-level :class:`_Flag`; each subcommand adds it with
+its own default.  ``litmus``, ``explore`` and ``conformance`` take
+``--trace FILE`` (with ``--trace-format``/``--trace-filter``) and,
+like ``trace`` and ``fuzz``, ``--sanitize {off,log,strict}``;
+``litmus``, ``explore``, ``conformance`` and ``fuzz`` take
+``--journal PATH``/``--resume PATH``; every campaign command takes
+``--jobs`` and ``--metrics-json``, and most take ``--progress`` and
+``--metrics-out DIR``/``--metrics-port N``; ``litmus``,
+``conformance``, ``crosscheck`` and ``fuzz`` take ``--cache DIR`` with
+``--cache-max-bytes N``.  ``-v``/``-q`` raise/lower progress logging
+on stderr.
 
-``litmus``, ``explore``, ``conformance``, and ``fuzz`` accept
-``--journal PATH`` (journal progress durably; reuse the path to resume)
-and ``--resume PATH`` (like ``--journal``, but the file must already
-exist).  A campaign stopped by SIGTERM/SIGINT flushes its journal and
-exits with status 75 (``EX_TEMPFAIL``): resume it with ``--resume``.
-
-``litmus``, ``explore``, ``conformance``, ``fuzz``, and ``soak``
-accept ``--progress`` (a live heartbeat on stderr: rate, ETA, cache
-hits, failures) and ``--metrics-out DIR``, which enables the runtime
-metrics registry and leaves ``DIR/metrics.prom`` (Prometheus text
-exposition) plus ``DIR/flight.jsonl`` (periodic samples) behind;
-``--metrics-port N`` additionally serves live ``/metrics`` over HTTP
-while the command runs.  ``litmus``, ``conformance``, and ``fuzz``
-also accept ``--cache DIR`` (an on-disk result cache keyed by spec
-digest) with ``--cache-max-bytes N`` for LRU size bounding.
+Every command that takes those flags runs in one :class:`_Session`: it
+checks every flag before it opens anything, then opens the result
+cache, journal, metrics and executor, hands the library verb its
+keyword arguments, and on exit closes the journal, writes the traces,
+and turns a campaign stopped by SIGTERM/SIGINT into exit status 75
+(``EX_TEMPFAIL``): resume it with ``--resume``.
 
 Examples::
 
@@ -73,30 +72,33 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence
 
-# The CLI is a consumer of the stable facade: everything it needs comes
-# through repro.api, nothing from internal modules directly.
+# The CLI is a consumer of the stable facade: the library comes through
+# repro.api, apart from the lazy imports of repro.service (the service
+# commands) and repro.testing.chaos (soak).
 import repro.api as api
 from repro.api import (
+    EXIT_PREEMPTED,
     CampaignMetrics,
     DEFAULT_MAX_CANDIDATES,
     FIGURE1_CONFIGS,
     FORMATS,
     FlightRecorder,
+    JournalError,
     LitmusRunner,
-    LitmusTest,
     METRICS,
     ResultCache,
-    TraceEvent,
     TraceSpec,
     catalog_by_name,
     config_by_name,
     configure_cli_logging,
+    core_names,
     crosscheck_run,
     default_executor,
     emit_metrics,
@@ -107,8 +109,10 @@ from repro.api import (
     format_timeline,
     get_logger,
     load_snapshot,
+    load_test,
+    machine_names,
+    open_journal,
     parse_fault_plan,
-    parse_litmus,
     policy_by_name,
     policy_names,
     register_metrics_hook,
@@ -121,29 +125,10 @@ from repro.api import (
 
 _log = get_logger("cli")
 
-#: Exit status of a campaign stopped by SIGTERM/SIGINT with its journal
-#: flushed — EX_TEMPFAIL: "try again", here via ``--resume``.
-EXIT_PREEMPTED = 75
-
-
-def _load_test(name_or_path: str, warm: bool = False) -> LitmusTest:
-    """A catalog entry by name, or a ``.litmus`` file by path."""
-    catalog = catalog_by_name()
-    if name_or_path in catalog:
-        return catalog[name_or_path]
-    path = Path(name_or_path)
-    if path.suffix == ".litmus" or path.exists():
-        return parse_litmus(path.read_text(), warm_caches=warm)
-    raise SystemExit(
-        f"error: {name_or_path!r} is neither a catalog test "
-        f"({', '.join(sorted(catalog))}) nor a .litmus file"
-    )
-
 
 @contextlib.contextmanager
-def _campaign_metrics(args: argparse.Namespace):
-    """Collect campaign metrics and write them as JSON if requested."""
-    path = getattr(args, "metrics_json", None)
+def _metrics_json(path: Optional[str]):
+    """Collect campaign metrics and write them to ``path`` as JSON."""
     records: List[dict] = []
     hook = lambda metrics: records.append(metrics.to_dict())
     register_metrics_hook(hook)
@@ -165,105 +150,8 @@ def _campaign_metrics(args: argparse.Namespace):
                 )
 
 
-def _parse_faults(args: argparse.Namespace):
-    try:
-        return parse_fault_plan(getattr(args, "faults", None))
-    except ValueError as exc:
-        raise SystemExit(f"error: bad --faults value: {exc}")
-
-
-def _executor_for(args: argparse.Namespace):
-    return default_executor(
-        args.jobs,
-        run_timeout=getattr(args, "run_timeout", None),
-        retries=getattr(args, "retries", 2),
-    )
-
-
-def _trace_spec(args: argparse.Namespace) -> Optional[TraceSpec]:
-    """The tracing request a ``--trace``/``--trace-filter`` pair asks for."""
-    if not getattr(args, "trace", None):
-        if getattr(args, "trace_filter", None):
-            raise SystemExit("error: --trace-filter requires --trace")
-        return None
-    try:
-        return TraceSpec.parse_filter(getattr(args, "trace_filter", None))
-    except ValueError as exc:
-        raise SystemExit(f"error: bad --trace-filter value: {exc}")
-
-
-def _write_traces(
-    args: argparse.Namespace,
-    run_traces: Sequence[Tuple[str, Tuple[TraceEvent, ...]]],
-) -> None:
-    """Write collected per-run traces to the ``--trace`` path, if any."""
-    path = getattr(args, "trace", None)
-    if not path:
-        return
-    write_trace(path, run_traces, fmt=args.trace_format)
-    total = sum(len(events) for _, events in run_traces)
-    _log.info(
-        "trace written to %s (%s format, %d run(s), %d events)",
-        path, args.trace_format, len(run_traces), total,
-    )
-
-
-def _sanitize_mode(args: argparse.Namespace) -> Optional[str]:
-    mode = getattr(args, "sanitize", None)
-    return None if mode in (None, "off") else mode
-
-
-def _journal_for(args: argparse.Namespace):
-    """The campaign journal a ``--journal``/``--resume`` pair asks for."""
-    from repro.api import JournalError, open_journal
-
-    journal = getattr(args, "journal", None)
-    resume = getattr(args, "resume", None)
-    if journal and resume:
-        raise SystemExit(
-            "error: --journal and --resume are mutually exclusive "
-            "(--resume PATH already continues the journal at PATH)"
-        )
-    try:
-        return open_journal(resume or journal, resume=bool(resume))
-    except JournalError as exc:
-        raise SystemExit(f"error: {exc}")
-
-
-def _finish_journal(journal, preempted: bool) -> None:
-    if journal is not None:
-        journal.close()
-        if preempted:
-            print(
-                f"preempted: progress saved; resume with "
-                f"--resume {journal.path}",
-                file=sys.stderr,
-            )
-
-
-def _progress(args: argparse.Namespace):
-    """The ``progress=`` argument a ``--progress`` flag asks for."""
-    return True if getattr(args, "progress", False) else None
-
-
-def _cache_for(args: argparse.Namespace) -> Optional[ResultCache]:
-    """The result cache a ``--cache``/``--cache-max-bytes`` pair asks for."""
-    directory = getattr(args, "cache", None)
-    max_bytes = getattr(args, "cache_max_bytes", None)
-    if not directory:
-        if max_bytes is not None:
-            raise SystemExit("error: --cache-max-bytes requires --cache")
-        return None
-    try:
-        cache = ResultCache(directory, max_bytes=max_bytes)
-    except ValueError as exc:
-        raise SystemExit(f"error: bad --cache-max-bytes value: {exc}")
-    cache.sweep_stale()
-    return cache
-
-
 @contextlib.contextmanager
-def _obs_session(args: argparse.Namespace):
+def _observability(out: Optional[str], port: Optional[int]):
     """Turn the runtime metrics registry on for the command's lifetime.
 
     ``--metrics-out DIR`` enables the registry (workers inherit the
@@ -272,8 +160,6 @@ def _obs_session(args: argparse.Namespace):
     Prometheus snapshot to ``DIR/metrics.prom`` on exit.
     ``--metrics-port N`` additionally serves live ``/metrics``.
     """
-    out = getattr(args, "metrics_out", None)
-    port = getattr(args, "metrics_port", None)
     if out is None and port is None:
         yield
         return
@@ -312,95 +198,235 @@ def _obs_session(args: argparse.Namespace):
                 )
 
 
-def _cmd_litmus(args: argparse.Namespace) -> int:
-    test = _load_test(args.test, warm=args.warm)
-    runner = LitmusRunner()
-    config = config_by_name(args.machine)
-    faults = _parse_faults(args)
-    trace = _trace_spec(args)
-    journal = _journal_for(args)
-    cache = _cache_for(args)
-    with _campaign_metrics(args), _obs_session(args), \
-            _executor_for(args) as executor:
-        result = runner.run(
-            test,
-            lambda: policy_by_name(args.policy, core=args.core),
-            config,
-            runs=args.runs,
-            base_seed=args.seed,
-            executor=executor,
-            cache=cache,
-            faults=faults,
-            trace=trace,
-            sanitize=_sanitize_mode(args),
-            journal=journal,
-            progress=_progress(args),
-        )
-    _finish_journal(journal, result.preempted)
-    _write_traces(args, result.run_traces)
+class _Preempted(Exception):
+    """Ends a command whose campaign SIGTERM/SIGINT stopped."""
+
+
+class _Session:
+    """The shared flags of one command: checked, then opened, then closed.
+
+    Entering checks every flag the command declares — the test and
+    machine names, ``--faults``, ``--trace``/``--trace-filter``,
+    ``--journal``/``--resume`` and ``--cache``/``--cache-max-bytes`` —
+    so a bad one exits with ``error: ...`` before anything exists on
+    disk.  Only then does it open the result cache, the journal, the
+    ``--metrics-json`` hook, the ``--metrics-out``/``--metrics-port``
+    registry and the executor.  ``kwargs`` holds the keyword arguments
+    the library verb takes; ``test`` and ``config`` are the loaded test
+    and machine.  Exiting closes all of it, then prints the resume hint
+    and writes the ``--trace`` file for the result :meth:`settle` saw.
+    """
+
+    def __init__(self, args: argparse.Namespace) -> None:
+        self.args = args
+        self.test = self.config = self.journal = self.result = None
+        self.kwargs: dict = {}
+        self._stack = contextlib.ExitStack()
+
+    def __enter__(self) -> "_Session":
+        self._check()
+        try:
+            self._open()
+        except BaseException:
+            self._stack.close()
+            raise
+        return self
+
+    def _check(self) -> None:
+        args, flags, kwargs = self.args, vars(self.args), self.kwargs
+        if "test" in flags:
+            try:
+                self.test = load_test(args.test, warm=flags.get("warm", False))
+            except OSError as exc:
+                raise SystemExit(
+                    f"error: cannot read {args.test}: {exc.strerror}"
+                )
+            except ValueError as exc:
+                raise SystemExit(f"error: {exc}")
+        if flags.get("tests"):
+            catalog = catalog_by_name()
+            for name in args.tests:
+                if name not in catalog:
+                    raise SystemExit(
+                        f"error: {name!r} is not a catalog test "
+                        f"({', '.join(sorted(catalog))})"
+                    )
+        if "machine" in flags:
+            self.config = config_by_name(args.machine)
+        if "faults" in flags:
+            try:
+                kwargs["faults"] = parse_fault_plan(args.faults)
+            except ValueError as exc:
+                raise SystemExit(f"error: bad --faults value: {exc}")
+        if "trace_filter" in flags:
+            kwargs["trace"] = None
+            if args.trace:
+                try:
+                    kwargs["trace"] = TraceSpec.parse_filter(args.trace_filter)
+                except ValueError as exc:
+                    raise SystemExit(f"error: bad --trace-filter value: {exc}")
+            elif args.trace_filter:
+                raise SystemExit("error: --trace-filter requires --trace")
+        if flags.get("journal") and flags.get("resume"):
+            raise SystemExit(
+                "error: --journal and --resume are mutually exclusive "
+                "(--resume PATH already continues the journal at PATH)"
+            )
+        if "cache" in flags and not args.cache:
+            if args.cache_max_bytes is not None:
+                raise SystemExit("error: --cache-max-bytes requires --cache")
+        if "sanitize" in flags:
+            kwargs["sanitize"] = None if args.sanitize == "off" else args.sanitize
+        if "progress" in flags:
+            kwargs["progress"] = args.progress or None
+
+    def _open(self) -> None:
+        # The cache and the journal may still refuse (a bad size bound,
+        # a missing journal to resume), so they open first.
+        args, flags, kwargs = self.args, vars(self.args), self.kwargs
+        if "cache" in flags:
+            kwargs["cache"] = None
+            if args.cache:
+                try:
+                    kwargs["cache"] = ResultCache(
+                        args.cache, max_bytes=args.cache_max_bytes
+                    )
+                except ValueError as exc:
+                    raise SystemExit(
+                        f"error: bad --cache-max-bytes value: {exc}"
+                    )
+                kwargs["cache"].sweep_stale()
+        if "journal" in flags:
+            try:
+                self.journal = open_journal(
+                    args.resume or args.journal, resume=bool(args.resume)
+                )
+            except JournalError as exc:
+                raise SystemExit(f"error: {exc}")
+            kwargs["journal"] = self.journal
+            if self.journal is not None:
+                self._stack.callback(self.journal.close)
+        if "metrics_json" in flags:
+            self._stack.enter_context(_metrics_json(args.metrics_json))
+        if "metrics_out" in flags:
+            self._stack.enter_context(
+                _observability(args.metrics_out, args.metrics_port)
+            )
+        # Commands with --run-timeout/--retries hand their verb an
+        # executor; drf and soak pass a bare jobs count.
+        if "retries" in flags and "jobs" in flags:
+            kwargs["executor"] = self._stack.enter_context(
+                default_executor(
+                    args.jobs, run_timeout=args.run_timeout,
+                    retries=args.retries,
+                )
+            )
+        elif "jobs" in flags:
+            kwargs["jobs"] = args.jobs
+
+    def settle(self, result) -> None:
+        """Record the verb's result; a preempted one ends the command."""
+        self.result = result
+        if result.preempted:
+            raise _Preempted
+
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        self._stack.close()
+        if exc_type not in (None, _Preempted) or self.result is None:
+            return False
+        if self.result.preempted and self.journal is not None:
+            print(
+                f"preempted: progress saved; resume with "
+                f"--resume {self.journal.path}",
+                file=sys.stderr,
+            )
+        path = getattr(self.args, "trace", None)
+        if path:
+            run_traces = self.result.run_traces
+            write_trace(path, run_traces, fmt=self.args.trace_format)
+            _log.info(
+                "trace written to %s (%s format, %d run(s), %d events)",
+                path, self.args.trace_format, len(run_traces),
+                sum(len(events) for _, events in run_traces),
+            )
+        return exc_type is _Preempted
+
+
+def _in_session(run):
+    """A command that runs ``run(args, session)`` in a :class:`_Session`."""
+
+    @functools.wraps(run)
+    def command(args: argparse.Namespace) -> int:
+        with _Session(args) as session:
+            return run(args, session)
+        # Reached only when the session ended a preempted campaign.
+        return EXIT_PREEMPTED
+
+    return command
+
+
+@_in_session
+def _cmd_litmus(args: argparse.Namespace, session: _Session) -> int:
+    faults = session.kwargs["faults"]
+    result = LitmusRunner().run(
+        session.test,
+        lambda: policy_by_name(args.policy, core=args.core),
+        session.config,
+        runs=args.runs,
+        base_seed=args.seed,
+        **session.kwargs,
+    )
     if faults is not None:
         print(faults.describe())
     print(result.describe())
     if result.trace_summary is not None:
         print(result.trace_summary.describe())
-    if result.preempted:
-        return EXIT_PREEMPTED
+    session.settle(result)
     return 1 if result.violated_sc and args.expect_sc else 0
 
 
-def _cmd_drf(args: argparse.Namespace) -> int:
-    test = _load_test(args.test)
-    with _campaign_metrics(args):
-        started = time.perf_counter()
-        report = api.check_drf0(
-            test.program, max_executions=args.max_executions, jobs=args.jobs
+@_in_session
+def _cmd_drf(args: argparse.Namespace, session: _Session) -> int:
+    started = time.perf_counter()
+    report = api.check_drf0(
+        session.test.program, max_executions=args.max_executions,
+        **session.kwargs,
+    )
+    wall = time.perf_counter() - started
+    # check_drf0 is also a conformance-grid subroutine, so the library
+    # stays silent; the CLI emits the metrics record itself.
+    emit_metrics(
+        CampaignMetrics(
+            label=f"drf:{session.test.name}",
+            runs=report.executions_checked,
+            completed_runs=report.executions_checked,
+            wall_clock_seconds=wall,
+            runs_per_second=(
+                report.executions_checked / wall if wall > 0 else 0.0
+            ),
+            completion_rate=1.0,
+            jobs=args.jobs,
         )
-        wall = time.perf_counter() - started
-        # check_drf0 is also a conformance-grid subroutine, so the
-        # library stays silent; the CLI emits the metrics record itself.
-        emit_metrics(
-            CampaignMetrics(
-                label=f"drf:{test.name}",
-                runs=report.executions_checked,
-                completed_runs=report.executions_checked,
-                wall_clock_seconds=wall,
-                runs_per_second=(
-                    report.executions_checked / wall if wall > 0 else 0.0
-                ),
-                completion_rate=1.0,
-                jobs=args.jobs,
-            )
-        )
+    )
     print(report.describe())
     return 0 if report.obeys else 1
 
 
-def _cmd_explore(args: argparse.Namespace) -> int:
-    test = _load_test(args.test, warm=args.warm)
-    program = test.executable_program()
-    trace = _trace_spec(args)
-    journal = _journal_for(args)
-    with _campaign_metrics(args), _obs_session(args), \
-            _executor_for(args) as executor:
-        report = api.explore(
-            program,
-            args.policy,
-            core=args.core,
-            max_delays=args.delays,
-            prune=not args.no_prune,
-            max_runs=args.max_runs,
-            executor=executor,
-            trace=trace,
-            sanitize=_sanitize_mode(args),
-            journal=journal,
-            resume=bool(getattr(args, "resume", None)),
-            progress=_progress(args),
-        )
-    _finish_journal(journal, report.preempted)
-    _write_traces(args, report.run_traces)
+@_in_session
+def _cmd_explore(args: argparse.Namespace, session: _Session) -> int:
+    program = session.test.executable_program()
+    report = api.explore(
+        program,
+        args.policy,
+        core=args.core,
+        max_delays=args.delays,
+        prune=not args.no_prune,
+        max_runs=args.max_runs,
+        resume=bool(args.resume),
+        **session.kwargs,
+    )
     print(report.describe())
-    if report.preempted:
-        return EXIT_PREEMPTED
+    session.settle(report)
     violations = api.verify_sc(program, report.observables)
     if violations:
         print(f"\n{len(violations)} outcome(s) are NOT sequentially consistent:")
@@ -412,38 +438,37 @@ def _cmd_explore(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_figure1(args: argparse.Namespace) -> int:
+@_in_session
+def _cmd_figure1(args: argparse.Namespace, session: _Session) -> int:
     runner = LitmusRunner()
     rows = []
-    with _campaign_metrics(args), _executor_for(args) as executor:
-        for config in FIGURE1_CONFIGS:
-            warm = config.has_caches
-            test = fig1_dekker(warm=warm)
-            for policy_name in ("RELAXED", "SC"):
-                result = runner.run(
-                    test, lambda name=policy_name: policy_by_name(name),
-                    config, runs=args.runs, executor=executor,
-                )
-                rows.append(
-                    [
-                        config.name,
-                        result.policy_name,
-                        result.forbidden_seen,
-                        args.runs,
-                        "VIOLATES SC" if result.violated_sc else "appears SC",
-                    ]
-                )
+    for config in FIGURE1_CONFIGS:
+        test = fig1_dekker(warm=config.has_caches)
+        for policy_name in ("RELAXED", "SC"):
+            result = runner.run(
+                test, lambda name=policy_name: policy_by_name(name),
+                config, runs=args.runs, **session.kwargs,
+            )
+            rows.append(
+                [
+                    config.name,
+                    result.policy_name,
+                    result.forbidden_seen,
+                    args.runs,
+                    "VIOLATES SC" if result.violated_sc else "appears SC",
+                ]
+            )
     print(format_table(["machine", "policy", "(0,0) seen", "runs", "verdict"], rows))
     return 0
 
 
-def _cmd_figure3(args: argparse.Namespace) -> int:
-    with _campaign_metrics(args), _executor_for(args) as executor:
-        rows = figure3_sweep(
-            latencies=args.latencies,
-            seeds=list(range(1, args.seeds + 1)),
-            executor=executor,
-        )
+@_in_session
+def _cmd_figure3(args: argparse.Namespace, session: _Session) -> int:
+    rows = figure3_sweep(
+        latencies=args.latencies,
+        seeds=list(range(1, args.seeds + 1)),
+        **session.kwargs,
+    )
     print(
         format_table(
             ["latency", "DEF1 stall", "DEF2 stall", "DEF1 P0 done",
@@ -469,25 +494,14 @@ def _cmd_catalog(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_conformance(args: argparse.Namespace) -> int:
-    faults = _parse_faults(args)
-    trace = _trace_spec(args)
-    journal = _journal_for(args)
-    cache = _cache_for(args)
-    with _campaign_metrics(args), _obs_session(args), \
-            _executor_for(args) as executor:
-        report = api.run_conformance(
-            runs_per_test=args.runs, executor=executor, cache=cache,
-            faults=faults, trace=trace, sanitize=_sanitize_mode(args),
-            journal=journal, progress=_progress(args),
-        )
-    _finish_journal(journal, report.preempted)
-    _write_traces(args, report.run_traces)
+@_in_session
+def _cmd_conformance(args: argparse.Namespace, session: _Session) -> int:
+    faults = session.kwargs["faults"]
+    report = api.run_conformance(runs_per_test=args.runs, **session.kwargs)
     if faults is not None:
         print(faults.describe())
     print(report.describe())
-    if report.preempted:
-        return EXIT_PREEMPTED
+    session.settle(report)
     broken = [
         cell
         for cell in report.cells
@@ -501,52 +515,43 @@ def _cmd_conformance(args: argparse.Namespace) -> int:
     return 1 if broken else 0
 
 
-def _cmd_crosscheck(args: argparse.Namespace) -> int:
-    catalog = catalog_by_name()
-    for name in args.tests:
-        if name not in catalog:
-            raise SystemExit(
-                f"error: {name!r} is not a catalog test "
-                f"({', '.join(sorted(catalog))})"
-            )
-    cache = _cache_for(args)
-    with _campaign_metrics(args), _obs_session(args), \
-            _executor_for(args) as executor:
-        report = api.crosscheck(
-            tests=args.tests or None,
-            policies=args.policies or None,
-            configs=args.machines or None,
-            runs_per_test=args.runs,
-            base_seed=args.seed,
-            max_candidates=args.max_candidates,
-            executor=executor,
-            cache=cache,
-            progress=_progress(args),
-        )
+@_in_session
+def _cmd_crosscheck(args: argparse.Namespace, session: _Session) -> int:
+    report = api.crosscheck(
+        tests=args.tests or None,
+        policies=args.policies or None,
+        configs=args.machines or None,
+        runs_per_test=args.runs,
+        base_seed=args.seed,
+        max_candidates=args.max_candidates,
+        **session.kwargs,
+    )
     print(report.describe())
     return 0 if report.ok else 1
 
 
-def _cmd_delays(args: argparse.Namespace) -> int:
-    test = _load_test(args.test)
-    print(api.describe_delay_set(api.delay_pairs(test.program)))
+@_in_session
+def _cmd_delays(args: argparse.Namespace, session: _Session) -> int:
+    print(api.describe_delay_set(api.delay_pairs(session.test.program)))
     return 0
 
 
-def _cmd_trace(args: argparse.Namespace) -> int:
-    test = _load_test(args.test, warm=args.warm)
-    config = config_by_name(args.machine)
+@_in_session
+def _cmd_trace(args: argparse.Namespace, session: _Session) -> int:
+    if args.format != "pretty" and not args.out:
+        raise SystemExit(f"error: --out is required with --format {args.format}")
     try:
         spec = TraceSpec.parse_filter(args.filter, ring=args.ring)
     except ValueError as exc:
         raise SystemExit(f"error: bad --filter value: {exc}")
+    test = session.test
     system = api.System(
         test.executable_program(),
         policy_by_name(args.policy, core=args.core),
-        config,
+        session.config,
         seed=args.seed,
         trace=spec,
-        sanitize=_sanitize_mode(args),
+        **session.kwargs,
     )
     run = system.run(max_cycles=args.max_cycles)
     events = run.trace_events or ()
@@ -556,10 +561,6 @@ def _cmd_trace(args: argparse.Namespace) -> int:
     if args.format == "pretty":
         print(format_timeline(events, limit=args.limit))
     else:
-        if not args.out:
-            raise SystemExit(
-                f"error: --out is required with --format {args.format}"
-            )
         write_trace(args.out, [(test.name, events)], fmt=args.format)
         _log.info(
             "trace written to %s (%s format, %d events)",
@@ -601,21 +602,22 @@ def _fuzz_program(family: str, seed: int):
     return generators[family](seed)
 
 
-def _cmd_fuzz(args: argparse.Namespace) -> int:
-    config = config_by_name(args.machine)
+@_in_session
+def _cmd_fuzz(args: argparse.Namespace, session: _Session) -> int:
+    kwargs = dict(session.kwargs)
+    faults, sanitize = kwargs.pop("faults"), kwargs.pop("sanitize")
     policy_spec = api.PolicySpec.of(
         lambda: policy_by_name(args.policy, core=args.core)
     )
-    faults = _parse_faults(args)
     specs = [
         api.RunSpec(
             program=_fuzz_program(args.family, program_seed),
             policy=policy_spec,
-            config=config,
+            config=session.config,
             seed=args.seed + program_seed,
             max_cycles=args.max_cycles,
             faults=faults,
-            sanitize=_sanitize_mode(args),
+            sanitize=sanitize,
         )
         for program_seed in range(args.seeds)
     ]
@@ -626,20 +628,9 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
             shrink=not args.no_shrink,
             max_bundles=args.max_bundles,
         )
-    journal = _journal_for(args)
-    cache = _cache_for(args)
-    with _campaign_metrics(args), _obs_session(args), \
-            _executor_for(args) as executor:
-        campaign = api.campaign(
-            specs,
-            executor=executor,
-            cache=cache,
-            label=f"fuzz:{args.family}",
-            triage=triage,
-            journal=journal,
-            progress=_progress(args),
-        )
-    _finish_journal(journal, campaign.preempted)
+    campaign = api.campaign(
+        specs, label=f"fuzz:{args.family}", triage=triage, **kwargs
+    )
     print(campaign.metrics.describe())
     if campaign.triage is not None:
         print(campaign.triage.describe())
@@ -647,26 +638,26 @@ def _cmd_fuzz(args: argparse.Namespace) -> int:
     if failures and not args.triage_dir:
         print(f"{len(failures)} failing run(s); re-run with --triage-dir "
               f"to shrink them into repro bundles")
-    return EXIT_PREEMPTED if campaign.preempted else 0
+    session.settle(campaign)
+    return 0
 
 
-def _cmd_soak(args: argparse.Namespace) -> int:
+@_in_session
+def _cmd_soak(args: argparse.Namespace, session: _Session) -> int:
     from repro.testing.chaos import soak
 
-    with _campaign_metrics(args), _obs_session(args):
-        report = soak(
-            test=args.test,
-            policy=args.policy,
-            machine=args.machine,
-            runs=args.runs,
-            base_seed=args.seed,
-            kills=args.kills,
-            seed=args.chaos_seed,
-            workdir=args.workdir,
-            attempt_timeout=args.attempt_timeout,
-            jobs=args.jobs,
-            progress=_progress(args),
-        )
+    report = soak(
+        test=args.test,
+        policy=args.policy,
+        machine=args.machine,
+        runs=args.runs,
+        base_seed=args.seed,
+        kills=args.kills,
+        seed=args.chaos_seed,
+        workdir=args.workdir,
+        attempt_timeout=args.attempt_timeout,
+        **session.kwargs,
+    )
     print(report.describe())
     if report.ok:
         print(
@@ -812,7 +803,8 @@ def _parse_job_params(pairs: Optional[Sequence[str]]) -> dict:
     return params
 
 
-def _cmd_serve(args: argparse.Namespace) -> int:
+@_in_session
+def _cmd_serve(args: argparse.Namespace, session: _Session) -> int:
     from repro.service import VerificationService, serve_blocking
 
     # The service always runs with the registry on: its own counters
@@ -840,10 +832,9 @@ def _cmd_serve(args: argparse.Namespace) -> int:
             flush=True,
         )
 
-    with _obs_session(args):
-        code = serve_blocking(
-            engine, host=args.host, port=args.port, ready_message=ready
-        )
+    code = serve_blocking(
+        engine, host=args.host, port=args.port, ready_message=ready
+    )
     if code == 0:
         print("repro serve: drained cleanly", file=sys.stderr)
     return code
@@ -948,6 +939,167 @@ def _cmd_result(args: argparse.Namespace) -> int:
     return 0
 
 
+def positive_int(text: str) -> int:
+    """An argparse type for a count: an integer of at least 1."""
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {value}")
+    return value
+
+
+class _Flag:
+    """A flag declared once and added to every subcommand that takes it.
+
+    Calling a flag gives the same flag with some settings replaced — a
+    subcommand's own default, say: ``_RUNS(default=30)``.  A callable
+    ``choices`` is read when the parser is built, so a policy class
+    declared after this module is imported is still a legal value.
+    """
+
+    def __init__(self, *names: str, **settings) -> None:
+        self.names, self.settings = names, settings
+
+    def __call__(self, **overrides) -> "_Flag":
+        return _Flag(*self.names, **{**self.settings, **overrides})
+
+    def add_to(self, cmd: argparse.ArgumentParser) -> None:
+        settings = dict(self.settings)
+        if callable(settings.get("choices")):
+            settings["choices"] = tuple(settings["choices"]())
+        cmd.add_argument(*self.names, **settings)
+
+
+_TEST = _Flag("test", help="catalog name or .litmus file")
+_POLICY = _Flag(
+    "--policy", choices=policy_names, metavar="POLICY",
+    help="ordering policy, one of %(choices)s (default %(default)s)",
+)
+_MACHINE = _Flag(
+    "--machine", choices=machine_names, default="net_cache", metavar="NAME",
+    help="machine configuration, one of %(choices)s (default %(default)s)",
+)
+_CORE = _Flag(
+    "--core", choices=core_names, default=None,
+    help="processor-core shape: simple (one access at a time; default) "
+    "or pipelined (issue window with store-to-load forwarding)",
+)
+_RUNS = _Flag(
+    "--runs", type=positive_int, metavar="N",
+    help="seeded runs per test (default %(default)s)",
+)
+_SEED = _Flag("--seed", type=int, help="base timing seed (default %(default)s)")
+_WARM = _Flag("--warm", action="store_true",
+              help="warm caches (for .litmus files)")
+_MAX_CYCLES = _Flag("--max-cycles", type=int,
+                    help="cycle watchdog budget per run")
+_JOBS = _Flag(
+    "--jobs", type=positive_int, default=1, metavar="N",
+    help="run on N worker processes (1 = serial)",
+)
+_METRICS_JSON = _Flag(
+    "--metrics-json", metavar="PATH",
+    help="write campaign metrics (wall-clock, runs/sec, "
+    "completion/failure counts) to PATH as JSON",
+)
+_RUN_TIMEOUT = _Flag(
+    "--run-timeout", type=float, default=None, metavar="SECONDS",
+    help="per-run wall-clock budget; a run over budget is retried, then "
+    "reported as a failure (parallel runs only — serial runs rely on "
+    "the simulation cycle watchdog)",
+)
+_RETRIES = _Flag(
+    "--retries", type=int, default=2, metavar="N",
+    help="retry budget per run for transient worker failures "
+    "(exponential backoff; default %(default)s)",
+)
+_PROGRESS = _Flag(
+    "--progress", action="store_true",
+    help="print a live heartbeat on stderr while the campaign runs: "
+    "done/total, rate, ETA, cache hits, failures",
+)
+_METRICS_OUT = _Flag(
+    "--metrics-out", metavar="DIR",
+    help="enable the runtime metrics registry and write DIR/metrics.prom "
+    "(Prometheus text exposition) plus DIR/flight.jsonl (periodic "
+    "samples) for this command",
+)
+_METRICS_PORT = _Flag(
+    "--metrics-port", type=int, default=None, metavar="PORT",
+    help="also serve live metrics at http://127.0.0.1:PORT/metrics "
+    "while the command runs",
+)
+_CACHE = _Flag(
+    "--cache", metavar="DIR",
+    help="memoise run results on disk in DIR, keyed by spec digest; "
+    "reuse the directory to skip already-computed runs",
+)
+_CACHE_MAX_BYTES = _Flag(
+    "--cache-max-bytes", type=int, default=None, metavar="N",
+    help="bound the result cache to about N bytes, evicting "
+    "least-recently-used entries",
+)
+_JOURNAL = _Flag(
+    "--journal", metavar="PATH",
+    help="journal campaign progress durably to PATH (append-only "
+    "fsync'd JSONL); rerunning with the same path resumes, executing "
+    "only what is not yet journaled",
+)
+_RESUME = _Flag(
+    "--resume", metavar="PATH",
+    help="resume a killed or preempted campaign from its journal at "
+    "PATH (must exist; otherwise identical to --journal)",
+)
+_FAULTS = _Flag(
+    "--faults", metavar="PLAN",
+    help="inject adversarial message timings: a preset (light, heavy) "
+    "or key=value pairs, e.g. 'jitter=12,reorder=20,duplicate=5,salt=1'",
+)
+_TRACE = _Flag("--trace", metavar="PATH",
+               help="record a structured event trace of every run to PATH")
+_TRACE_FORMAT = _Flag(
+    "--trace-format", choices=FORMATS, default="chrome",
+    help="trace file format: chrome (Perfetto-loadable JSON) or jsonl "
+    "(one event per line; default chrome)",
+)
+_TRACE_FILTER = _Flag(
+    "--trace-filter", metavar="CATS",
+    help="comma-separated event categories to record "
+    "(e.g. 'stall,msg'; default all)",
+)
+_SANITIZE = _Flag(
+    "--sanitize", choices=("off", "log", "strict"), default=None,
+    help="check protocol invariants every cycle: log records violations "
+    "on the result, strict fails the run on the first one (default off)",
+)
+_STATE = _Flag("--state", metavar="DIR", default=None,
+               help="server state dir; connect via its endpoint file")
+_HOST = _Flag("--host", default="127.0.0.1")
+_PORT = _Flag("--port", type=int, default=8787)
+_WAIT = _Flag(
+    "--wait", type=float, default=None, metavar="SECONDS", nargs="?",
+    const=600.0,
+    help="block until the job is terminal (default budget 600s)",
+)
+
+_JOB_ID = _Flag("job_id")
+
+#: Flag groups, in the order a subcommand's help lists them.
+_EXECUTOR = (_JOBS, _METRICS_JSON, _RUN_TIMEOUT, _RETRIES)
+_OBS = (_PROGRESS, _METRICS_OUT, _METRICS_PORT)
+_CACHING = (_CACHE, _CACHE_MAX_BYTES)
+_JOURNALING = (_JOURNAL, _RESUME)
+_TRACING = (_TRACE, _TRACE_FORMAT, _TRACE_FILTER)
+
+
+def _command(sub, name: str, run, help: str, *flags: _Flag):
+    """Add subcommand ``name``, running ``run``, with ``flags``."""
+    cmd = sub.add_parser(name, help=help)
+    for flag in flags:
+        flag.add_to(cmd)
+    cmd.set_defaults(func=run)
+    return cmd
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -963,211 +1115,64 @@ def build_parser() -> argparse.ArgumentParser:
         help="less progress logging on stderr",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    command = functools.partial(_command, sub)
 
-    def add_campaign_options(cmd: argparse.ArgumentParser) -> None:
-        cmd.add_argument(
-            "--jobs", type=int, default=1, metavar="N",
-            help="run the campaign on N worker processes (1 = serial)",
-        )
-        cmd.add_argument(
-            "--metrics-json", metavar="PATH",
-            help="write campaign metrics (wall-clock, runs/sec, "
-            "completion/failure counts) to PATH as JSON",
-        )
-        cmd.add_argument(
-            "--run-timeout", type=float, default=None, metavar="SECONDS",
-            help="per-run wall-clock budget; a run over budget is "
-            "retried, then reported as a failure (parallel campaigns "
-            "only — serial runs rely on the simulation cycle watchdog)",
-        )
-        cmd.add_argument(
-            "--retries", type=int, default=2, metavar="N",
-            help="retry budget per run for transient worker failures "
-            "(exponential backoff; default 2)",
-        )
-
-    def add_obs_options(cmd: argparse.ArgumentParser) -> None:
-        cmd.add_argument(
-            "--progress", action="store_true",
-            help="print a live heartbeat on stderr while the campaign "
-            "runs: done/total, rate, ETA, cache hits, failures",
-        )
-        cmd.add_argument(
-            "--metrics-out", metavar="DIR",
-            help="enable the runtime metrics registry and write "
-            "DIR/metrics.prom (Prometheus text exposition) plus "
-            "DIR/flight.jsonl (periodic samples) for this command",
-        )
-        cmd.add_argument(
-            "--metrics-port", type=int, default=None, metavar="PORT",
-            help="also serve live metrics at "
-            "http://127.0.0.1:PORT/metrics while the command runs",
-        )
-
-    def add_cache_options(cmd: argparse.ArgumentParser) -> None:
-        cmd.add_argument(
-            "--cache", metavar="DIR",
-            help="memoise run results on disk in DIR, keyed by spec "
-            "digest; reuse the directory to skip already-computed runs",
-        )
-        cmd.add_argument(
-            "--cache-max-bytes", type=int, default=None, metavar="N",
-            help="bound the --cache directory to about N bytes, "
-            "evicting least-recently-used entries",
-        )
-
-    def add_journal_options(cmd: argparse.ArgumentParser) -> None:
-        cmd.add_argument(
-            "--journal", metavar="PATH",
-            help="journal campaign progress durably to PATH (append-only "
-            "fsync'd JSONL); rerunning with the same path resumes, "
-            "executing only what is not yet journaled",
-        )
-        cmd.add_argument(
-            "--resume", metavar="PATH",
-            help="resume a killed or preempted campaign from its journal "
-            "at PATH (must exist; otherwise identical to --journal)",
-        )
-
-    def add_trace_options(cmd: argparse.ArgumentParser) -> None:
-        cmd.add_argument(
-            "--trace", metavar="PATH",
-            help="record a structured event trace of every run to PATH",
-        )
-        cmd.add_argument(
-            "--trace-format", choices=FORMATS, default="chrome",
-            help="trace file format: chrome (Perfetto-loadable JSON) "
-            "or jsonl (one event per line; default chrome)",
-        )
-        cmd.add_argument(
-            "--trace-filter", metavar="CATS",
-            help="comma-separated event categories to record "
-            "(e.g. 'stall,msg'; default all)",
-        )
-
-    def add_faults_option(cmd: argparse.ArgumentParser) -> None:
-        cmd.add_argument(
-            "--faults", metavar="PLAN",
-            help="inject adversarial message timings: a preset "
-            "(light, heavy) or key=value pairs, e.g. "
-            "'jitter=12,reorder=20,duplicate=5,salt=1'",
-        )
-
-    def add_sanitize_option(cmd: argparse.ArgumentParser) -> None:
-        cmd.add_argument(
-            "--sanitize", choices=("off", "log", "strict"), default=None,
-            help="check protocol invariants every cycle: log records "
-            "violations on the result, strict fails the run on the "
-            "first one (default off)",
-        )
-
-    def add_policy_option(
-        cmd: argparse.ArgumentParser, default: str
-    ) -> None:
-        # Choices come from the policy registry, so a policy registered
-        # in repro.models is immediately a legal --policy value here.
-        cmd.add_argument(
-            "--policy", choices=policy_names(), default=default,
-            metavar="POLICY",
-            help="ordering policy, one of "
-            f"{', '.join(policy_names())} (default {default})",
-        )
-
-    def add_core_option(cmd: argparse.ArgumentParser) -> None:
-        from repro.cpu.core import core_names
-
-        cmd.add_argument(
-            "--core", choices=tuple(core_names()), default=None,
-            help="processor-core shape: simple (one access at a time; "
-            "default) or pipelined (issue window with store-to-load "
-            "forwarding)",
-        )
-
-    litmus = sub.add_parser("litmus", help="run a litmus campaign")
-    litmus.add_argument("test", help="catalog name or .litmus file")
-    add_policy_option(litmus, "RELAXED")
-    litmus.add_argument("--machine", default="net_cache")
-    litmus.add_argument("--runs", type=int, default=100)
-    litmus.add_argument("--seed", type=int, default=12345)
-    litmus.add_argument("--warm", action="store_true",
-                        help="warm caches (for .litmus files)")
+    litmus = command(
+        "litmus", _cmd_litmus, "run a litmus campaign",
+        _TEST, _POLICY(default="RELAXED"), _MACHINE, _RUNS(default=100),
+        _SEED(default=12345), _WARM, *_EXECUTOR, *_OBS, *_CACHING,
+        *_JOURNALING, _FAULTS, *_TRACING, _SANITIZE, _CORE,
+    )
     litmus.add_argument("--expect-sc", action="store_true",
                         help="exit nonzero if any outcome violates SC")
-    add_campaign_options(litmus)
-    add_obs_options(litmus)
-    add_cache_options(litmus)
-    add_journal_options(litmus)
-    add_faults_option(litmus)
-    add_trace_options(litmus)
-    add_sanitize_option(litmus)
-    add_core_option(litmus)
-    litmus.set_defaults(func=_cmd_litmus)
 
-    drf = sub.add_parser("drf", help="check a program against DRF0")
-    drf.add_argument("test")
+    drf = command("drf", _cmd_drf, "check a program against DRF0",
+                  _TEST, _JOBS, _METRICS_JSON)
     drf.add_argument("--max-executions", type=int, default=None)
-    drf.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="check idealized executions on N worker processes",
-    )
-    drf.add_argument(
-        "--metrics-json", metavar="PATH",
-        help="write check metrics (wall-clock, executions/sec) to PATH",
-    )
-    drf.set_defaults(func=_cmd_drf)
 
-    explore = sub.add_parser("explore", help="systematic schedule exploration")
-    explore.add_argument("test")
-    add_policy_option(explore, "DEF2")
+    explore = command(
+        "explore", _cmd_explore, "systematic schedule exploration",
+        _TEST, _POLICY(default="DEF2"), _WARM, *_EXECUTOR, *_OBS,
+        *_JOURNALING, *_TRACING, _SANITIZE, _CORE,
+    )
     explore.add_argument("--delays", type=int, default=2)
     explore.add_argument("--max-runs", type=int, default=20_000)
     explore.add_argument(
         "--no-prune", action="store_true",
-        help="disable conflict-aware pruning of provably redundant "
-        "delay decisions (prune is on by default and never changes "
-        "the outcome set)",
+        help="disable conflict-aware pruning of provably redundant delay "
+        "decisions (prune is on by default and never changes the "
+        "outcome set)",
     )
-    explore.add_argument("--warm", action="store_true")
-    add_campaign_options(explore)
-    add_obs_options(explore)
-    add_journal_options(explore)
-    add_trace_options(explore)
-    add_sanitize_option(explore)
-    add_core_option(explore)
-    explore.set_defaults(func=_cmd_explore)
 
-    fig1 = sub.add_parser("figure1", help="regenerate the Figure-1 matrix")
-    fig1.add_argument("--runs", type=int, default=80)
-    add_campaign_options(fig1)
-    fig1.set_defaults(func=_cmd_figure1)
+    command("figure1", _cmd_figure1, "regenerate the Figure-1 matrix",
+            _RUNS(default=80), *_EXECUTOR)
 
-    fig3 = sub.add_parser("figure3", help="regenerate the Figure-3 sweep")
+    fig3 = command("figure3", _cmd_figure3, "regenerate the Figure-3 sweep",
+                   *_EXECUTOR)
     fig3.add_argument("--latencies", type=int, nargs="+",
                       default=[4, 8, 16, 32, 64])
     fig3.add_argument("--seeds", type=int, default=5)
-    add_campaign_options(fig3)
-    fig3.set_defaults(func=_cmd_figure3)
 
-    catalog = sub.add_parser("catalog", help="list built-in litmus tests")
-    catalog.set_defaults(func=_cmd_catalog)
+    command("catalog", _cmd_catalog, "list built-in litmus tests")
 
-    conformance = sub.add_parser(
-        "conformance", help="audit every (machine, policy) pair"
+    command(
+        "conformance", _cmd_conformance,
+        "audit every (machine, policy) pair",
+        _RUNS(default=30), *_EXECUTOR, *_OBS, *_CACHING, *_JOURNALING,
+        _FAULTS, *_TRACING, _SANITIZE,
     )
-    conformance.add_argument("--runs", type=int, default=30)
-    add_campaign_options(conformance)
-    add_obs_options(conformance)
-    add_cache_options(conformance)
-    add_journal_options(conformance)
-    add_faults_option(conformance)
-    add_trace_options(conformance)
-    add_sanitize_option(conformance)
-    conformance.set_defaults(func=_cmd_conformance)
 
-    crosscheck = sub.add_parser(
-        "crosscheck",
-        help="check every policy against its axiomatic model "
-        "over the litmus catalog",
+    crosscheck = command(
+        "crosscheck", _cmd_crosscheck,
+        "check every policy against its axiomatic model over the litmus "
+        "catalog",
+        _POLICY(action="append", dest="policies", default=None,
+                help="check only this policy (repeatable; default all of "
+                "%(choices)s)"),
+        _MACHINE(action="append", dest="machines", default=None,
+                 help="run on this machine configuration (repeatable; "
+                 "default net_nocache and net_cache)"),
+        _RUNS(default=12), _SEED(default=2026), *_EXECUTOR, *_OBS, *_CACHING,
     )
     crosscheck.add_argument(
         "tests", nargs="*", metavar="TEST",
@@ -1175,55 +1180,27 @@ def build_parser() -> argparse.ArgumentParser:
         "control-flow tests are reported as skipped)",
     )
     crosscheck.add_argument(
-        "--policy", action="append", dest="policies",
-        choices=policy_names(), metavar="POLICY", default=None,
-        help="check only this policy (repeatable; default all of "
-        f"{', '.join(policy_names())})",
-    )
-    crosscheck.add_argument(
-        "--machine", action="append", dest="machines", metavar="NAME",
-        default=None,
-        help="run on this machine configuration (repeatable; default "
-        "net_nocache and net_cache)",
-    )
-    crosscheck.add_argument("--runs", type=int, default=12,
-                            help="hardware runs per (test, policy, "
-                            "machine) cell (default 12)")
-    crosscheck.add_argument("--seed", type=int, default=2026)
-    crosscheck.add_argument(
         "--max-candidates", type=int, default=DEFAULT_MAX_CANDIDATES,
         metavar="N",
         help="abort a test whose axiomatic candidate space, "
         "prod(writes per location)! x prod(writes to each read's "
         "location + 1), exceeds N executions; checked before any "
-        f"candidate is built (default {DEFAULT_MAX_CANDIDATES})",
+        "candidate is built (default %(default)s)",
     )
-    add_campaign_options(crosscheck)
-    add_obs_options(crosscheck)
-    add_cache_options(crosscheck)
-    crosscheck.set_defaults(func=_cmd_crosscheck)
 
-    delays = sub.add_parser("delays", help="Shasha-Snir delay set of a test")
-    delays.add_argument("test")
-    delays.set_defaults(func=_cmd_delays)
+    command("delays", _cmd_delays, "Shasha-Snir delay set of a test", _TEST)
 
-    trace = sub.add_parser(
-        "trace",
-        help="replay one litmus run with tracing and show its timeline",
+    trace = command(
+        "trace", _cmd_trace,
+        "replay one litmus run with tracing and show its timeline",
+        _TEST, _POLICY(default="DEF2"), _MACHINE, _SEED(default=7), _WARM,
+        _MAX_CYCLES(default=1_000_000), _SANITIZE, _CORE,
     )
-    trace.add_argument("test", help="catalog name or .litmus file")
-    add_policy_option(trace, "DEF2")
-    trace.add_argument("--machine", default="net_cache")
-    trace.add_argument("--seed", type=int, default=7)
-    trace.add_argument("--warm", action="store_true",
-                       help="warm caches (for .litmus files)")
-    trace.add_argument("--max-cycles", type=int, default=1_000_000)
     trace.add_argument("--out", metavar="PATH",
                        help="trace output file (for jsonl/chrome formats)")
     trace.add_argument(
         "--format", choices=("pretty",) + FORMATS, default="pretty",
-        help="pretty (terminal timeline), chrome (Perfetto JSON), "
-        "or jsonl",
+        help="pretty (terminal timeline), chrome (Perfetto JSON), or jsonl",
     )
     trace.add_argument(
         "--filter", metavar="CATS",
@@ -1237,13 +1214,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--limit", type=int, default=None, metavar="N",
         help="show at most N timeline lines (pretty format)",
     )
-    add_sanitize_option(trace)
-    add_core_option(trace)
-    trace.set_defaults(func=_cmd_trace)
 
-    fuzz = sub.add_parser(
-        "fuzz",
-        help="run random programs and triage failures into repro bundles",
+    fuzz = command(
+        "fuzz", _cmd_fuzz,
+        "run random programs and triage failures into repro bundles",
+        _SEED(default=0), _POLICY(default="DEF2"), _MACHINE,
+        _MAX_CYCLES(default=60_000), *_EXECUTOR, *_OBS, *_CACHING,
+        *_JOURNALING, _FAULTS, _SANITIZE, _CORE,
     )
     fuzz.add_argument(
         "--family", choices=_FUZZ_FAMILIES, default="spin",
@@ -1252,50 +1229,29 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz.add_argument("--seeds", type=int, default=20, metavar="N",
                       help="number of random programs to generate")
-    fuzz.add_argument("--seed", type=int, default=0,
-                      help="base timing seed (program seed is added)")
-    add_policy_option(fuzz, "DEF2")
-    fuzz.add_argument("--machine", default="net_cache")
-    fuzz.add_argument("--max-cycles", type=int, default=60_000,
-                      help="cycle watchdog budget per run")
     fuzz.add_argument(
         "--triage-dir", metavar="DIR",
-        help="deduplicate failures by signature, shrink each, and "
-        "write replayable repro bundles into DIR",
+        help="deduplicate failures by signature, shrink each, and write "
+        "replayable repro bundles into DIR",
     )
     fuzz.add_argument("--max-bundles", type=int, default=8, metavar="N",
                       help="bundle at most N distinct failure signatures")
     fuzz.add_argument("--no-shrink", action="store_true",
                       help="bundle failing specs without shrinking them")
-    add_campaign_options(fuzz)
-    add_obs_options(fuzz)
-    add_cache_options(fuzz)
-    add_journal_options(fuzz)
-    add_faults_option(fuzz)
-    add_sanitize_option(fuzz)
-    add_core_option(fuzz)
-    fuzz.set_defaults(func=_cmd_fuzz)
 
-    replay = sub.add_parser(
-        "replay",
-        help="re-execute a repro bundle and verify its failure signature",
-    )
-    replay.add_argument("bundle", help="path to a repro bundle JSON file")
-    replay.set_defaults(func=_cmd_replay)
+    command("replay", _cmd_replay,
+            "re-execute a repro bundle and verify its failure signature"
+            ).add_argument("bundle", help="path to a repro bundle JSON file")
 
-    soak = sub.add_parser(
-        "soak",
-        help="chaos-test crash safety: kill a journaled campaign at "
-        "seeded points, resume it, and prove exactly-once results",
+    soak = command(
+        "soak", _cmd_soak,
+        "chaos-test crash safety: kill a journaled campaign at seeded "
+        "points, resume it, and prove exactly-once results",
+        _POLICY(default="RELAXED"), _MACHINE(default="net_nocache"),
+        _RUNS(default=24), _SEED(default=12345), _JOBS, _METRICS_JSON, *_OBS,
     )
     soak.add_argument("--test", default="fig1_dekker",
                       help="catalog litmus test to campaign on")
-    add_policy_option(soak, "RELAXED")
-    soak.add_argument("--machine", default="net_nocache")
-    soak.add_argument("--runs", type=int, default=24,
-                      help="seeds in the campaign under chaos")
-    soak.add_argument("--seed", type=int, default=12345,
-                      help="campaign base seed")
     soak.add_argument("--kills", type=int, default=3, metavar="N",
                       help="SIGKILL/SIGTERM strikes before the final "
                       "unkilled attempt")
@@ -1306,30 +1262,17 @@ def build_parser() -> argparse.ArgumentParser:
     soak.add_argument("--attempt-timeout", type=float, default=300.0,
                       metavar="SECONDS",
                       help="wall-clock budget per supervised attempt")
-    soak.add_argument(
-        "--jobs", type=int, default=1, metavar="N",
-        help="run the baseline and the supervised campaign on N "
-        "worker processes (1 = serial)",
-    )
-    soak.add_argument(
-        "--metrics-json", metavar="PATH",
-        help="write the baseline campaign's metrics to PATH as JSON",
-    )
-    add_obs_options(soak)
-    soak.set_defaults(func=_cmd_soak)
 
-    serve = sub.add_parser(
-        "serve",
-        help="run the verification job service over HTTP "
-        "(drain on SIGTERM, exit 0)",
+    serve = command(
+        "serve", _cmd_serve,
+        "run the verification job service over HTTP (drain on SIGTERM, "
+        "exit 0)",
+        _STATE(required=True, help="durable state directory: job log, "
+               "campaign journal, result cache, endpoint file"),
+        _HOST, _PORT(default=0, help="listen port (0 = ephemeral; the "
+                     "bound port lands in DIR/endpoint)"),
+        _RUN_TIMEOUT, _RETRIES, _CACHE_MAX_BYTES, *_OBS,
     )
-    serve.add_argument("--state", required=True, metavar="DIR",
-                       help="durable state directory: job log, campaign "
-                       "journal, result cache, endpoint file")
-    serve.add_argument("--host", default="127.0.0.1")
-    serve.add_argument("--port", type=int, default=0,
-                       help="listen port (0 = ephemeral; the bound port "
-                       "lands in DIR/endpoint)")
     serve.add_argument("--capacity", type=int, default=32,
                        help="admission queue bound; beyond it submissions "
                        "shed with 429")
@@ -1340,12 +1283,6 @@ def build_parser() -> argparse.ArgumentParser:
                        help="concurrent jobs (engine worker threads)")
     serve.add_argument("--campaign-jobs", type=int, default=2, metavar="N",
                        help="worker processes per campaign (1 = serial)")
-    serve.add_argument("--run-timeout", type=float, default=None,
-                       metavar="SECONDS",
-                       help="wall-clock budget per run (deadlines may "
-                       "shrink it further)")
-    serve.add_argument("--retries", type=int, default=2,
-                       help="environmental-failure retries per run")
     serve.add_argument("--breaker-threshold", type=int, default=3,
                        help="consecutive pool failures before the circuit "
                        "breaker opens (degraded serial execution)")
@@ -1355,23 +1292,12 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--max-done", type=int, default=256,
                        help="terminal jobs kept in memory (LRU; results "
                        "stay durable in the job log)")
-    serve.add_argument("--cache-max-bytes", type=int, default=None,
-                       metavar="N", help="LRU bound for the result cache")
-    add_obs_options(serve)
-    serve.set_defaults(func=_cmd_serve)
 
-    def add_conn_options(cmd: argparse.ArgumentParser) -> None:
-        cmd.add_argument(
-            "--state", metavar="DIR", default=None,
-            help="server state dir; connect via its endpoint file",
-        )
-        cmd.add_argument("--host", default="127.0.0.1")
-        cmd.add_argument("--port", type=int, default=8787)
-
-    submit = sub.add_parser(
-        "submit", help="submit a job to a running verification service"
+    submit = command(
+        "submit", _cmd_submit,
+        "submit a job to a running verification service",
+        _STATE, _HOST, _PORT, _WAIT,
     )
-    add_conn_options(submit)
     submit.add_argument("kind",
                         help="job kind: litmus, explore, verify, "
                         "or conformance")
@@ -1387,62 +1313,37 @@ def build_parser() -> argparse.ArgumentParser:
                         metavar="SECONDS",
                         help="end-to-end budget; queue wait counts "
                         "against it")
-    submit.add_argument("--wait", type=float, default=None,
-                        metavar="SECONDS", nargs="?", const=600.0,
-                        help="block until the job is terminal and print "
-                        "its result (default budget 600s)")
-    submit.set_defaults(func=_cmd_submit)
 
-    status = sub.add_parser(
-        "status", help="show service job status (all jobs, or one)"
-    )
-    add_conn_options(status)
-    status.add_argument("job_id", nargs="?", default="",
-                        help="job id; omit to list every known job")
-    status.add_argument("--wait", type=float, default=None,
-                        metavar="SECONDS", nargs="?", const=600.0,
-                        help="long-poll until the job is terminal "
-                        "(default budget 600s)")
-    status.set_defaults(func=_cmd_status)
+    command("status", _cmd_status,
+            "show service job status (all jobs, or one)",
+            _STATE, _HOST, _PORT, _WAIT,
+            _JOB_ID(nargs="?", default="",
+                    help="job id; omit to list every known job"))
+    command("result", _cmd_result,
+            "fetch a finished service job's result document",
+            _STATE, _HOST, _PORT, _JOB_ID)
 
-    result = sub.add_parser(
-        "result", help="fetch a finished service job's result document"
-    )
-    add_conn_options(result)
-    result.add_argument("job_id")
-    result.set_defaults(func=_cmd_result)
-
-    metrics = sub.add_parser(
+    msub = sub.add_parser(
         "metrics",
         help="pretty-print, export, or diff runtime-metrics snapshots",
-    )
-    msub = metrics.add_subparsers(dest="metrics_command", required=True)
+    ).add_subparsers(dest="metrics_command", required=True)
+    metrics = functools.partial(_command, msub)
     snapshot_help = (
         "a metrics artifact: .prom text exposition, flight-recorder "
         "JSONL (last sample wins), or snapshot JSON"
     )
-    mshow = msub.add_parser("show", help="pretty-print a snapshot")
-    mshow.add_argument("snapshot", help=snapshot_help)
-    mshow.set_defaults(func=_cmd_metrics_show)
-    mexport = msub.add_parser(
-        "export", help="convert a snapshot between formats"
-    )
-    mexport.add_argument("snapshot", help=snapshot_help)
-    mexport.add_argument(
-        "--format", choices=("prom", "json"), default="prom",
-        help="output format (default prom)",
-    )
-    mexport.add_argument(
-        "--out", metavar="PATH",
-        help="write to PATH instead of stdout",
-    )
-    mexport.set_defaults(func=_cmd_metrics_export)
-    mdiff = msub.add_parser(
-        "diff", help="per-metric deltas between two snapshots"
-    )
-    mdiff.add_argument("before", help=snapshot_help)
-    mdiff.add_argument("after", help=snapshot_help)
-    mdiff.set_defaults(func=_cmd_metrics_diff)
+    snapshot = _Flag("snapshot", help=snapshot_help)
+    metrics("show", _cmd_metrics_show, "pretty-print a snapshot", snapshot)
+    export = metrics("export", _cmd_metrics_export,
+                     "convert a snapshot between formats", snapshot)
+    export.add_argument("--format", choices=("prom", "json"), default="prom",
+                        help="output format (default prom)")
+    export.add_argument("--out", metavar="PATH",
+                        help="write to PATH instead of stdout")
+    diff = metrics("diff", _cmd_metrics_diff,
+                   "per-metric deltas between two snapshots")
+    for name in ("before", "after"):
+        diff.add_argument(name, help=snapshot_help)
 
     return parser
 

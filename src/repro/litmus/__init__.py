@@ -8,6 +8,7 @@ from repro.litmus.catalog import (
     fig1_dekker_all_sync,
     iriw,
     load_buffering,
+    load_test,
     message_passing,
     message_passing_sync,
     standard_catalog,
@@ -38,6 +39,7 @@ __all__ = [
     "fig1_dekker_all_sync",
     "iriw",
     "load_buffering",
+    "load_test",
     "message_passing",
     "message_passing_sync",
     "standard_catalog",

@@ -9,9 +9,11 @@ even while its racy twin does not.
 
 from __future__ import annotations
 
+from pathlib import Path
 from typing import Dict, List
 
 from repro.core.program import Program, ThreadBuilder
+from repro.litmus.parse import LitmusParseError, parse_litmus
 from repro.litmus.test import LitmusTest
 
 
@@ -402,3 +404,28 @@ def catalog_by_name() -> Dict[str, LitmusTest]:
         test.name: test
         for test in standard_catalog() + forwarding_catalog()
     }
+
+
+def load_test(name_or_path: str, warm: bool = False) -> LitmusTest:
+    """A catalog test by name, or a ``.litmus`` file by path.
+
+    ``warm`` warms the caches of a file's test (catalog tests carry
+    their own).  Raises ``ValueError`` for a name that is neither,
+    ``OSError`` for a file that cannot be read, and
+    :class:`~repro.litmus.parse.LitmusParseError` naming the file for
+    one that does not parse.
+    """
+    catalog = catalog_by_name()
+    if name_or_path in catalog:
+        return catalog[name_or_path]
+    path = Path(name_or_path)
+    if path.suffix != ".litmus" and not path.exists():
+        raise ValueError(
+            f"{name_or_path!r} is neither a catalog test "
+            f"({', '.join(sorted(catalog))}) nor a .litmus file"
+        )
+    source = path.read_text()
+    try:
+        return parse_litmus(source, warm_caches=warm)
+    except LitmusParseError as exc:
+        raise LitmusParseError(f"{path}: {exc}") from None

@@ -12,6 +12,7 @@ from repro.memsys.config import (
     NET_CACHE_VC,
     NET_NOCACHE,
     config_by_name,
+    machine_names,
 )
 from repro.memsys.memory import MEMORY_ENDPOINT, MemoryModule
 from repro.memsys.migration import (
@@ -41,5 +42,6 @@ __all__ = [
     "NET_NOCACHE",
     "System",
     "config_by_name",
+    "machine_names",
     "run_program",
 ]

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, replace
-from typing import Optional
+from typing import Optional, Tuple
 
 
 class InterconnectKind(enum.Enum):
@@ -115,11 +115,20 @@ BUS_CACHE_SNOOP = MachineConfig(
 )
 
 
+#: Every named machine: the table ``config_by_name`` reads and the CLI's
+#: ``--machine`` choices come from.
+_MACHINES = {
+    c.name: c for c in FIGURE1_CONFIGS + (BUS_CACHE_SNOOP, NET_CACHE_VC)
+}
+
+
+def machine_names() -> Tuple[str, ...]:
+    """Sorted names of every machine :func:`config_by_name` accepts."""
+    return tuple(sorted(_MACHINES))
+
+
 def config_by_name(name: str) -> MachineConfig:
-    table = {
-        c.name: c for c in FIGURE1_CONFIGS + (BUS_CACHE_SNOOP, NET_CACHE_VC)
-    }
     try:
-        return table[name]
+        return _MACHINES[name]
     except KeyError:
-        raise ValueError(f"unknown configuration {name!r}; choose from {sorted(table)}")
+        raise ValueError(f"unknown configuration {name!r}; choose from {sorted(_MACHINES)}")

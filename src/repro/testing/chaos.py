@@ -39,10 +39,6 @@ from typing import Dict, List, Optional, Sequence, Union
 from repro.campaign.journal import _decode_result
 from repro.campaign.spec import RunResult
 
-#: Exit code a gracefully preempted CLI campaign reports (EX_TEMPFAIL:
-#: "try again later" — here, by resuming from the journal).
-EXIT_PREEMPTED = 75
-
 
 @dataclass(frozen=True)
 class KillPoint:
@@ -328,6 +324,7 @@ def soak(
     import tempfile
 
     from repro.campaign import CampaignJournal, PolicySpec, run_campaign
+    from repro.litmus import load_test
     from repro.litmus.runner import LitmusRunner
     from repro.memsys.config import config_by_name
     from repro.models.policies import policy_by_name
@@ -339,11 +336,9 @@ def soak(
     # The baseline mirrors the CLI's spec construction exactly: same
     # catalog test, same policy coercion, same seed stream — so digests
     # agree between this process and the supervised child.
-    from repro.cli import _load_test
-
     runner = LitmusRunner()
     specs = runner.campaign_specs(
-        _load_test(test),
+        load_test(test),
         PolicySpec.of(lambda: policy_by_name(policy)),
         config_by_name(machine),
         runs,

@@ -155,7 +155,7 @@ class TestResultCache:
         assert fresh.exists(), "a concurrent put's temp file must survive"
 
     def test_long_lived_caches_sweep_orphans_on_open(self, tmp_path):
-        from repro.cli import _cache_for
+        from repro.cli import _Session
         from repro.service.engine import VerificationService
 
         cli_dir, state = tmp_path / "cli", tmp_path / "state"
@@ -163,7 +163,8 @@ class TestResultCache:
             directory.mkdir(parents=True)
             (directory / "orphan.tmp").write_bytes(b"partial")
             _age(directory / "orphan.tmp", 2 * EVICT_LOCK_TTL)
-        _cache_for(argparse.Namespace(cache=str(cli_dir), cache_max_bytes=None))
+        with _Session(argparse.Namespace(cache=str(cli_dir), cache_max_bytes=None)):
+            pass
         VerificationService(state).stop(timeout=1)
         assert list(cli_dir.glob("*.tmp")) == []
         assert list((state / "cache").glob("*.tmp")) == []

@@ -12,10 +12,12 @@ from repro.litmus.catalog import (
     fig1_dekker_all_sync,
     iriw,
     load_buffering,
+    load_test,
     message_passing,
     message_passing_sync,
     standard_catalog,
 )
+from repro.litmus.parse import LitmusParseError
 from repro.litmus.runner import LitmusRunner
 
 
@@ -30,6 +32,32 @@ class TestCatalogStructure:
 
     def test_warm_variants_distinct(self):
         assert fig1_dekker(warm=True).name != fig1_dekker(warm=False).name
+
+
+class TestLoadTest:
+    def test_catalog_name(self):
+        assert load_test("fig1_dekker") is not None
+        assert load_test("fig1_dekker").name == "fig1_dekker"
+
+    def test_litmus_file(self, tmp_path):
+        path = tmp_path / "t.litmus"
+        path.write_text("name: from_file\nP0     | P1\nx = 1  | y = 1\n")
+        test = load_test(str(path), warm=True)
+        assert test.name == "from_file" and test.warm_caches
+
+    def test_unknown_name(self):
+        with pytest.raises(ValueError, match="neither a catalog test"):
+            load_test("no_such_test")
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_test(str(tmp_path / "missing.litmus"))
+
+    def test_malformed_file_names_the_path(self, tmp_path):
+        path = tmp_path / "broken.litmus"
+        path.write_text("name: broken\nP0 | P1\nx = = 1 | y = 1\n")
+        with pytest.raises(LitmusParseError, match="broken.litmus: line 3"):
+            load_test(str(path))
 
 
 class TestDRF0Status:

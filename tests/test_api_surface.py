@@ -133,6 +133,7 @@ EXPORTED_NAMES = frozenset(
         "models", "crosscheck",
         "Observable", "Program", "Thread", "ThreadBuilder",
         "CampaignJournal", "CampaignMetrics", "CampaignResult",
+        "EXIT_PREEMPTED",
         "Executor", "JournalError", "ParallelExecutor", "PolicySpec",
         "PreemptionToken", "ResultCache", "RunFailure",
         "RunResult", "RunSpec", "SerialExecutor", "current_token",
@@ -142,7 +143,7 @@ EXPORTED_NAMES = frozenset(
         "run_campaign", "unregister_metrics_hook",
         "BUS_CACHE", "BUS_CACHE_SNOOP", "BUS_NOCACHE", "FIGURE1_CONFIGS",
         "MachineConfig", "NET_CACHE", "NET_CACHE_VC", "NET_NOCACHE",
-        "System", "config_by_name",
+        "System", "config_by_name", "machine_names",
         "Def1Policy", "Def2Policy", "Def2RPolicy", "PSOPolicy",
         "RelaxedPolicy", "SCPolicy", "TSOPolicy", "core_names",
         "policy_by_name", "policy_names", "registered_policies",
@@ -152,6 +153,7 @@ EXPORTED_NAMES = frozenset(
         "is_straightline", "model_by_name", "model_for_policy",
         "LitmusResult", "LitmusRunner", "LitmusTest", "catalog_by_name",
         "fig1_dekker", "fig1_dekker_all_sync", "forwarding_catalog",
+        "load_test",
         "parse_litmus", "standard_catalog",
         "ConformancePlan", "ConformanceReport", "judge_conformance",
         "plan_conformance", "run_conformance", "VERDICT_BROKEN",

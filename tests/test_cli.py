@@ -45,6 +45,21 @@ r1 = y | r2 = x
         with pytest.raises(SystemExit):
             main(["litmus", "no_such_test"])
 
+    def test_missing_litmus_file_errors(self, tmp_path):
+        path = tmp_path / "missing.litmus"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["litmus", str(path)])
+        assert str(excinfo.value) == (
+            f"error: cannot read {path}: No such file or directory"
+        )
+
+    def test_malformed_litmus_file_errors(self, tmp_path):
+        path = tmp_path / "broken.litmus"
+        path.write_text("name: broken\nP0 | P1\nx = = 1 | y = 1\n")
+        with pytest.raises(SystemExit) as excinfo:
+            main(["litmus", str(path)])
+        assert str(excinfo.value).startswith(f"error: {path}: line 3: ")
+
 
 class TestFaultsOption:
     def test_litmus_with_fault_preset(self, capsys):
@@ -428,3 +443,62 @@ class TestSoakUniformOptions:
         )
         assert args.jobs == 3
         assert args.metrics_json == "m.json"
+
+
+class TestFlagChecks:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["litmus", "fig1_dekker"],
+            ["trace", "fig1_dekker"],
+            ["fuzz"],
+            ["soak"],
+            ["crosscheck", "fig1_dekker"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_unknown_machine_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--machine", "nosuch"])
+        assert excinfo.value.code == 2
+        assert "argument --machine: invalid choice: 'nosuch'" in (
+            capsys.readouterr().err
+        )
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["litmus", "fig1_dekker", "--runs", "-1"],
+            ["litmus", "fig1_dekker", "--runs", "0"],
+            ["litmus", "fig1_dekker", "--jobs", "0"],
+            ["conformance", "--jobs", "-3"],
+            ["figure1", "--runs", "0"],
+            ["drf", "fig1_dekker", "--jobs", "0"],
+            ["soak", "--runs", "0"],
+        ],
+        ids=" ".join,
+    )
+    def test_non_positive_count_is_a_usage_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        assert "must be at least 1" in capsys.readouterr().err
+
+    def test_rejected_cache_flag_leaves_no_journal(self, tmp_path):
+        journal = tmp_path / "j.jsonl"
+        with pytest.raises(SystemExit, match="requires --cache"):
+            main(["litmus", "fig1_dekker", "--journal", str(journal),
+                  "--cache-max-bytes", "5"])
+        assert not journal.exists()
+
+    def test_trace_rejects_format_without_out_before_simulating(
+        self, monkeypatch
+    ):
+        import repro.api
+
+        def simulate(*args, **kwargs):
+            raise AssertionError("simulated before the flags were checked")
+
+        monkeypatch.setattr(repro.api, "System", simulate)
+        with pytest.raises(SystemExit, match="--out is required"):
+            main(["trace", "fig1_dekker", "--format", "chrome"])
