@@ -40,17 +40,18 @@ The supported entry point for all of it is :mod:`repro.api` — seven
 keyword-only functions (:func:`~repro.api.run`,
 :func:`~repro.api.explore`, :func:`~repro.api.verify_sc`,
 :func:`~repro.api.check_drf0`, :func:`~repro.api.campaign`,
-:func:`~repro.api.models`, :func:`~repro.api.crosscheck`) re-exported
-here.  Every ``policy=`` argument has a model-centric alias
-``model=``.
+:func:`~repro.api.models`, :func:`~repro.api.crosscheck`).  Four are
+re-exported here; ``explore``, ``campaign`` and ``models`` are reached
+as ``repro.api.*``, because here those names are the subpackages.
+Every ``policy=`` argument has a model-centric alias ``model=``.
 
 Quickstart::
 
     import repro
-    from repro import fig1_dekker
+    from repro import api, fig1_dekker
 
     print(repro.run(fig1_dekker(warm=True).program, "RELAXED").observable)
-    report = repro.explore(fig1_dekker(warm=True).program, "DEF2")
+    report = api.explore(fig1_dekker(warm=True).program, "DEF2")
     print(report.describe())
 """
 
@@ -108,31 +109,19 @@ from repro.models.policies import (
 from repro.sc import SCVerifier, enumerate_executions, enumerate_results
 
 # The stable facade.  Imported last: repro.api pulls in the modules
-# above and must find the package already initialised.  Note that
-# ``repro.explore`` / ``repro.campaign`` / ``repro.models`` as
-# *attributes* of this package now name the facade functions; the
-# subpackages stay importable as ``repro.explore.*`` /
-# ``repro.campaign.*`` / ``repro.models.*`` as always.
+# above and must find the package already initialised.  The facade's
+# ``explore``, ``campaign`` and ``models`` are not re-exported: those
+# names are this package's subpackages, and binding the functions over
+# them would break ``import repro.explore.oracle as o`` and the like.
 from repro import api
-from repro.api import (
-    campaign,
-    check_drf0,
-    crosscheck,
-    explore,
-    models,
-    run,
-    verify_sc,
-)
+from repro.api import check_drf0, crosscheck, run, verify_sc
 
 __version__ = "1.2.0"
 
 __all__ = [
     "api",
-    "campaign",
     "check_drf0",
     "crosscheck",
-    "explore",
-    "models",
     "run",
     "verify_sc",
     "BUS_CACHE",

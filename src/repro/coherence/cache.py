@@ -17,18 +17,18 @@ The cache realizes, literally, the example implementation of the paper:
   "negative ack" option) or queued locally (``nack_mode=False``), and
   (b) the line is never chosen as an eviction victim.
 
-Capacity pressure that would require flushing a reserved line leaves the
-cache temporarily over capacity; the Definition-2 ordering policy stalls
-its processor until the counter drains, matching "a processor that
-requires such a flush is made to stall until its counter reads zero".
+The counter, the reserve bits, fill and eviction — and the flush stall
+when capacity pressure meets a reserved line — live in
+:class:`~repro.coherence.line.CacheController`, shared with the snooping
+cache; this module adds the directory protocol.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from repro.coherence.directory import DIRECTORY_ENDPOINT, cache_endpoint
-from repro.coherence.line import CacheLine, LineState
+from repro.coherence.line import CacheController, CacheLine, LineState
 from repro.coherence.protocol import (
     DataS,
     DataX,
@@ -44,16 +44,21 @@ from repro.coherence.protocol import (
     WriteBack,
     WriteBackAck,
 )
-from repro.core.operation import Location, Value
+from repro.core.operation import Location
 from repro.cpu.access import MemoryAccess
-from repro.cpu.counter import OutstandingCounter
 from repro.interconnect.base import Interconnect
-from repro.sim.engine import Component, Simulator
+from repro.sim.engine import Simulator
 from repro.sim.stats import Stats
 
 
-class Cache(Component):
-    """One processor's cache + coherence controller."""
+class Cache(CacheController):
+    """One processor's cache + directory-protocol controller."""
+
+    STAT_RESERVES_SET = "cache.reserves_set"
+    STAT_SYNC_NACKS = "cache.sync_nacks_received"
+    STAT_EVICTIONS = "cache.evictions"
+    STAT_FLUSH_STALLS = "cache.flush_stalls"
+    WRITE_BACK = WriteBack
 
     def __init__(
         self,
@@ -66,49 +71,21 @@ class Cache(Component):
         reserve_enabled: bool = False,
         nack_mode: bool = True,
     ) -> None:
-        super().__init__(sim, f"cache{cache_id}")
-        self.cache_id = cache_id
-        self.interconnect = interconnect
-        self.stats = stats
-        self.capacity = capacity
-        self.hit_latency = hit_latency
-        self.reserve_enabled = reserve_enabled
+        super().__init__(
+            sim, f"cache{cache_id}", cache_id, interconnect, stats,
+            capacity, hit_latency, reserve_enabled,
+        )
         self.nack_mode = nack_mode
-
-        self.counter = OutstandingCounter(owner=self.name, clock=lambda: sim.now)
-        self.sanitizer = sim.sanitizer
-        self._lines: Dict[Location, CacheLine] = {}
-        #: One outstanding transaction per location (processor enforces
-        #: this; asserted here).  Entries persist until global perform.
-        self._outstanding: Dict[Location, MemoryAccess] = {}
         #: Reads that hit a line whose producing write awaits MemAck;
         #: their global perform is deferred to that ack.
         self._gp_waiters: Dict[Location, List[MemoryAccess]] = {}
-        #: Dirty lines evicted but not yet acknowledged by the directory.
-        self._victims: Dict[Location, Value] = {}
         #: Recalls stalled on reserved lines (queue mode only).
         self._stalled_recalls: List[Recall] = []
         #: Locations whose invalidation overtook the data response on a
         #: separate invalidation network: the incoming line is used once
         #: (value delivered) and not retained.
         self._inval_while_outstanding: set = set()
-        self._use_clock = 0
-        #: Observers of incoming SyncNack (stall accounting).
-        self.on_sync_nack: List[Callable[[Location], None]] = []
-
         interconnect.register(cache_endpoint(cache_id), self._on_message)
-        self.counter.when_zero(self._on_counter_zero_registered)
-        self.tracer = sim.tracer
-        if self.tracer.wants("counter"):
-            # Conditional wiring: untraced runs never pay the observer
-            # call.  The tracer is configured before components build.
-            def observe(value, _t=self.tracer, _track=self.name):
-                _t.emit(
-                    "counter", "outstanding", track=_track,
-                    args=(("value", value),),
-                )
-
-            self.counter.observer = observe
 
     # ------------------------------------------------------------------
     # Processor-facing API
@@ -122,38 +99,6 @@ class Cache(Component):
         protocol violation, asserted in the miss paths.
         """
         self.sim.schedule(self.hit_latency, lambda: self._start(access))
-
-    def line_state(self, location: Location) -> LineState:
-        line = self._lines.get(location)
-        return line.state if line else LineState.INVALID
-
-    def line_value(self, location: Location) -> Optional[Value]:
-        line = self._lines.get(location)
-        return line.value if line and line.valid else None
-
-    def is_reserved(self, location: Location) -> bool:
-        line = self._lines.get(location)
-        return bool(line and line.reserved)
-
-    def any_reserved(self) -> bool:
-        return any(line.reserved for line in self._lines.values())
-
-    @property
-    def over_capacity(self) -> bool:
-        """True when unevictable (reserved/unacked) lines exceed capacity."""
-        if self.capacity is None:
-            return False
-        return self._resident_count() > self.capacity
-
-    def dirty_lines(self) -> Dict[Location, Value]:
-        """Exclusive-line contents (for end-of-run memory reconstruction)."""
-        out = {
-            loc: line.value
-            for loc, line in self._lines.items()
-            if line.state is LineState.EXCLUSIVE
-        }
-        out.update(self._victims)
-        return out
 
     # ------------------------------------------------------------------
     # Access servicing
@@ -237,55 +182,12 @@ class Cache(Component):
         self._outstanding[access.location] = access
         self._send(GetX(access.location, self.cache_id, is_sync=access.sync_protocol))
 
-    def _perform_on_line(
-        self, access: MemoryAccess, line: CacheLine, gp_now: bool
-    ) -> None:
-        """Commit ``access`` against the exclusive local copy."""
-        old = line.value
-        if access.kind.reads_memory:
-            access.deliver_value(old, self.sim.now)
-        if access.kind.writes_memory:
-            assert access.compute_write is not None
-            new = access.compute_write(old)
-            line.value = new
-            access.value_written = new
-        access.mark_committed(self.sim.now)
-        if gp_now:
-            access.mark_globally_performed(self.sim.now)
-
-    def _after_sync_commit(self, access: MemoryAccess, line: CacheLine) -> None:
-        """Section 5.3: set the reserve bit if accesses are outstanding."""
-        if not (self.reserve_enabled and access.sync_protocol):
-            return
-        if self.counter.value > 0:
-            if not line.reserved:
-                line.reserved = True
-                self.stats.bump("cache.reserves_set")
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        "reserve", "set", track=self.name,
-                        args=(("location", line.location),),
-                    )
-            self.counter.when_zero(self._clear_reserves)
-
-    def _clear_reserves(self) -> None:
-        """Counter reads zero: reset all reserve bits, service stalls."""
-        for line in self._lines.values():
-            if line.reserved and self.tracer.enabled:
-                self.tracer.emit(
-                    "reserve", "clear", track=self.name,
-                    args=(("location", line.location),),
-                )
-            line.reserved = False
+    def _serve_stalled(self) -> None:
+        """Queue mode: serve the recalls the reserve bits stalled, before
+        the evict-down."""
         stalled, self._stalled_recalls = self._stalled_recalls, []
         for recall in stalled:
             self._handle_recall(recall)
-        self._evict_down_to_capacity()
-
-    def _on_counter_zero_registered(self) -> None:
-        # Initial registration fires immediately (counter starts at 0);
-        # nothing to do, but keep the hook alive for later transitions.
-        pass
 
     # ------------------------------------------------------------------
     # Message handling
@@ -307,7 +209,7 @@ class Cache(Component):
         elif isinstance(payload, Recall):
             self._handle_recall(payload)
         elif isinstance(payload, SyncNack):
-            self._on_sync_nack(payload)
+            self._on_sync_nack(payload.location)
         elif isinstance(payload, WriteBackAck):
             self._victims.pop(payload.location, None)
         else:  # pragma: no cover - defensive
@@ -436,85 +338,3 @@ class Cache(Component):
             component=self.name,
             location=recall.location,
         )
-
-    def _on_sync_nack(self, nack: SyncNack) -> None:
-        access = self._outstanding.get(nack.location)
-        if access is not None:
-            access.nacks += 1
-        self.stats.bump("cache.sync_nacks_received")
-        for observer in self.on_sync_nack:
-            observer(nack.location)
-
-    # ------------------------------------------------------------------
-    # Fill / eviction
-    # ------------------------------------------------------------------
-    def _install(self, location: Location, state: LineState, value: Value) -> CacheLine:
-        line = self._lines.get(location)
-        old_state = line.state if line is not None else LineState.INVALID
-        if line is None:
-            line = CacheLine(location=location, state=state, value=value)
-            self._lines[location] = line
-        else:
-            line.state = state
-            line.value = value
-        if self.tracer.enabled:
-            self.tracer.emit(
-                "cache", "fill", track=self.name,
-                args=(
-                    ("location", location),
-                    ("from", old_state.name),
-                    ("to", state.name),
-                ),
-            )
-        self._touch(line)
-        self._evict_down_to_capacity(exclude=location)
-        return line
-
-    def _touch(self, line: CacheLine) -> None:
-        self._use_clock += 1
-        line.last_use = self._use_clock
-
-    def _resident_count(self) -> int:
-        return sum(1 for line in self._lines.values() if line.valid)
-
-    def _evict_down_to_capacity(self, exclude: Optional[Location] = None) -> None:
-        if self.capacity is None:
-            return
-        while self._resident_count() > self.capacity:
-            victim = self._pick_victim(exclude)
-            if victim is None:
-                # Every line is reserved or mid-transaction: the paper's
-                # flush-stall case.  The processor-side policy observes
-                # ``over_capacity`` and stalls until the counter drains.
-                self.stats.bump("cache.flush_stalls")
-                return
-            self._evict(victim)
-
-    def _pick_victim(self, exclude: Optional[Location]) -> Optional[CacheLine]:
-        candidates = [
-            line
-            for loc, line in self._lines.items()
-            if line.valid
-            and not line.reserved
-            and not line.gp_pending
-            and loc != exclude
-            and loc not in self._outstanding
-        ]
-        if not candidates:
-            return None
-        return min(candidates, key=lambda line: line.last_use)
-
-    def _evict(self, line: CacheLine) -> None:
-        self.stats.bump("cache.evictions")
-        if self.tracer.enabled:
-            self.tracer.emit(
-                "cache", "evict", track=self.name,
-                args=(
-                    ("location", line.location),
-                    ("state", line.state.name),
-                ),
-            )
-        if line.state is LineState.EXCLUSIVE:
-            self._victims[line.location] = line.value
-            self._send(WriteBack(line.location, line.value, self.cache_id))
-        del self._lines[line.location]

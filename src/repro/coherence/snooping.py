@@ -18,18 +18,19 @@ provides that substrate as an alternative to the directory protocol:
 
 The reserve-bit rule is still honoured for completeness: a *sync*
 transaction that snoops a reserved line at its owner is NACKed and
-retried, so condition 5 holds on this substrate too.
+retried, so condition 5 holds on this substrate too.  The counter, the
+reserve bits, fill, eviction and the flush stall are shared with the
+directory cache through :class:`~repro.coherence.line.CacheController`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional
+from typing import Any, Dict, List, Optional
 
-from repro.coherence.line import CacheLine, LineState
+from repro.coherence.line import CacheController, LineState
 from repro.core.operation import Location, Value
 from repro.cpu.access import MemoryAccess
-from repro.cpu.counter import OutstandingCounter
 from repro.interconnect.base import Interconnect
 from repro.sim.engine import Component, Simulator
 from repro.sim.stats import Stats
@@ -235,13 +236,19 @@ class SnoopCoordinator(Component):
         self._respond(txn.requester, SnoopData(txn.location, value, exclusive=True))
 
 
-class SnoopingCache(Component):
+class SnoopingCache(CacheController):
     """A processor cache snooping the atomic bus.
 
     Implements the same processor-facing port as the directory cache
     (``submit``), so processors and policies are oblivious to which
     substrate they run on.
     """
+
+    STAT_RESERVES_SET = "snoopcache.reserves_set"
+    STAT_SYNC_NACKS = "snoopcache.nacks_received"
+    STAT_EVICTIONS = "snoopcache.evictions"
+    STAT_FLUSH_STALLS = "snoopcache.flush_stalls"
+    WRITE_BACK = BusWB
 
     def __init__(
         self,
@@ -254,75 +261,19 @@ class SnoopingCache(Component):
         hit_latency: int = 1,
         reserve_enabled: bool = False,
     ) -> None:
-        super().__init__(sim, f"snoopcache{cache_id}")
-        self.cache_id = cache_id
-        self.interconnect = interconnect
+        super().__init__(
+            sim, f"snoopcache{cache_id}", cache_id, interconnect, stats,
+            capacity, hit_latency, reserve_enabled,
+        )
         self.coordinator = coordinator
-        self.stats = stats
-        self.capacity = capacity
-        self.hit_latency = hit_latency
-        self.reserve_enabled = reserve_enabled
-
-        self.counter = OutstandingCounter(owner=self.name, clock=lambda: sim.now)
-        self.sanitizer = sim.sanitizer
-        self._lines: Dict[Location, CacheLine] = {}
-        self._outstanding: Dict[Location, MemoryAccess] = {}
-        #: Dirty lines awaiting their BusWB grant; snoopable, and
-        #: cancelled (set to None) when another transaction takes them.
-        self._victims: Dict[Location, Optional[Value]] = {}
-        self._use_clock = 0
-        #: Observers of incoming SnoopNack (stall accounting), same
-        #: contract as ``Cache.on_sync_nack``.
-        self.on_sync_nack: List[Callable[[Location], None]] = []
         interconnect.register(snoop_cache_endpoint(cache_id), self._on_message)
         coordinator.attach(self)
-        self.tracer = sim.tracer
-        if self.tracer.wants("counter"):
-            def observe(value, _t=self.tracer, _track=self.name):
-                _t.emit(
-                    "counter", "outstanding", track=_track,
-                    args=(("value", value),),
-                )
-
-            self.counter.observer = observe
 
     # ------------------------------------------------------------------
     # Processor-facing API (mirrors repro.coherence.cache.Cache)
     # ------------------------------------------------------------------
     def submit(self, access: MemoryAccess) -> None:
         self.sim.schedule(self.hit_latency, lambda: self._start(access))
-
-    def line_state(self, location: Location) -> LineState:
-        line = self._lines.get(location)
-        return line.state if line else LineState.INVALID
-
-    def line_value(self, location: Location) -> Optional[Value]:
-        line = self._lines.get(location)
-        return line.value if line and line.valid else None
-
-    def is_reserved(self, location: Location) -> bool:
-        line = self._lines.get(location)
-        return bool(line and line.reserved)
-
-    def any_reserved(self) -> bool:
-        return any(line.reserved for line in self._lines.values())
-
-    @property
-    def over_capacity(self) -> bool:
-        if self.capacity is None:
-            return False
-        return sum(1 for l in self._lines.values() if l.valid) > self.capacity
-
-    def dirty_lines(self) -> Dict[Location, Value]:
-        out = {
-            loc: line.value
-            for loc, line in self._lines.items()
-            if line.state is LineState.EXCLUSIVE
-        }
-        for loc, value in self._victims.items():
-            if value is not None:
-                out[loc] = value
-        return out
 
     # ------------------------------------------------------------------
     # Snoop duties (called synchronously at the transaction instant)
@@ -381,7 +332,10 @@ class SnoopingCache(Component):
         ):
             self._touch(line)
             self.stats.bump("snoopcache.hits")
-            self._perform(access, line)
+            # On this substrate a hit on an exclusive line (or any read
+            # hit) is globally performed at once.
+            self._perform_on_line(access, line, gp_now=True)
+            self._after_sync_commit(access, line)
             return
         self.stats.bump("snoopcache.misses")
         if access.location in self._outstanding:
@@ -402,44 +356,6 @@ class SnoopingCache(Component):
             txn = BusRd(access.location, self.cache_id)
         self._send(txn)
 
-    def _perform(self, access: MemoryAccess, line: CacheLine) -> None:
-        """Commit against the local copy; on this substrate a hit on an
-        exclusive line (or any read hit) is globally performed at once."""
-        old = line.value
-        if access.kind.reads_memory:
-            access.deliver_value(old, self.sim.now)
-        if access.kind.writes_memory:
-            assert access.compute_write is not None
-            new = access.compute_write(old)
-            line.value = new
-            access.value_written = new
-        access.mark_committed(self.sim.now)
-        access.mark_globally_performed(self.sim.now)
-        self._after_sync_commit(access, line)
-
-    def _after_sync_commit(self, access: MemoryAccess, line: CacheLine) -> None:
-        if not (self.reserve_enabled and access.sync_protocol):
-            return
-        if self.counter.value > 0:
-            if not line.reserved:
-                line.reserved = True
-                self.stats.bump("snoopcache.reserves_set")
-                if self.tracer.enabled:
-                    self.tracer.emit(
-                        "reserve", "set", track=self.name,
-                        args=(("location", line.location),),
-                    )
-            self.counter.when_zero(self._clear_reserves)
-
-    def _clear_reserves(self) -> None:
-        for line in self._lines.values():
-            if line.reserved and self.tracer.enabled:
-                self.tracer.emit(
-                    "reserve", "clear", track=self.name,
-                    args=(("location", line.location),),
-                )
-            line.reserved = False
-
     # ------------------------------------------------------------------
     # Bus responses
     # ------------------------------------------------------------------
@@ -456,76 +372,13 @@ class SnoopingCache(Component):
             )
             line = self._install(payload.location, state, payload.value)
             self.counter.decrement(context=access)
-            self._perform(access, line)
+            self._perform_on_line(access, line, gp_now=True)
+            self._after_sync_commit(access, line)
             # Release the atomic bus: the transfer is complete.
             self._send(SnoopDone(payload.location))
         elif isinstance(payload, SnoopNack):
-            access = self._outstanding.get(payload.location)
-            if access is not None:
-                access.nacks += 1
-            self.stats.bump("snoopcache.nacks_received")
-            for observer in self.on_sync_nack:
-                observer(payload.location)
+            self._on_sync_nack(payload.location)
             # The coordinator re-issues the transaction after its retry
             # delay; nothing to do here.
         else:  # pragma: no cover - defensive
             raise TypeError(f"snooping cache cannot handle {payload!r}")
-
-    # ------------------------------------------------------------------
-    # Fill / eviction
-    # ------------------------------------------------------------------
-    def _install(self, location: Location, state: LineState, value: Value) -> CacheLine:
-        line = self._lines.get(location)
-        old_state = line.state if line is not None else LineState.INVALID
-        if line is None:
-            line = CacheLine(location=location, state=state, value=value)
-            self._lines[location] = line
-        else:
-            line.state = state
-            line.value = value
-        if self.tracer.enabled:
-            self.tracer.emit(
-                "cache", "fill", track=self.name,
-                args=(
-                    ("location", location),
-                    ("from", old_state.name),
-                    ("to", state.name),
-                ),
-            )
-        self._touch(line)
-        self._evict_down_to_capacity(exclude=location)
-        return line
-
-    def _touch(self, line: CacheLine) -> None:
-        self._use_clock += 1
-        line.last_use = self._use_clock
-
-    def _evict_down_to_capacity(self, exclude: Optional[Location]) -> None:
-        if self.capacity is None:
-            return
-        while sum(1 for l in self._lines.values() if l.valid) > self.capacity:
-            candidates = [
-                line
-                for loc, line in self._lines.items()
-                if line.valid
-                and not line.reserved
-                and loc != exclude
-                and loc not in self._outstanding
-            ]
-            if not candidates:
-                self.stats.bump("snoopcache.flush_stalls")
-                return
-            victim = min(candidates, key=lambda l: l.last_use)
-            self.stats.bump("snoopcache.evictions")
-            if self.tracer.enabled:
-                self.tracer.emit(
-                    "cache", "evict", track=self.name,
-                    args=(
-                        ("location", victim.location),
-                        ("state", victim.state.name),
-                    ),
-                )
-            if victim.state is LineState.EXCLUSIVE:
-                self._victims[victim.location] = victim.value
-                self._send(BusWB(victim.location, victim.value, self.cache_id))
-            del self._lines[victim.location]

@@ -162,7 +162,7 @@ class ProcessorCore(Component):
         #: diagnosis to draw processor wait-for edges.
         self.blocked_access: Optional[MemoryAccess] = None
         self.blocked_until: Optional[str] = None
-        if cache is not None and hasattr(cache, "on_sync_nack"):
+        if cache is not None:
             cache.on_sync_nack.append(self._on_sync_nack)
 
     # ------------------------------------------------------------------

@@ -227,67 +227,54 @@ class System:
         self.memory: Optional[MemoryModule] = None
         self.processors: List[ProcessorCore] = []
 
-        if not config.has_caches:
-            self._build_cacheless()
-        elif config.coherence is CoherenceStyle.SNOOPING:
-            self._build_snooping()
-        else:
+        if config.has_caches:
             self._build_cached()
+        else:
+            self._build_cacheless()
 
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
     def _build_cached(self) -> None:
-        self.directory = Directory(
-            self.sim,
-            self.interconnect,
-            self.stats,
-            initial_memory=dict(self.program.initial_memory),
-            retry_delay=self.config.directory_retry_delay,
+        """Caches on either coherence substrate: the substrate's home
+        (directory or snoop coordinator) picks the cache class."""
+        initial_memory = dict(self.program.initial_memory)
+        cache_options = dict(
+            capacity=self.config.cache_capacity,
+            hit_latency=self.config.cache_hit_latency,
+            reserve_enabled=self.policy.reserve_enabled,
         )
-        for proc_id, thread in enumerate(self.program.threads):
-            cache = Cache(
+        if self.config.coherence is CoherenceStyle.SNOOPING:
+            coordinator = self.snoop_coordinator = SnoopCoordinator(
                 self.sim,
-                proc_id,
                 self.interconnect,
                 self.stats,
-                capacity=self.config.cache_capacity,
-                hit_latency=self.config.cache_hit_latency,
-                reserve_enabled=self.policy.reserve_enabled,
-                nack_mode=self.policy.nack_mode,
+                initial_memory=initial_memory,
+                retry_delay=self.config.directory_retry_delay,
             )
-            self.caches.append(cache)
-            processor = self._core_cls(
-                self.sim,
-                proc_id,
-                thread,
-                self.policy,
-                port=cache,
-                stats=self.stats,
-                local_cycles=self.config.local_cycles,
-                cache=cache,
-            )
-            self.processors.append(processor)
 
-    def _build_snooping(self) -> None:
-        self.snoop_coordinator = SnoopCoordinator(
-            self.sim,
-            self.interconnect,
-            self.stats,
-            initial_memory=dict(self.program.initial_memory),
-            retry_delay=self.config.directory_retry_delay,
-        )
-        for proc_id, thread in enumerate(self.program.threads):
-            cache = SnoopingCache(
+            def make_cache(proc_id: int) -> SnoopingCache:
+                return SnoopingCache(
+                    self.sim, proc_id, self.interconnect, coordinator,
+                    self.stats, **cache_options,
+                )
+        else:
+            self.directory = Directory(
                 self.sim,
-                proc_id,
                 self.interconnect,
-                self.snoop_coordinator,
                 self.stats,
-                capacity=self.config.cache_capacity,
-                hit_latency=self.config.cache_hit_latency,
-                reserve_enabled=self.policy.reserve_enabled,
+                initial_memory=initial_memory,
+                retry_delay=self.config.directory_retry_delay,
             )
+
+            def make_cache(proc_id: int) -> Cache:
+                return Cache(
+                    self.sim, proc_id, self.interconnect, self.stats,
+                    nack_mode=self.policy.nack_mode, **cache_options,
+                )
+
+        for proc_id, thread in enumerate(self.program.threads):
+            cache = make_cache(proc_id)
             self.caches.append(cache)
             processor = self._core_cls(
                 self.sim,

@@ -12,10 +12,17 @@ from repro.litmus.catalog import fig1_dekker, fig1_dekker_all_sync
 from repro.litmus.runner import LitmusRunner
 from repro.memsys.config import BUS_CACHE_SNOOP, NET_CACHE
 from repro.memsys.system import ConfigurationError, System, run_program
-from repro.models.policies import Def1Policy, Def2Policy, RelaxedPolicy, SCPolicy
+from repro.models.policies import (
+    Def1Policy,
+    Def2Policy,
+    Def2RPolicy,
+    RelaxedPolicy,
+    SCPolicy,
+)
 from repro.sc.verifier import SCVerifier
 from repro.sim.engine import Simulator
 from repro.sim.stats import Stats
+from repro.workloads.locks import critical_section_program
 from repro.workloads.random_programs import random_drf0_program, random_racy_program
 
 
@@ -191,3 +198,16 @@ class TestSnoopSystem:
         harness.caches[0].counter.decrement()
         harness.run()
         assert rival.committed
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("policy", [Def2Policy, Def2RPolicy])
+    def test_flush_stall_ends_when_counter_drains(self, policy, seed):
+        """A one-line cache holding a reserved lock line stalls its
+        processor on the flush; the counter reaching zero must evict the
+        line and release the stall, as on the directory substrate."""
+        program = critical_section_program(3, 2, private_writes=3)
+        config = BUS_CACHE_SNOOP.with_overrides(cache_capacity=1)
+        run = run_program(program, policy(), config, seed=seed, max_cycles=20_000)
+        assert run.completed, run.deadlock
+        assert dict(run.observable.memory)["count"] == 6
+

@@ -210,22 +210,31 @@ class TestApiSurface:
             assert getattr(api, name) is not None
 
     def test_facade_reexported_from_package_root(self):
-        for name in (
-            "run", "explore", "verify_sc", "check_drf0", "campaign",
-            "models", "crosscheck",
-        ):
+        for name in ("run", "verify_sc", "check_drf0", "crosscheck"):
             assert getattr(repro, name) is getattr(api, name)
             assert name in repro.__all__
 
+    @pytest.mark.parametrize("name", ["explore", "campaign", "models"])
+    def test_subpackage_names_are_not_shadowed(self, name):
+        # These facade verbs live only at ``repro.api.*``: at the package
+        # root the names are the subpackages.
+        assert name not in repro.__all__
+        assert getattr(repro, name) is importlib.import_module(f"repro.{name}")
+
+    def test_submodule_import_as_forms(self):
+        import repro.campaign.cache as c
+        import repro.explore.oracle as o
+        import repro.models.policies as p
+
+        assert o.__name__ == "repro.explore.oracle"
+        assert c.__name__ == "repro.campaign.cache"
+        assert p.__name__ == "repro.models.policies"
+
     def test_models_subpackage_still_importable(self):
-        # Like campaign/explore: the facade function shadows the
-        # subpackage attribute, the subpackage itself stays importable.
         from repro.models import policy_by_name  # noqa: F401
         from repro.models.policies import TSOPolicy  # noqa: F401
 
     def test_campaign_subpackage_still_importable(self):
-        # The facade function shadows the subpackage *attribute*; the
-        # import system must still resolve the subpackage itself.
         from repro.campaign import RunSpec  # noqa: F401
         from repro.campaign.spec import RunResult  # noqa: F401
 
@@ -363,10 +372,9 @@ def _import_processor_alias():
 
 
 def _models_package_class_attribute():
-    # importlib, not ``import repro.models``: the package attribute
-    # ``repro.models`` names the facade function (like campaign/
-    # explore); the module itself lives in sys.modules.
-    return importlib.import_module("repro.models").SCPolicy
+    # Policy classes live in ``repro.models.policies`` (or the package
+    # root), not on the ``repro.models`` package itself.
+    return repro.models.SCPolicy
 
 
 #: Retired calling forms -> the error each now raises.
