@@ -7,14 +7,14 @@ reject the inconsistent ones.  The axioms live in
 :mod:`repro.axiomatic.model`; this module produces what they judge.
 
 Both entry points compile the program once per call into an int-indexed
-table (:class:`_Table`) and share one value resolver (:func:`_resolve`):
+table (:class:`_Table`):
 
 * :func:`enumerate_candidates` is the **raw** enumerator: every rf
   choice × every co permutation, as :class:`Candidate` objects carrying
   full :class:`~repro.axiomatic.relations.Relations`.  Together with
   :meth:`AxiomaticModel.allows <repro.axiomatic.model.AxiomaticModel.allows>`
   it is the per-execution API and the oracle the kernel is tested
-  against.
+  against.  It resolves values with the plain fixpoint :func:`_resolve`.
 * :func:`allowed_outcomes` is the **kernel** (re-exported by
   :mod:`repro.axiomatic.crosscheck` and the package).  It prunes only
   what the model-independent ``sc-per-location`` axiom rejects under
@@ -32,7 +32,9 @@ table (:class:`_Table`) and share one value resolver (:func:`_resolve`):
   Each surviving combination is checked against ``ghb`` once, as
   successor bitmasks of ``ppo ∪ rfe ∪ co ∪ fr``; ``ppo`` is the
   model's own :meth:`~repro.axiomatic.model.AxiomaticModel.ppo`.  Values
-  are resolved only for rf choices that some allowed combination uses.
+  are resolved only for rf choices that some allowed combination uses,
+  by :class:`_Replayer`: the same rounds as :func:`_resolve`, with each
+  thread's replay memoised for the length of the call.
 
 **Budget.**  The kernel compares ``max_candidates`` with the static size
 of the candidate space — Π over locations of (writes to it)! times Π
@@ -290,6 +292,150 @@ def _resolve(
     return None
 
 
+#: One thread replay: the values its reads return and its writes store,
+#: each in op order, and its final register snapshot.
+_Replay = Tuple[Tuple[int, ...], Tuple[int, ...], Tuple]
+
+
+class _Replayer:
+    """:func:`_resolve`'s rounds, with each thread's replay memoised.
+
+    A thread's replay is a function of the values its reads return.  A
+    read of the initial value or of a po-earlier write of its own thread
+    is resolved inside the replay; any other read takes its writer's
+    value as the thread starts, which is this round's value for a writer
+    in an earlier thread and the last round's otherwise (Gauss–Seidel
+    order).  So a thread's memo key is that in-thread choice plus the
+    values of its other reads, and a thread none of whose writers has
+    changed since its last replay would replay the same: a round skips
+    it.  The rounds and their ``len(ops) + 1`` bound are
+    :func:`_resolve`'s, so the same choices are discarded as value
+    cycles.  One replayer serves one kernel call: its memos are keyed
+    on the program's ops and die with the call.
+    """
+
+    def __init__(self, table: _Table) -> None:
+        self._table = table
+        self._reads: List[Tuple[int, ...]] = []
+        self._writes: List[Tuple[int, ...]] = []
+        self._first: List[int] = []
+        for steps in table.steps:
+            ops = [i for _, i, _, _ in steps if i >= 0]
+            kinds = [table.ops[i].kind for i in ops]
+            self._reads.append(tuple(
+                i for i, kind in zip(ops, kinds) if kind.reads_memory
+            ))
+            self._writes.append(tuple(
+                i for i, kind in zip(ops, kinds) if kind.writes_memory
+            ))
+            self._first.append(ops[0] if ops else 0)
+        #: Per thread: the rf choice of its reads -> its plan.
+        self._plans: List[Dict[tuple, tuple]] = [{} for _ in table.steps]
+        #: Per thread: memo key -> replay.
+        self._memo: List[Dict[tuple, _Replay]] = [{} for _ in table.steps]
+        #: Per thread: the all-zero state every resolution starts from.
+        self._zero: List[_Replay] = [
+            ((0,) * len(reads), (0,) * len(writes), ())
+            for reads, writes in zip(self._reads, self._writes)
+        ]
+
+    def _plan(self, t: int, choice: Tuple[int, ...]) -> tuple:
+        """``(in-thread choice, other writers, their threads)`` for
+        thread ``t`` whose reads read from ``choice``."""
+        first = self._first[t]
+        inside = []
+        outside = []
+        for i, w in zip(self._reads[t], choice):
+            if w < 0 or first <= w < i:
+                inside.append(w)
+            else:
+                inside.append(-2)
+                outside.append(w)
+        sources = frozenset(self._table.ops[w].proc for w in outside)
+        return tuple(inside), tuple(outside), sources
+
+    def resolve(
+        self, rf: Sequence[int]
+    ) -> Optional[Tuple[List[int], Tuple[Tuple, ...]]]:
+        """``(write_values, register snapshots)`` for one reads-from
+        choice, or ``None`` for a value cycle (see :func:`_resolve`)."""
+        plans = []
+        for t, reads in enumerate(self._reads):
+            choice = tuple([rf[i] for i in reads])
+            plan = self._plans[t].get(choice)
+            if plan is None:
+                plan = self._plans[t][choice] = self._plan(t, choice)
+            plans.append(plan)
+        threads = range(len(plans))
+        write_values = [0] * len(self._table.ops)
+        now = list(self._zero)
+        stale = [True] * len(plans)
+        for _ in range(len(write_values) + 1):
+            changed = False
+            for t in threads:
+                if not stale[t]:
+                    continue
+                stale[t] = False
+                inside, outside, _ = plans[t]
+                key = (inside, tuple([write_values[w] for w in outside]))
+                memo = self._memo[t]
+                replay = memo.get(key)
+                if replay is None:
+                    replay = memo[key] = self._replay(t, inside, key[1])
+                last = now[t]
+                if replay is last:
+                    continue
+                now[t] = replay
+                if replay[0] != last[0]:
+                    changed = True
+                if replay[1] != last[1]:
+                    changed = True
+                    for i, value in zip(self._writes[t], replay[1]):
+                        write_values[i] = value
+                    for u in threads:
+                        if t in plans[u][2]:
+                            stale[u] = True
+            if not changed:
+                return write_values, tuple([replay[2] for replay in now])
+        return None
+
+    def _replay(
+        self, t: int, inside: Tuple[int, ...], outside: Tuple[int, ...]
+    ) -> _Replay:
+        """Thread ``t`` run once: ``inside`` per read is its in-thread
+        writer, -1 for the initial value, or -2 for the next value of
+        ``outside``."""
+        table = self._table
+        choice = dict(zip(self._reads[t], inside))
+        values = iter(outside)
+        regs = RegisterFile()
+        read_values: List[int] = []
+        written: Dict[int, int] = {}
+        for instr, i, reads, writes in table.steps[t]:
+            if i < 0:
+                instr.apply(regs)
+                continue
+            value = 0
+            if reads:
+                w = choice[i]
+                if w == -1:
+                    value = table.init[i]
+                elif w >= 0:
+                    value = written[w]
+                else:
+                    value = next(values)
+                read_values.append(value)
+                if instr.dest is not None:
+                    regs.write(instr.dest, value)
+            if writes:
+                written[i] = instr.compute_write(regs, value)
+        return (
+            tuple(read_values),
+            tuple(written[i] for i in self._writes[t]),
+            regs.snapshot(),
+        )
+
+
 def _rmw_atomic(
     order: Sequence[int], rmws: Sequence[int], rf: Sequence[int]
 ) -> bool:
@@ -407,11 +553,15 @@ def enumerate_candidates(
             )
 
 
-#: One location's coherent configurations: reads-from choice of its
-#: reads -> (its rfe edges, last write in co (-1 if none) -> the co ∪ fr
-#: edges of every coherence order ending there).
-_LocationConfigs = Dict[
-    Tuple[int, ...], Tuple[_Edges, Dict[int, List[_Edges]]]
+#: ``(last write in co, or -1 if none; the co ∪ fr edges of every
+#: coherence order ending there)``.
+_Lasts = Tuple[int, List[_Edges]]
+
+#: One coherent configuration of a location: the reads-from choice of
+#: its reads, their rfe edges, its coherence orders grouped by last
+#: write, and ``(last, edges)`` when exactly one order survives.
+_LocationConfig = Tuple[
+    Tuple[int, ...], _Edges, List[_Lasts], Optional[Tuple[int, _Edges]]
 ]
 
 
@@ -424,62 +574,78 @@ def _with_edges(base: Sequence[int], edge_sets) -> List[int]:
     return succ
 
 
-def _location_configs(table: _Table, l: int) -> _LocationConfigs:
+def _location_configs(table: _Table, l: int) -> List[_LocationConfig]:
     """The (rf, co) pairs at location ``l`` that ``sc-per-location``
     and RMW atomicity accept."""
     reads = table.loc_reads[l]
     writes = table.loc_writes[l]
+    rmws = table.loc_rmws[l]
     ops, po_later = table.ops, table.po_later
     nodes = sorted(set(reads) | set(writes), reverse=True)
     sweep = [(i, 1 << i) for i in nodes]
     here = sum(1 << i for i in nodes)
     write_mask = sum(1 << w for w in writes)
 
+    # Per read: its options, each ``(writer, rfe edge or None)``.
     choices = []
     for r in reads:
         po_earlier_write = any(po_later[w] >> r & 1 for w in writes)
-        options = [] if po_earlier_write else [-1]
+        options = [] if po_earlier_write else [(-1, None)]
         options.extend(
-            w for w in writes if w != r and not po_later[r] >> w & 1
+            (w, (w, 1 << r) if ops[w].proc != ops[r].proc else None)
+            for w in writes if w != r and not po_later[r] >> w & 1
         )
         choices.append(options)
+
+    # Each coherence order with the mask of writes co-after each write
+    # (-1: the initial value, before them all) and its co edges.
+    orders = []
+    for order in itertools.permutations(writes):
+        co_after: Dict[int, int] = {-1: write_mask}
+        later = 0
+        for w in reversed(order):
+            co_after[w] = later
+            later |= 1 << w
+        co_edges = [(w, co_after[w]) for w in order if co_after[w]]
+        orders.append((order, co_after, co_edges))
 
     po_loc = [0] * len(ops)
     for i in nodes:
         po_loc[i] = po_later[i] & here
+    read_bits = [(r, 1 << r) for r in reads]
     rf = [-1] * len(ops)
-    configs: _LocationConfigs = {}
-    for rf_pick in itertools.product(*choices):
-        for r, w in zip(reads, rf_pick):
-            rf[r] = w
+    configs: List[_LocationConfig] = []
+    for options in itertools.product(*choices):
+        rf_pick = tuple([w for w, _ in options])
         rf_succ = list(po_loc)
         rfe: _Edges = []
-        for r, w in zip(reads, rf_pick):
+        for (r, bit), (w, external) in zip(read_bits, options):
+            rf[r] = w
             if w >= 0:
-                rf_succ[w] |= 1 << r
-                if ops[w].proc != ops[r].proc:
-                    rfe.append((w, 1 << r))
+                rf_succ[w] |= bit
+                if external is not None:
+                    rfe.append(external)
         by_last: Dict[int, List[_Edges]] = {}
-        for order in itertools.permutations(writes):
+        for order, co_after, co_edges in orders:
             # Coherence implies atomicity (a write between an RMW and
             # its source closes fr;co), but this test is cheaper.
-            if not _rmw_atomic(order, table.loc_rmws[l], rf):
+            if rmws and not _rmw_atomic(order, rmws, rf):
                 continue
-            co_after: Dict[int, int] = {}
-            later = 0
-            for w in reversed(order):
-                co_after[w] = later
-                later |= 1 << w
-            edges: _Edges = [(w, co_after[w]) for w in order if co_after[w]]
-            for r, w in zip(reads, rf_pick):
-                fr = (write_mask if w < 0 else co_after[w]) & ~(1 << r)
+            edges = list(co_edges)
+            for (r, bit), w in zip(read_bits, rf_pick):
+                fr = co_after[w] & ~bit
                 if fr:
                     edges.append((r, fr))
             if _acyclic(_with_edges(rf_succ, (edges,)), sweep):
                 last = order[-1] if order else -1
                 by_last.setdefault(last, []).append(edges)
-        if by_last:
-            configs[rf_pick] = (rfe, by_last)
+        if not by_last:
+            continue
+        lasts = list(by_last.items())
+        single = None
+        if len(lasts) == 1 and len(lasts[0][1]) == 1:
+            single = lasts[0][0], lasts[0][1][0]
+        configs.append((rf_pick, rfe, lasts, single))
     return configs
 
 
@@ -528,29 +694,43 @@ def allowed_outcomes(
         ppo[index[a]] |= 1 << index[b]
     sweep = [(i, 1 << i) for i in reversed(range(len(ops)))]
 
-    locations = range(len(table.locations))
     per_location = []
-    for l in locations:
+    for l in range(len(table.locations)):
         configs = _location_configs(table, l)
         if not configs:
             return frozenset()
-        per_location.append(list(configs.items()))
+        per_location.append(configs)
+
+    replayer = _Replayer(table)
+    rf = [-1] * len(ops)
+
+    def resolve(pick):
+        for reads, (rf_pick, _, _, _) in zip(table.loc_reads, pick):
+            for r, w in zip(reads, rf_pick):
+                rf[r] = w
+        return replayer.resolve(rf)
 
     # Observable key: (register snapshots, final value per location,
     # None for a location nothing writes).
     allowed = set()
-    rf = [-1] * len(ops)
     for pick in itertools.product(*per_location):
-        for l, (rf_pick, _) in zip(locations, pick):
-            for r, w in zip(table.loc_reads[l], rf_pick):
-                rf[r] = w
-        base = _with_edges(ppo, [rfe for _, (rfe, _) in pick])
+        rfes = [rfe for _, rfe, _, _ in pick]
+        singles = [single for _, _, _, single in pick]
+        if None not in singles:
+            # One coherence edge set per location: one test decides.
+            edges = rfes + [edges for _, edges in singles]
+            if _acyclic(_with_edges(ppo, edges), sweep):
+                resolved = resolve(pick)
+                if resolved is not None:
+                    write_values, registers = resolved
+                    allowed.add((registers, _finals(singles, write_values)))
+            continue
+        base = _with_edges(ppo, rfes)
         if not _acyclic(base, sweep):
             continue
         # Resolved lazily: only once some combination is allowed.
         registers = write_values = None
-        groups = [by_last.items() for _, (_, by_last) in pick]
-        for lasts in itertools.product(*groups):
+        for lasts in itertools.product(*(lasts for _, _, lasts, _ in pick)):
             if write_values is not None:
                 key = (registers, _finals(lasts, write_values))
                 if key in allowed:
@@ -561,23 +741,26 @@ def allowed_outcomes(
             ):
                 continue
             if write_values is None:
-                resolved = _resolve(table, rf)
+                resolved = resolve(pick)
                 if resolved is None:
                     break
-                _, write_values, files = resolved
-                registers = tuple(regs.snapshot() for regs in files)
+                write_values, registers = resolved
             allowed.add((registers, _finals(lasts, write_values)))
 
-    initial_memory = {
-        loc: program.initial_value(loc) for loc in program.locations()
-    }
+    # Canonical observables straight from the snapshots: each is sorted
+    # with its zero registers dropped, as Observable.create would.
+    initial = {loc: program.initial_value(loc) for loc in program.locations()}
+    slot = {loc: l for l, loc in enumerate(table.locations)}
+    memory_order = [
+        (loc, initial[loc], slot.get(loc)) for loc in sorted(initial)
+    ]
     observables = set()
     for registers, finals in allowed:
-        memory = dict(initial_memory)
-        for location, value in zip(table.locations, finals):
-            if value is not None:
-                memory[location] = value
-        observables.add(
-            Observable.create([dict(regs) for regs in registers], memory)
-        )
+        memory = []
+        for location, value, l in memory_order:
+            if l is not None and finals[l] is not None:
+                value = finals[l]
+            if value != 0:
+                memory.append((location, value))
+        observables.add(Observable(registers=registers, memory=tuple(memory)))
     return frozenset(observables)

@@ -34,6 +34,8 @@ signal escalates to ``KeyboardInterrupt``).  And whenever ``map`` *is*
 unwound by an exception — including ``KeyboardInterrupt`` — the worker
 pool is shut down and its children reaped before the exception
 propagates, so an interrupted campaign never strands orphan processes.
+A parent killed outright (SIGKILL) unwinds nothing; its workers notice
+the lost parent and exit on their own (:func:`exit_with_parent`).
 
 Completed results are additionally announced one-by-one through the
 optional ``result_callback`` attribute (``callback(index, result)`` in
@@ -46,6 +48,7 @@ from __future__ import annotations
 import dataclasses
 import os
 import random
+import threading
 import time
 from typing import Callable, Iterable, List, Optional, Sequence
 
@@ -61,6 +64,46 @@ from repro.campaign.spec import (
     execute_spec_guarded,
 )
 from repro.obs import METRICS
+
+
+#: Seconds between a pool worker's checks that its parent still lives.
+PARENT_POLL_S = 0.25
+
+
+def exit_with_parent() -> None:
+    """Pool-worker initializer: exit once the parent process is gone.
+
+    A parent killed by SIGKILL cannot shut its pool down, so its workers
+    would live on as orphans.  A daemon thread polls ``os.getppid()`` and
+    ends the worker as soon as it changes, i.e. the worker has been
+    re-parented.
+    """
+    parent = os.getppid()
+
+    def watch() -> None:
+        while os.getppid() == parent:
+            time.sleep(PARENT_POLL_S)
+        os._exit(1)
+
+    watcher = threading.Thread(target=watch, name="exit-with-parent")
+    watcher.daemon = True
+    watcher.start()
+
+
+def worker_pool(jobs: int, mp_context: Optional[str] = None):
+    """A ``ProcessPoolExecutor`` of ``jobs`` workers that exit with this
+    process (see :func:`exit_with_parent`).  ``mp_context`` names the
+    start method; ``None`` takes the platform default."""
+    from concurrent.futures import ProcessPoolExecutor
+
+    context = None
+    if mp_context is not None:
+        import multiprocessing
+
+        context = multiprocessing.get_context(mp_context)
+    return ProcessPoolExecutor(
+        max_workers=jobs, mp_context=context, initializer=exit_with_parent
+    )
 
 
 def execute_spec_observed(spec: RunSpec):
@@ -282,17 +325,8 @@ class ParallelExecutor(Executor):
     # Pool lifecycle
     # ------------------------------------------------------------------
     def _ensure_pool(self):
-        from concurrent.futures import ProcessPoolExecutor
-
         if self._pool is None:
-            context = None
-            if self.mp_context is not None:
-                import multiprocessing
-
-                context = multiprocessing.get_context(self.mp_context)
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.jobs, mp_context=context
-            )
+            self._pool = worker_pool(self.jobs, self.mp_context)
         return self._pool
 
     def _discard_pool(self) -> None:

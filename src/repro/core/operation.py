@@ -46,20 +46,20 @@ class OpKind(enum.Enum):
     reads_memory: bool
     #: True if the operation has a write component.
     writes_memory: bool
+    #: The value again, as a dict key that hashes in C (an enum member
+    #: hashes, and ``.value`` reads, through Python code).
+    label: str
 
     def __init__(self, value: str) -> None:
         # Plain attributes rather than properties: the searches and the
         # simulator ask these tens of thousands of times per check.
+        self.label = value
         self.is_sync = value.startswith("sync_")
         self.reads_memory = value in ("read", "sync_read", "sync_rmw")
         self.writes_memory = value in ("write", "sync_write", "sync_rmw")
 
 
 _uid_counter = itertools.count()
-
-
-def _next_uid() -> int:
-    return next(_uid_counter)
 
 
 @dataclass(eq=False)
@@ -99,7 +99,7 @@ class MemoryOp:
     #: order of dynamic ops.  Necessary for hardware traces, whose trace
     #: (commit) order may differ from issue order under relaxed policies.
     issue_index: Optional[int] = None
-    uid: int = field(default_factory=_next_uid)
+    uid: int = field(default_factory=_uid_counter.__next__)
 
     #: Pseudo-processor ids used by augmented executions (Section 4).
     INIT_PROC = -1

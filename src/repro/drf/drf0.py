@@ -28,7 +28,7 @@ from itertools import islice
 from typing import Dict, Iterable, List, Mapping, Optional, Tuple
 
 from repro.core.execution import Execution
-from repro.core.operation import Location, MemoryOp, Value
+from repro.core.operation import Location, MemoryOp, OpKind, Value
 from repro.core.program import Program
 from repro.drf.models import DRF0, SynchronizationModel
 from repro.drf.races import Race, find_races
@@ -147,6 +147,13 @@ class _PrefixRaceChecker:
     then hb-before the new op iff the new clock's entry for ``a.proc``
     has reached ``a``'s epoch.
 
+    A sync-edge rule reads only the two ops' kinds (the contract of
+    :data:`~repro.hb.relations.SyncEdgeRule`), so the earlier syncs a
+    rule orders before an op are all the earlier syncs of some kinds.
+    The checker therefore keeps, per location and sync kind, the
+    running join of those syncs' clocks, pushed and popped with the
+    stack: a sync op joins at most one clock per kind.
+
     Only the real ops are pushed.  Section 4's augmentation hb-orders
     each hypothetical op with every op it conflicts with, and no hb path
     leaves a real op through a hypothetical one and comes back, so the
@@ -154,7 +161,9 @@ class _PrefixRaceChecker:
     """
 
     def __init__(self, model: SynchronizationModel, num_procs: int) -> None:
-        self._edge = model.sync_edge_rule
+        #: Sync kind label -> the labels of the earlier sync kinds the
+        #: model orders before it.
+        self._sources = _sync_sources(model)
         self._is_exempt = model.is_exempt
         self._zero = (0,) * num_procs
         self._ops: List[MemoryOp] = []
@@ -164,8 +173,11 @@ class _PrefixRaceChecker:
         self._proc_clocks: Dict[int, List[tuple]] = defaultdict(list)
         #: Per location: ``(proc, epoch, writes, op)`` of each access.
         self._accesses: Dict[Location, List[tuple]] = {}
-        #: Per location: ``(op, clock)`` of each sync op.
-        self._syncs: Dict[Location, List[tuple]] = defaultdict(list)
+        #: Per location and sync kind: the join of the clocks of that
+        #: kind's syncs on the stack, one entry per such sync.
+        self._joins: Dict[Location, Dict[str, List[tuple]]] = defaultdict(
+            lambda: {kind: [] for kind in self._sources}
+        )
 
     def racy(self, execution: Execution) -> bool:
         """Whether ``execution`` has a race, i.e. ``bool(find_races(...))``."""
@@ -187,7 +199,7 @@ class _PrefixRaceChecker:
         self._proc_clocks[op.proc].pop()
         self._accesses[op.location].pop()
         if op.is_sync:
-            self._syncs[op.location].pop()
+            self._joins[op.location][op.kind.label].pop()
 
     def _push(self, op: MemoryOp) -> None:
         proc = op.proc
@@ -203,14 +215,15 @@ class _PrefixRaceChecker:
                     "hypothetical operations of the augmented execution"
                 )
             accesses = self._accesses[location] = []
-        sync = op.is_sync
-        if sync:
-            edge = self._edge
-            for earlier, earlier_clock in self._syncs[location]:
-                if edge(earlier, op):
-                    clock = list(map(max, clock, earlier_clock))
+        kind = op.kind
+        joins = self._joins[location] if kind.is_sync else None
+        if joins is not None:
+            for source in self._sources[kind.label]:
+                joined = joins[source]
+                if joined:
+                    clock = list(map(max, clock, joined[-1]))
         racy = bool(self._racy) and self._racy[-1]
-        writes = op.writes_memory
+        writes = kind.writes_memory
         if not racy:
             is_exempt = self._is_exempt
             for other, other_epoch, other_writes, earlier in accesses:
@@ -223,12 +236,31 @@ class _PrefixRaceChecker:
                     racy = True
                     break
         frozen = tuple(clock)
-        if sync:
-            self._syncs[location].append((op, frozen))
+        if joins is not None:
+            same = joins[kind.label]
+            same.append(tuple(map(max, same[-1], frozen)) if same else frozen)
         mine.append(frozen)
         accesses.append((proc, epoch, writes, op))
         self._ops.append(op)
         self._racy.append(racy)
+
+
+def _sync_sources(model: SynchronizationModel) -> Dict[str, Tuple[str, ...]]:
+    """Sync kind -> the sync kinds whose earlier ops ``model``'s edge
+    rule orders before an op of that kind, decided on fresh ops.  Kinds
+    are given by their labels."""
+    kinds = [kind for kind in OpKind if kind.is_sync]
+    rule = model.sync_edge_rule
+    return {
+        later.label: tuple(
+            earlier.label for earlier in kinds
+            if rule(
+                MemoryOp(proc=0, kind=earlier, location="_"),
+                MemoryOp(proc=1, kind=later, location="_"),
+            )
+        )
+        for later in kinds
+    }
 
 
 def _first_race(
@@ -291,14 +323,15 @@ def _check_program_parallel(
     serial loop would return.
     """
     from collections import deque
-    from concurrent.futures import ProcessPoolExecutor
+
+    from repro.campaign.executor import worker_pool
 
     source = enumerate_executions(
         program, max_executions=max_executions, prune=prune
     )
     initial_memory = dict(program.initial_memory)
     checked = 0
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with worker_pool(jobs) as pool:
         pending = deque()
 
         def submit_next() -> bool:

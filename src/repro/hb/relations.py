@@ -28,6 +28,13 @@ from repro.hb.poset import PartialOrder
 
 #: Decides whether an earlier sync op creates an so edge to a later sync
 #: op on the same location.  Receives ``(earlier, later)``.
+#:
+#: Contract: a rule reads only the two ops' kinds (:class:`~repro.core.
+#: operation.OpKind`), never their processors, values or positions, so
+#: any two ops of the same kinds get the same answer.  The incremental
+#: race kernel of :mod:`repro.drf.drf0` relies on it: it keeps one
+#: running join of sync clocks per location and kind, and asks the rule
+#: once per pair of kinds.
 SyncEdgeRule = Callable[[MemoryOp, MemoryOp], bool]
 
 

@@ -45,17 +45,20 @@ _Trace = Optional[Tuple[MemoryOp, "_Trace"]]
 class _ThreadState:
     """One thread's pc, registers and per-instruction occurrence counts.
 
-    Its fields never change once built (only the ``advanced`` cache is
-    filled in later), so forks share it freely: a step replaces the
-    stepped thread's state with a new one.  ``snapshot`` (the
-    canonical register view), ``ident`` (the thread's part of the state
-    key) and ``halted`` are fixed at construction; ``advanced`` caches
-    where the thread's local instructions lead, so peeking and stepping
-    run them once per state.
+    Its fields never change once built (only the ``advanced`` and
+    ``successors`` caches are filled in later), so forks share it
+    freely: a step replaces the stepped thread's state with a new one.
+    ``snapshot`` (the canonical register view), ``ident`` (the thread's
+    part of the state key) and ``halted`` are fixed at construction;
+    ``advanced`` caches where the thread's local instructions lead, so
+    peeking and stepping run them once per state, and ``successors``
+    caches, per memory value the next access meets, the thread state
+    and written value that access leads to.  A state lives as long as
+    the search that built it, and so do its caches.
     """
 
     __slots__ = ("pc", "regs", "occurrences", "snapshot", "ident", "halted",
-                 "advanced")
+                 "advanced", "successors")
 
     def __init__(self, pc, regs, occurrences, snapshot, halted) -> None:
         self.pc: int = pc
@@ -65,6 +68,9 @@ class _ThreadState:
         self.ident: Tuple[int, Tuple] = (pc, snapshot)
         self.halted: bool = halted
         self.advanced: Optional[Tuple[int, RegisterFile]] = None
+        self.successors: Optional[
+            Dict[Value, Tuple["_ThreadState", Optional[Value], int]]
+        ] = None
 
 
 class _Code:
@@ -91,11 +97,6 @@ class _Code:
                 for i in body
             ) + (None,))
 
-    def state(self, proc, pc, regs, occurrences, snapshot=None) -> _ThreadState:
-        if snapshot is None:
-            snapshot = regs.snapshot()
-        return _ThreadState(pc, regs, occurrences, snapshot, self.halts[proc][pc])
-
 
 class IdealizedMachine:
     """Executes a :class:`Program` atomically and in program order.
@@ -118,7 +119,7 @@ class IdealizedMachine:
         self._code = _Code(program)
         empty = RegisterFile()
         self._threads = [
-            self._code.state(p, 0, empty, {}, ()) for p in range(program.num_procs)
+            _ThreadState(0, empty, {}, (), halts[0]) for halts in self._code.halts
         ]
         #: Every program location, in sorted order, so the memory part of
         #: the state key is just the values.
@@ -239,49 +240,67 @@ class IdealizedMachine:
         state = self._threads[proc]
         if state.halted:
             return None
-        code = self._code
         pc, regs = self._advance(proc, state)
-        snapshot = state.snapshot if regs is state.regs else None
-        if code.halts[proc][pc]:
-            self._threads[proc] = code.state(
-                proc, pc, regs, state.occurrences, snapshot
+        if self._code.halts[proc][pc]:
+            snapshot = state.snapshot if regs is state.regs else regs.snapshot()
+            self._threads[proc] = _ThreadState(
+                pc, regs, state.occurrences, snapshot, True
             )
             return None
         instr = self.program.threads[proc].instructions[pc]
         kind = instr.kind
         location = instr.location
-        old = self._memory[location]
-        value_read: Optional[Value] = None
-        value_written: Optional[Value] = None
-        if kind.reads_memory:
-            value_read = old
-            if instr.dest is not None:
-                regs = regs.copy()
-                regs.write(instr.dest, old)
-                snapshot = None
+        memory = self._memory
+        old = memory[location]
+        successors = state.successors
+        if successors is None:
+            successors = state.successors = {}
+        after = successors.get(old)
+        if after is None:
+            after = successors[old] = self._successor(
+                proc, state, pc, regs, instr, old
+            )
+        thread, value_written, occurrence = after
         if kind.writes_memory:
-            value_written = instr.compute_write(regs, old)
-            self._memory[location] = value_written
-        occurrences = state.occurrences
-        occurrence = occurrences.get(pc, 0)
+            memory[location] = value_written
+        # Positional, for speed: proc, kind, location, thread_pos,
+        # occurrence, value_read, value_written, commit_time, and
+        # issue_index (trace order is issue order on this architecture).
         op = MemoryOp(
-            proc=proc,
-            kind=kind,
-            location=location,
-            thread_pos=pc,
-            occurrence=occurrence,
-            value_read=value_read,
-            value_written=value_written,
-            # Trace order is issue order on the idealized architecture.
-            issue_index=self._trace_len,
+            proc, kind, location, pc, occurrence,
+            old if kind.reads_memory else None, value_written,
+            None, self._trace_len,
         )
         self._trace = (op, self._trace)
         self._trace_len += 1
         self._execution = None
-        self._threads[proc] = code.state(
-            proc, pc + 1, regs, {**occurrences, pc: occurrence + 1}, snapshot
-        )
+        self._threads[proc] = thread
         return op
+
+    def _successor(
+        self, proc: int, state: _ThreadState, pc: int, regs: RegisterFile,
+        instr: MemInstruction, old: Value,
+    ) -> Tuple[_ThreadState, Optional[Value], int]:
+        """``(next thread state, value written, occurrence)`` of the
+        memory instruction ``instr`` at ``pc`` when memory holds ``old``
+        (``regs``: the registers once ``state``'s local code has run)."""
+        kind = instr.kind
+        snapshot = state.snapshot if regs is state.regs else None
+        if kind.reads_memory and instr.dest is not None:
+            regs = regs.copy()
+            regs.write(instr.dest, old)
+            snapshot = None
+        value_written = None
+        if kind.writes_memory:
+            value_written = instr.compute_write(regs, old)
+        occurrence = state.occurrences.get(pc, 0)
+        occurrences = {**state.occurrences, pc: occurrence + 1}
+        if snapshot is None:
+            snapshot = regs.snapshot()
+        thread = _ThreadState(
+            pc + 1, regs, occurrences, snapshot, self._code.halts[proc][pc + 1]
+        )
+        return thread, value_written, occurrence
 
     # -- results -----------------------------------------------------------
     @property

@@ -98,6 +98,7 @@ def persistent_set(
     footprints: Tuple[Tuple[Footprint, ...], ...],
     dep: Dependence,
     next_cache: Optional[Dict[int, Optional[AccessSummary]]] = None,
+    memo: Optional[Dict[tuple, List[int]]] = None,
 ) -> List[int]:
     """Smallest persistent set of runnable threads at the machine state.
 
@@ -114,12 +115,43 @@ def persistent_set(
     deterministic).  ``next_cache``, when provided, carries each thread's
     next-access summary so callers expanding one state several times do
     not re-peek.
+
+    ``memo``, when provided, maps ``(thread, pc, next access)`` of every
+    runnable thread to the set chosen for them: those are all the answer
+    reads, given one ``footprints`` and ``dep``.  A search passes one
+    memo for its own length, so a memo never outlives the program it was
+    filled from.  The returned list is shared; callers must not mutate it.
     """
     if len(runnable) <= 1:
         return list(runnable)
     nexts: Dict[int, Optional[AccessSummary]] = (
         next_cache if next_cache is not None else {}
     )
+    key = None
+    if memo is not None:
+        for proc in runnable:
+            if proc not in nexts:
+                nexts[proc] = machine.next_access(proc)
+        key = tuple(
+            [(p, machine.thread_pc(p), nexts[p]) for p in runnable]
+        )
+        best = memo.get(key)
+        if best is not None:
+            return best
+    best = _closure(machine, runnable, footprints, dep, nexts)
+    if memo is not None:
+        memo[key] = best
+    return best
+
+
+def _closure(
+    machine: IdealizedMachine,
+    runnable: Sequence[int],
+    footprints: Tuple[Tuple[Footprint, ...], ...],
+    dep: Dependence,
+    nexts: Dict[int, Optional[AccessSummary]],
+) -> List[int]:
+    """:func:`persistent_set` without its memo."""
     for proc in runnable:
         if proc not in nexts:
             nexts[proc] = machine.next_access(proc)

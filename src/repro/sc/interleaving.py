@@ -135,6 +135,8 @@ def enumerate_results(
     #: sleep set suppresses at least as much is fully covered; one that
     #: suppresses less re-expands with the intersection.
     seen: Dict[StateKey, FrozenSet[int]] = {}
+    #: Persistent sets by thread positions, for this search only.
+    chosen: Dict[tuple, List[int]] = {}
     root = IdealizedMachine(program)
     empty: FrozenSet[int] = frozenset()
     stack: List[Tuple[IdealizedMachine, FrozenSet[int]]] = [(root, empty)]
@@ -159,7 +161,7 @@ def enumerate_results(
         if prune:
             assert footprints is not None
             expand = persistent_set(
-                machine, runnable, footprints, conflict_dep, nexts
+                machine, runnable, footprints, conflict_dep, nexts, chosen
             )
             if stats:
                 stats.pruned_transitions += len(runnable) - len(expand)
@@ -239,75 +241,131 @@ def enumerate_executions(
     ``max_executions`` truncates the stream (``None`` = unbounded);
     ``max_depth`` bounds the length of any single path.
     """
-    yielded = 0
     stats, stats_base = _search_obs(stats)
-    footprints = static_footprints(program) if prune else None
+    try:
+        yield from _walk_executions(
+            program, max_executions, max_depth, prune, stats
+        )
+    finally:
+        # Publishes on normal exhaustion and on early generator close,
+        # so an abandoned stream still reports the work it did.
+        _publish_search("executions", stats, stats_base)
 
-    def dfs(machine: IdealizedMachine, on_path: Set[StateKey], depth: int):
-        nonlocal yielded
-        if max_executions is not None and yielded >= max_executions:
-            return
-        if depth > max_depth:
-            raise SearchBudgetExceeded(f"execution longer than {max_depth} steps")
-        if stats:
-            stats.states += 1
-        runnable = machine.runnable_threads()
-        if not runnable:
-            yielded += 1
+
+class _Frame:
+    """One open node of the execution walk: the machine there, the
+    threads it may step, the ones it steps first (its persistent set),
+    how many steps it has tried, whether any led off the path, and the
+    state key of the child being explored."""
+
+    __slots__ = ("machine", "runnable", "first", "attempt", "tried",
+                 "progressed", "child_key")
+
+    def __init__(self, machine, runnable, first) -> None:
+        self.machine: IdealizedMachine = machine
+        self.runnable: List[int] = runnable
+        self.first: List[int] = first
+        self.attempt: Iterator[int] = iter(first)
+        self.tried = 0
+        self.progressed = False
+        self.child_key: Optional[StateKey] = None
+
+
+def _walk_executions(
+    program: Program,
+    max_executions: Optional[int],
+    max_depth: int,
+    prune: bool,
+    stats: Optional[SearchStats],
+) -> Iterator[Execution]:
+    """:func:`enumerate_executions`' depth-first walk, on an explicit
+    stack of :class:`_Frame` (children in the order a recursive walk
+    would visit them)."""
+    if max_executions is not None and max_executions <= 0:
+        return
+    footprints = static_footprints(program) if prune else None
+    #: Persistent sets by thread positions, for this walk only.
+    chosen: Dict[tuple, List[int]] = {}
+    yielded = 0
+    root = IdealizedMachine(program)
+    on_path: Set[StateKey] = {root.state_key()}
+    frames: List[_Frame] = []
+    node: Optional[IdealizedMachine] = root
+    while True:
+        if node is not None:
+            if len(frames) > max_depth:
+                raise SearchBudgetExceeded(
+                    f"execution longer than {max_depth} steps"
+                )
             if stats:
-                stats.terminals += 1
-            yield machine.finish()
-            return
-        if prune:
-            assert footprints is not None
-            attempt = persistent_set(machine, runnable, footprints, hb_dep)
-        else:
-            attempt = list(runnable)
-        progressed = False
-        tried: Set[int] = set()
-        while True:
-            for proc in attempt:
-                tried.add(proc)
-                child = machine.fork()
+                stats.states += 1
+            runnable = node.runnable_threads()
+            if runnable:
+                if prune:
+                    assert footprints is not None
+                    first = persistent_set(
+                        node, runnable, footprints, hb_dep, None, chosen
+                    )
+                else:
+                    first = runnable
+                frames.append(_Frame(node, runnable, first))
+            else:
+                yielded += 1
+                if stats:
+                    stats.terminals += 1
+                yield node.finish()
+                if max_executions is not None and yielded >= max_executions:
+                    return
+                if not frames:
+                    return
+                on_path.remove(frames[-1].child_key)
+            node = None
+        frame = frames[-1]
+        while node is None:
+            for proc in frame.attempt:
+                frame.tried += 1
+                child = frame.machine.fork()
                 child.step(proc)
                 if stats:
                     stats.transitions += 1
                 key = child.state_key()
                 if key in on_path:
                     continue
-                progressed = True
+                frame.progressed = True
                 on_path.add(key)
-                yield from dfs(child, on_path, depth + 1)
-                on_path.remove(key)
-                if max_executions is not None and yielded >= max_executions:
-                    return
-            if progressed or len(tried) == len(runnable):
+                frame.child_key = key
+                node = child
                 break
-            # The persistent set only led back into states already on
-            # this path.  A thread outside the set might still make
-            # progress, so fall back to full expansion before declaring
-            # livelock — keeps livelock detection identical to the
-            # unpruned search.
-            attempt = [q for q in runnable if q not in tried]
+            else:
+                if frame.progressed or frame.tried == len(frame.runnable):
+                    break
+                # The persistent set only led back into states already
+                # on this path.  A thread outside the set might still
+                # make progress, so fall back to full expansion before
+                # declaring livelock — keeps livelock detection
+                # identical to the unpruned search.
+                frame.attempt = iter(
+                    [q for q in frame.runnable if q not in frame.first]
+                )
+        if node is not None:
+            continue
+        frames.pop()
         if stats:
-            stats.pruned_transitions += len(runnable) - len(tried)
-        if not progressed:
+            stats.pruned_transitions += len(frame.runnable) - frame.tried
+        if not frame.progressed:
             # Every move re-enters a state already on this path: the
             # program can only spin here (e.g. all threads stuck on
             # locks that this path never releases).  Emit the partial
             # execution marked incomplete so callers can see livelock.
-            execution = machine.finish()
+            execution = frame.machine.finish()
             execution.completed = False
             yielded += 1
             yield execution
-
-    root = IdealizedMachine(program)
-    try:
-        yield from dfs(root, {root.state_key()}, 0)
-    finally:
-        # Publishes on normal exhaustion and on early generator close,
-        # so an abandoned stream still reports the work it did.
-        _publish_search("executions", stats, stats_base)
+            if max_executions is not None and yielded >= max_executions:
+                return
+        if not frames:
+            return
+        on_path.remove(frames[-1].child_key)
 
 
 def count_reachable_states(program: Program, max_states: int = 2_000_000) -> int:

@@ -5,6 +5,7 @@ import pytest
 from repro.axiomatic import (
     CandidateBudgetExceeded,
     NotStraightLine,
+    axiomatic_model_names,
     enumerate_candidates,
     is_straightline,
     model_by_name,
@@ -167,3 +168,64 @@ class TestValueResolution:
         sc_set = frozenset(LitmusRunner().verifier.sc_result_set(program))
         assert chain in sc_set
         assert allowed_outcomes(program, model_by_name("SC")) == sc_set
+
+
+def _assert_kernel_equals_oracle(program):
+    """Every model's kernel set equals enumerate_candidates + allows."""
+    models = [model_by_name(name) for name in axiomatic_model_names()]
+    for flag in (True, False):
+        candidates = list(enumerate_candidates(program, drf0=flag, drf0_r=flag))
+        for model in models:
+            oracle = frozenset(
+                c.observable for c in candidates if model.allows(c.relations)
+            )
+            kernel = allowed_outcomes(program, model, drf0=flag, drf0_r=flag)
+            assert kernel == oracle, (program.name, model.name, flag)
+
+
+class TestReplayMemo:
+    """The kernel replays each thread once per distinct input; these are
+    the rf shapes where that input is subtle."""
+
+    def test_lb_with_constant_stores_stabilises(self):
+        """r1=x; y=1 || r2=y; x=1: the po ∪ rf cycle of r1=r2=1 carries
+        no value dependence, so it stabilises and RELAXED allows it."""
+        p0 = ThreadBuilder("P0").load("r1", "x").store("y", 1)
+        p1 = ThreadBuilder("P1").load("r2", "y").store("x", 1)
+        program = Program([p0.build(), p1.build()], name="lb_constant")
+        cycle = Observable.create([{"r1": 1}, {"r2": 1}], {"x": 1, "y": 1})
+        relaxed = allowed_outcomes(program, model_by_name("RELAXED"))
+        assert cycle in relaxed
+        assert cycle not in allowed_outcomes(program, model_by_name("SC"))
+        _assert_kernel_equals_oracle(program)
+
+    def test_increment_cycle_is_discarded_by_every_model(self):
+        """r1=x; y=r1+1 || r3=y; x=r3+1 read from each other: the
+        values grow every round, so no model keeps that rf choice."""
+        p0 = ThreadBuilder("P0").load("r1", "x").add("r2", "r1", 1)
+        p1 = ThreadBuilder("P1").load("r3", "y").add("r4", "r3", 1)
+        program = Program(
+            [p0.store("y", "r2").build(), p1.store("x", "r4").build()],
+            name="increment_cycle",
+        )
+        for name in axiomatic_model_names():
+            allowed = allowed_outcomes(program, model_by_name(name))
+            assert all(o.register(0, "r1") == 0 or o.register(1, "r3") == 0
+                       for o in allowed), name
+        _assert_kernel_equals_oracle(program)
+
+    def test_read_of_own_po_earlier_write(self):
+        """x=1; r1=x; y=r1+1 || x=2; r2=y: P0's load may read its own
+        store, whose value the replay must supply from inside the
+        thread; P1 then sees the store computed from it."""
+        p0 = ThreadBuilder("P0").store("x", 1).load("r1", "x")
+        p0.add("r3", "r1", 1).store("y", "r3")
+        p1 = ThreadBuilder("P1").store("x", 2).load("r2", "y")
+        program = Program([p0.build(), p1.build()], name="own_write")
+        sc = allowed_outcomes(program, model_by_name("SC"))
+        own = Observable.create(
+            [{"r1": 1, "r3": 2}, {"r2": 2}], {"x": 2, "y": 2}
+        )
+        assert own in sc
+        assert sc == frozenset(LitmusRunner().verifier.sc_result_set(program))
+        _assert_kernel_equals_oracle(program)
