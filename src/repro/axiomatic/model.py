@@ -9,9 +9,12 @@ relations (:class:`~repro.axiomatic.relations.Relations`):
   happens-before, parameterised by the model's *preserved program
   order* (ppo).
 
-Models differ only in which po-pairs survive into ppo.  Fence-separated
-pairs always survive — every core drains on a ``Fence`` regardless of
-policy.  The strong models keep progressively more:
+Models differ only in which po-pairs survive into ppo, stated once per
+model as an ordered reordering table of :class:`OrderRule` entries.  A
+pair survives when it is fenced (every core drains on a ``Fence``) or
+an entry matches its kinds; the same table is the issue gate of every
+policy without a mechanism of its own
+(:meth:`repro.models.base.OrderingPolicy.issue_gate`).
 
 * ``SC`` keeps all of po;
 * ``TSO`` drops write-to-read pairs (the store buffer);
@@ -26,79 +29,94 @@ policy.  The strong models keep progressively more:
   neither do we);
 * ``RELAXED`` keeps only fenced pairs.
 
-Each operational policy maps to the axiomatic model that *soundly*
-describes it via :func:`model_for_policy`; the cross-checker
-(:mod:`repro.axiomatic.crosscheck`) holds the two accountable to each
-other.
+Each policy class names the model that *soundly* describes it
+(``axiomatic_model``, read by :func:`model_for_policy`); the
+cross-checker (:mod:`repro.axiomatic.crosscheck`) holds the two
+accountable to each other.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, List, Optional, Tuple
 
-from repro.core.operation import MemoryOp
+from repro.core.operation import OpKind
 from repro.axiomatic.relations import (
     Edge,
     LabelledEdge,
     Relations,
     find_cycle,
 )
+from repro.models.base import policy_class_by_name
+from repro.sim.stats import StallReason
 
-#: ppo predicate: whether the po-pair ``(a, b)`` is preserved.  The
-#: third argument says whether the pair is fence-separated.
-PpoRule = Callable[[MemoryOp, MemoryOp, bool], bool]
-
-
-def _keep_all(a: MemoryOp, b: MemoryOp, fenced: bool) -> bool:
-    return True
-
-
-def _keep_tso(a: MemoryOp, b: MemoryOp, fenced: bool) -> bool:
-    # The store buffer lets reads pass earlier writes; atomics fence.
-    if fenced or a.is_sync or b.is_sync:
-        return True
-    return not (a.writes_memory and b.reads_memory)
+_ANY = frozenset(OpKind)
+_SYNC = frozenset(k for k in OpKind if k.is_sync)
+_READS = frozenset(k for k in OpKind if k.reads_memory)
+_WRITES = frozenset(k for k in OpKind if k.writes_memory)
 
 
-def _keep_pso(a: MemoryOp, b: MemoryOp, fenced: bool) -> bool:
-    # Additionally relax write-to-write: nothing waits for a plain write.
-    if fenced or a.is_sync or b.is_sync:
-        return True
-    return not a.writes_memory
+@dataclass(frozen=True)
+class OrderRule:
+    """A later access of a kind in ``later`` may not pass an earlier one
+    of a kind in ``earlier``; hardware holding it back reports ``reason``.
+    A ``port_enforced`` order is one a port with ``in_order_stores``
+    keeps by itself: the issue gate skips it there, ppo keeps it."""
+
+    earlier: FrozenSet[OpKind]
+    later: FrozenSet[OpKind]
+    reason: StallReason
+    port_enforced: bool = False
 
 
-def _keep_sync_endpoint(a: MemoryOp, b: MemoryOp, fenced: bool) -> bool:
-    # The old definition: order is enforced exactly around syncs.
-    return fenced or a.is_sync or b.is_sync
-
-
-def _keep_fenced(a: MemoryOp, b: MemoryOp, fenced: bool) -> bool:
-    return fenced
+# Atomics are full fences; stores pass neither loads nor (TSO) stores;
+# loads never pass loads.
+_ATOMIC_FENCES = (
+    OrderRule(_SYNC, _ANY, StallReason.TSO_ATOMIC_FENCE),
+    OrderRule(_ANY, _SYNC, StallReason.TSO_ATOMIC_FENCE),
+)
+_LOAD_STORE = OrderRule(_READS, _WRITES, StallReason.TSO_STORE_ORDER)
+_STORE_STORE = OrderRule(
+    _WRITES, _WRITES, StallReason.TSO_STORE_ORDER, port_enforced=True
+)
+_LOAD_LOAD = OrderRule(_READS, _READS - _WRITES, StallReason.TSO_LOAD_ORDER)
 
 
 @dataclass(frozen=True)
 class AxiomaticModel:
-    """One memory model as a ppo rule (plus the two shared axioms).
+    """One memory model as a reordering table (plus the two shared axioms).
 
     ``condition`` names the Relations field gating a conditional model:
     when that field is True the model promises SC (ppo = po); when it is
-    False or unknown, only ``ppo_rule`` survives.
+    False or unknown, only the table's pairs survive.
     """
 
     name: str
     summary: str
-    ppo_rule: PpoRule
+    order: Tuple[OrderRule, ...] = ()
     condition: Optional[str] = None
+
+    @cached_property
+    def _kept(self) -> FrozenSet[Tuple[str, str]]:
+        # Kind labels hash in C; ppo asks once per po pair.
+        return frozenset(
+            (a.label, b.label)
+            for rule in self.order
+            for a in rule.earlier
+            for b in rule.later
+        )
 
     def ppo(self, relations: Relations) -> FrozenSet[Edge]:
         """The preserved program-order pairs of a candidate."""
         if self.condition is not None and getattr(relations, self.condition):
             return relations.po
         fenced = relations.fenced
-        rule = self.ppo_rule
+        kept = self._kept
         return frozenset(
-            (a, b) for a, b in relations.po if rule(a, b, (a, b) in fenced)
+            (a, b)
+            for a, b in relations.po
+            if (a.kind.label, b.kind.label) in kept or (a, b) in fenced
         )
 
     def witness(
@@ -135,63 +153,50 @@ _MODELS: Tuple[AxiomaticModel, ...] = (
     AxiomaticModel(
         name="SC",
         summary="acyclic(po ∪ rfe ∪ co ∪ fr): sequential consistency",
-        ppo_rule=_keep_all,
+        order=(OrderRule(_ANY, _ANY, StallReason.SC_PREVIOUS_GP),),
     ),
     AxiomaticModel(
         name="TSO",
         summary="po minus write-to-read: total store order",
-        ppo_rule=_keep_tso,
+        order=_ATOMIC_FENCES + (_LOAD_STORE, _STORE_STORE, _LOAD_LOAD),
     ),
     AxiomaticModel(
         name="PSO",
         summary="po minus write-to-read and write-to-write: partial "
         "store order",
-        ppo_rule=_keep_pso,
+        order=_ATOMIC_FENCES + (_LOAD_STORE, _LOAD_LOAD),
     ),
     AxiomaticModel(
         name="WO",
         summary="po-pairs with a sync endpoint: weak ordering by the "
         "old definition",
-        ppo_rule=_keep_sync_endpoint,
+        # Condition (3) before condition (2): an access behind a pending
+        # sync is attributed to the sync's global perform.
+        order=(
+            OrderRule(_SYNC, _ANY, StallReason.DEF1_WAITS_SYNC_GP),
+            OrderRule(_ANY, _SYNC, StallReason.DEF1_SYNC_WAITS_PREV),
+        ),
     ),
     AxiomaticModel(
         name="WO-DRF0",
         summary="Definition 2 w.r.t. DRF0: SC for DRF0 programs, "
         "coherence+fences otherwise",
-        ppo_rule=_keep_fenced,
         condition="drf0",
     ),
     AxiomaticModel(
         name="WO-DRF0R",
         summary="Definition 2 w.r.t. DRF0-R: SC for DRF0-R programs, "
         "coherence+fences otherwise",
-        ppo_rule=_keep_fenced,
         condition="drf0_r",
     ),
     AxiomaticModel(
         name="RELAXED",
         summary="fenced pairs only: coherence is the whole contract",
-        ppo_rule=_keep_fenced,
     ),
 )
 
 #: Model name -> model.
 AXIOMATIC_MODELS: Dict[str, AxiomaticModel] = {m.name: m for m in _MODELS}
-
-#: Operational policy name -> the axiomatic model that soundly bounds
-#: it (axiomatic-allowed ⊇ operationally-observable, on any machine
-#: configuration the policy supports).
-_POLICY_TO_MODEL: Dict[str, str] = {
-    "SC": "SC",
-    "TSO": "TSO",
-    "PSO": "PSO",
-    "DEF1": "WO",
-    "ALL-SYNC": "WO",
-    "DEF2": "WO-DRF0",
-    "DEF2-R": "WO-DRF0R",
-    "RELAXED": "RELAXED",
-    "RP3-FENCE": "RELAXED",
-}
 
 
 def axiomatic_model_names() -> Tuple[str, ...]:
@@ -212,10 +217,10 @@ def model_by_name(name: str) -> AxiomaticModel:
 
 
 def model_for_policy(policy_name: str) -> AxiomaticModel:
-    """The axiomatic model that soundly describes an operational policy.
+    """The axiomatic model a policy class names as ``axiomatic_model``.
 
-    Policies without a declared mapping get ``RELAXED`` — the weakest
-    model, hence always sound.
+    A name no policy class registers raises ``ValueError``: a misspelled
+    policy must not be held to the (trivially passing) weakest model.
     """
     key = policy_name.upper().replace("_", "-")
-    return AXIOMATIC_MODELS[_POLICY_TO_MODEL.get(key, "RELAXED")]
+    return model_by_name(policy_class_by_name(key).axiomatic_model)

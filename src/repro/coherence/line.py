@@ -73,6 +73,8 @@ class CacheController(Component):
     zero".
     """
 
+    #: Writes to different lines may globally perform out of order.
+    in_order_stores = False
     #: ``Stats`` counter names, one set per substrate.
     STAT_RESERVES_SET: str
     STAT_SYNC_NACKS: str

@@ -57,6 +57,10 @@ from repro.sim.stats import StallReason, Stats
 class MemoryPort(Protocol):
     """Anything a processor can issue accesses to (cache or memory path)."""
 
+    #: Whether stores reach memory in program order (a FIFO write buffer);
+    #: a port without the attribute is assumed not to.
+    in_order_stores: bool
+
     def submit(self, access: MemoryAccess) -> None:  # pragma: no cover
         ...
 
@@ -80,6 +84,14 @@ def core_class_by_name(name: str) -> Type["ProcessorCore"]:
 def core_names() -> Tuple[str, ...]:
     """The registered core names, sorted (CLI choices, capability checks)."""
     return tuple(sorted(_CORE_REGISTRY))
+
+
+#: A hard block's stall reason, and the milestone it awaits.
+_BLOCKS = {
+    BlockKind.VALUE: (StallReason.READ_VALUE, "value"),
+    BlockKind.COMMIT: (StallReason.DEF2_SYNC_COMMIT, "commit"),
+    BlockKind.GP: (StallReason.SC_PREVIOUS_GP, "global perform"),
+}
 
 
 class ProcessorCore(Component):
@@ -145,14 +157,12 @@ class ProcessorCore(Component):
         self._migrating = False
         self.tracer = sim.tracer
         #: Whether the memory port is a write buffer that can actually
-        #: fill up.  Hoisted out of the issue path entirely: PR 3 hoisted
-        #: the ``getattr``, but an unbounded buffer still paid the
-        #: ``write_full`` property call per issued write — for a buffer
-        #: with ``capacity=None`` the answer is constant ``False``.
+        #: fill up (an unbounded one never is, so skip the check).
         self._port_is_bounded = (
             hasattr(port, "write_full")
             and getattr(port, "capacity", None) is not None
         )
+        self.in_order_stores = getattr(port, "in_order_stores", False)
         #: Location of the sync access this processor is commit-blocked
         #: on, if any — the anchor for attributing remote reserve NACKs
         #: (condition 5's DEF2_RESERVED_REMOTE stall) to this processor.
@@ -360,20 +370,11 @@ class ProcessorCore(Component):
 
         self._busy = True
         started = self.sim.now
-        reason = {
-            BlockKind.VALUE: StallReason.READ_VALUE,
-            BlockKind.COMMIT: StallReason.DEF2_SYNC_COMMIT,
-            BlockKind.GP: StallReason.SC_PREVIOUS_GP,
-        }[block]
+        reason, self.blocked_until = _BLOCKS[block]
         self.stats.stall_begin(self.proc_id, reason, started)
         if block is BlockKind.COMMIT:
             self._commit_wait_loc = access.location
         self.blocked_access = access
-        self.blocked_until = {
-            BlockKind.VALUE: "value",
-            BlockKind.COMMIT: "commit",
-            BlockKind.GP: "global perform",
-        }[block]
 
         def resume(_a: MemoryAccess) -> None:
             self.stats.stall_end(self.proc_id, reason, self.sim.now)

@@ -43,6 +43,9 @@ def port_endpoint(proc_id: int) -> str:
 class WriteBufferPort(Component):
     """Per-processor memory port for the no-cache configurations."""
 
+    #: The FIFO drains one write at a time in program order.
+    in_order_stores = True
+
     def __init__(
         self,
         sim: Simulator,

@@ -5,7 +5,9 @@ The canonical way to obtain a policy is the registry::
     from repro.models import policy_by_name
     policy = policy_by_name("TSO", core="pipelined")
 
-The concrete classes live in :mod:`repro.models.policies`.
+The concrete classes live in :mod:`repro.models.policies`; each names
+its ``axiomatic_model``, whose reordering table is its issue gate
+unless the policy is a mechanism (the DEF2 family, DELAY-SET).
 
 Registered policies (derived from the registry, so this list can never
 go stale):

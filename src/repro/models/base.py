@@ -7,8 +7,10 @@ by :class:`repro.cpu.core.ProcessorCore`:
 * :meth:`issue_gate` — may the *next* memory access be generated now?
   Returning a :class:`StallReason` stalls the processor until its state
   changes (an access event or a counter transition), when the gate is
-  re-evaluated.  This is where Definition 1's conditions (2)/(3), the
-  Scheurich-Dubois SC condition, and Section 5.1's condition 4 live.
+  re-evaluated.  By default it reads the reordering table of the
+  policy's ``axiomatic_model`` (Definition 1's conditions (2)/(3), the
+  Scheurich-Dubois SC condition, TSO/PSO); mechanisms such as Section
+  5.1's condition 4 override it.
 * :meth:`block_kind` — once issued, what must the access reach before
   the processor moves past it: nothing, its value, its commit, or its
   global perform.
@@ -20,6 +22,7 @@ Policies also own the protocol treatment of synchronization accesses
 from __future__ import annotations
 
 import enum
+from functools import lru_cache
 from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.core.operation import OpKind
@@ -78,6 +81,28 @@ def policy_names() -> Tuple[str, ...]:
     return tuple(sorted(registered_policies()))
 
 
+@lru_cache(maxsize=None)
+def _gate_plans(model_name: str) -> tuple:
+    """Per ``in_order_stores`` (False, True): later kind label ->
+    ``(earlier kind labels, reason)`` per applicable entry, in order."""
+    # Lazy, like synchronization_model(): repro.axiomatic imports the
+    # campaign layer, which imports this module.
+    from repro.axiomatic.model import model_by_name
+
+    order = model_by_name(model_name).order
+    return tuple(
+        {
+            later.label: tuple(
+                (frozenset(k.label for k in rule.earlier), rule.reason)
+                for rule in order
+                if later in rule.later and not (in_order and rule.port_enforced)
+            )
+            for later in OpKind
+        }
+        for in_order in (False, True)
+    )
+
+
 class OrderingPolicy:
     """Base policy: fully relaxed semantics, overridden by the models."""
 
@@ -97,6 +122,11 @@ class OrderingPolicy:
         # ad-hoc subclasses (test doubles) never shadow the real policy.
         if "name" in cls.__dict__:
             _POLICY_REGISTRY[cls.name] = cls
+
+    #: The axiomatic model (:mod:`repro.axiomatic.model`) whose allowed
+    #: outcomes contain everything this policy can produce; its table is
+    #: the issue gate unless a subclass overrides :meth:`issue_gate`.
+    axiomatic_model = "RELAXED"
 
     def spec_params(self):
         """Constructor kwargs that reproduce this instance, as pairs.
@@ -123,6 +153,8 @@ class OrderingPolicy:
     nack_mode = True
     #: Section 6 refinement: read-only syncs are protocol data reads.
     sync_read_as_data = False
+    #: Whether a read-only sync procures its line exclusive.
+    sync_read_exclusive = False
 
     # -- core-shape capabilities -----------------------------------------
     #: Processor-core shapes this policy is known to compose with (names
@@ -138,7 +170,15 @@ class OrderingPolicy:
 
     # -- issue control ---------------------------------------------------
     def issue_gate(self, proc: "ProcessorCore", kind: OpKind) -> Optional[StallReason]:
-        """Return a stall reason, or ``None`` to let the access generate."""
+        """Return a stall reason, or ``None`` to let the access generate:
+        the reason of the first table entry some pending access matches."""
+        pending = proc.pending_accesses
+        if pending:
+            plan = _gate_plans(self.axiomatic_model)[proc.in_order_stores]
+            for earlier, reason in plan[kind.label]:
+                for access in pending:
+                    if access.kind.label in earlier:
+                        return reason
         return None
 
     def block_kind(self, kind: OpKind) -> BlockKind:
@@ -155,12 +195,7 @@ class OrderingPolicy:
         """Whether the access must procure the line in exclusive state."""
         if kind.writes_memory:
             return True
-        if kind is OpKind.SYNC_READ:
-            return self.sync_read_needs_exclusive()
-        return False
-
-    def sync_read_needs_exclusive(self) -> bool:
-        return False
+        return kind is OpKind.SYNC_READ and self.sync_read_exclusive
 
     def sync_protocol(self, kind: OpKind) -> bool:
         """Whether the access is a synchronization at the protocol level."""

@@ -1,10 +1,13 @@
 """The concrete ordering policies: the paper's models plus TSO/PSO.
 
 Each policy class declares a report ``name`` (which registers it — see
-:func:`repro.models.base.registered_policies`) and a one-line
-``summary``; the ``repro.models`` docstring, :func:`policy_by_name`,
-and the CLI ``--policy`` choices are all derived from that registry, so
-the per-class docstrings below are the canonical documentation.
+:func:`repro.models.base.registered_policies`), a one-line ``summary``
+and its ``axiomatic_model``; the ``repro.models`` docstring,
+:func:`policy_by_name`, the CLI ``--policy`` choices and
+:func:`repro.axiomatic.model.model_for_policy` all derive from that
+registry, so the per-class docstrings below are the canonical
+documentation.  SC, DEF1, TSO, PSO and RELAXED gate issue with their
+model's reordering table; the DEF2 family keeps its mechanism gate.
 """
 
 from __future__ import annotations
@@ -12,12 +15,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.operation import OpKind
-from repro.models.base import (
-    BlockKind,
-    OrderingPolicy,
-    policy_names,
-    registered_policies,
-)
+from repro.models.base import BlockKind, OrderingPolicy, registered_policies
 from repro.sim.stats import StallReason
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -57,16 +55,12 @@ class SCPolicy(OrderingPolicy):
     name = "SC"
     summary = ("sequential consistency: nothing issues until the "
                "previous access globally performs (Section 2.1)")
+    axiomatic_model = "SC"
     #: The issue gate keeps at most one access in flight, so a forward
     #: could never trigger anyway; declared off as defense-in-depth — SC
     #: hardware must never bind a read to a write that has not globally
     #: performed.
     allows_store_forwarding = False
-
-    def issue_gate(self, proc: "ProcessorCore", kind: OpKind) -> Optional[StallReason]:
-        if proc.pending_accesses:
-            return StallReason.SC_PREVIOUS_GP
-        return None
 
 
 class Def1Policy(OrderingPolicy):
@@ -75,17 +69,8 @@ class Def1Policy(OrderingPolicy):
     name = "DEF1"
     summary = ("weak ordering per Definition 1: syncs wait for all "
                "previous accesses, everything waits for pending syncs")
-
-    def issue_gate(self, proc: "ProcessorCore", kind: OpKind) -> Optional[StallReason]:
-        # Condition (3): nothing issues until the previous sync op is
-        # globally performed.
-        if any(a.kind.is_sync for a in proc.pending_accesses):
-            return StallReason.DEF1_WAITS_SYNC_GP
-        # Condition (2): a sync op waits for *all* previous accesses to
-        # be globally performed.
-        if kind.is_sync and proc.pending_accesses:
-            return StallReason.DEF1_SYNC_WAITS_PREV
-        return None
+    #: Conditions (3) and (2): the po pairs with a sync endpoint.
+    axiomatic_model = "WO"
 
 
 class Def2Policy(OrderingPolicy):
@@ -104,6 +89,7 @@ class Def2Policy(OrderingPolicy):
                "syncs block to commit, not global perform")
     requires_cache = True
     reserve_enabled = True
+    axiomatic_model = "WO-DRF0"
 
     def __init__(
         self,
@@ -119,10 +105,9 @@ class Def2Policy(OrderingPolicy):
             ("miss_bound_while_reserved", self.miss_bound_while_reserved),
         )
 
-    def sync_read_needs_exclusive(self) -> bool:
-        # "All synchronization operations will be treated as write
-        # operations by the cache coherence protocol." (Section 5.2)
-        return True
+    #: "All synchronization operations will be treated as write
+    #: operations by the cache coherence protocol." (Section 5.2)
+    sync_read_exclusive = True
 
     def issue_gate(self, proc: "ProcessorCore", kind: OpKind) -> Optional[StallReason]:
         # Condition 4: no new access until previous sync ops committed.
@@ -157,10 +142,9 @@ class Def2RPolicy(Def2Policy):
     summary = ("DEF2 with Section 6's refinement: read-only syncs are "
                "protocol data reads (contracts against DRF0-R)")
     model_name = "DRF0-R"
+    axiomatic_model = "WO-DRF0R"
     sync_read_as_data = True
-
-    def sync_read_needs_exclusive(self) -> bool:
-        return False
+    sync_read_exclusive = False
 
 
 class AllSyncPolicy(Def2Policy):
@@ -183,6 +167,7 @@ class AllSyncPolicy(Def2Policy):
     name = "ALL-SYNC"
     summary = ("every access gets the full DEF2 synchronization "
                "treatment (Section 3's no-labels alternative)")
+    axiomatic_model = "WO"
     #: Every access commit-blocks, so no write is ever pending when a
     #: read issues; declared off as defense-in-depth, like SC.
     allows_store_forwarding = False
@@ -198,12 +183,6 @@ class AllSyncPolicy(Def2Policy):
         # before the processor proceeds.
         return BlockKind.COMMIT
 
-    def issue_gate(self, proc: "ProcessorCore", kind: OpKind) -> Optional[StallReason]:
-        # Condition 4 with everything labelled sync: nothing new until
-        # the previous access commits (enforced by block_kind); the
-        # remaining DEF2 gates still apply.
-        return super().issue_gate(proc, kind)
-
 
 class TSOPolicy(OrderingPolicy):
     """Total store order: the SPARC-V8/x86-style store-buffer model.
@@ -216,46 +195,20 @@ class TSOPolicy(OrderingPolicy):
     operations act as full fences.
 
     On write-buffer machines (no caches) the FIFO buffer already drains
-    stores one at a time in order, so store-store order holds by
-    construction and any number of stores may be buffered; cache-based
-    machines can globally perform two in-flight writes to different
-    lines out of order, so the gate keeps at most one store in flight
-    there.
+    stores one at a time in order (the port declares
+    ``in_order_stores``), so store-store order holds by construction
+    and any number of stores may be buffered; cache-based machines can
+    globally perform two in-flight writes to different lines out of
+    order, so the gate keeps at most one store in flight there.
     """
 
     name = "TSO"
     summary = ("total store order: loads overtake buffered stores "
                "(with forwarding); atomics are full fences")
-
-    def _serialize_stores(self, proc: "ProcessorCore") -> bool:
-        """Whether store-store order needs an explicit issue gate."""
-        return proc.cache is not None
-
-    def issue_gate(self, proc: "ProcessorCore", kind: OpKind) -> Optional[StallReason]:
-        pending = proc.pending_accesses
-        if not pending:
-            return None
-        # Atomics are fences: they wait for everything outstanding, and
-        # everything waits for an outstanding atomic.
-        if kind.is_sync or any(a.kind.is_sync for a in pending):
-            return StallReason.TSO_ATOMIC_FENCE
-        if kind.writes_memory:
-            # Stores never overtake earlier loads ...
-            if any(a.kind.reads_memory for a in pending):
-                return StallReason.TSO_STORE_ORDER
-            # ... nor earlier stores, where the machine could reorder.
-            if self._serialize_stores(proc) and any(
-                a.kind.writes_memory for a in pending
-            ):
-                return StallReason.TSO_STORE_ORDER
-        elif any(a.kind.reads_memory for a in pending):
-            # Loads overtake buffered stores — the TSO relaxation — but
-            # never earlier loads.
-            return StallReason.TSO_LOAD_ORDER
-        return None
+    axiomatic_model = "TSO"
 
 
-class PSOPolicy(TSOPolicy):
+class PSOPolicy(OrderingPolicy):
     """Partial store order: TSO with store-store order also relaxed.
 
     Stores to *different* locations may globally perform out of program
@@ -269,9 +222,7 @@ class PSOPolicy(TSOPolicy):
     name = "PSO"
     summary = ("partial store order: TSO with store-store order to "
                "different locations also relaxed")
-
-    def _serialize_stores(self, proc: "ProcessorCore") -> bool:
-        return False
+    axiomatic_model = "PSO"
 
 
 def policy_by_name(name: str, core: Optional[str] = None) -> OrderingPolicy:

@@ -119,3 +119,14 @@ class TestRegistry:
         }
         for policy in policy_names():
             assert model_for_policy(policy).name == expected[policy]
+
+    def test_unknown_policy_rejected(self):
+        """A misspelled policy must not be held to the weakest model."""
+        for name in ("TS0", "nonsense"):
+            with pytest.raises(ValueError, match="unknown policy"):
+                model_for_policy(name)
+
+    def test_program_specific_policy_declares_relaxed(self):
+        from repro.delayset.policy import DelayPolicy
+
+        assert model_for_policy(DelayPolicy.name).name == "RELAXED"

@@ -36,6 +36,8 @@ class FakeProc:
     def __init__(self, pending=(), cache=None):
         self.pending_accesses = list(pending)
         self.cache = cache
+        # Without a cache the port is the FIFO write buffer.
+        self.in_order_stores = cache is None
 
 
 def access(kind, committed=False, gp=False):
