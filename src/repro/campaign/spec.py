@@ -13,8 +13,9 @@ Two deliberate properties:
 * **Picklable both ways.**  A spec carries a :class:`PolicySpec` — the
   policy's report name plus constructor parameters — instead of a live
   policy object, so worker processes reconstruct a fresh policy per run
-  (policies hold per-run state) and lambdas never cross the process
-  boundary.
+  and lambdas never cross the process boundary.  (Policies keep no
+  per-run state, which is why the explorer's forked machines may share
+  one.)
 * **Deterministic results.**  ``RunResult`` contains only
   simulation-derived data (no wall-clock), so serial and parallel
   executions of the same spec are byte-identical under pickling; this
@@ -232,10 +233,20 @@ class RunSpec:
 
     def execute(self) -> RunResult:
         """Run the spec on a freshly built system (pure; picklable)."""
+        return self.run_system(self.build_system())
+
+    def build_system(self, oracle=None):
+        """The machine this spec describes, built but not started.
+
+        A scheduled spec's machine delivers through a
+        :class:`~repro.explore.oracle.ScheduledInterconnect` driven by
+        ``oracle`` — by default a
+        :class:`~repro.explore.oracle.ReplayOracle` of ``schedule``.
+        """
         from repro.memsys.system import System
 
         if self.schedule is None:
-            system = System(
+            return System(
                 self.program,
                 self.policy.build(),
                 self.config,
@@ -244,8 +255,6 @@ class RunSpec:
                 trace=self.trace,
                 sanitize=self.sanitize,
             )
-            run = system.run(max_cycles=self.max_cycles)
-            return _package(run, choice_log=None)
 
         if self.faults is not None and not self.faults.is_null:
             raise ValueError(
@@ -256,8 +265,9 @@ class RunSpec:
 
         from repro.explore.oracle import ReplayOracle, ScheduledInterconnect
 
-        oracle = ReplayOracle(self.schedule)
-        system = System(
+        if oracle is None:
+            oracle = ReplayOracle(self.schedule)
+        return System(
             self.program,
             self.policy.build(),
             self.config,
@@ -272,7 +282,14 @@ class RunSpec:
                 inval_virtual_channel=self.inval_virtual_channel,
             ),
         )
+
+    def run_system(self, system) -> RunResult:
+        """Run ``system`` — this spec's machine, or a fork of a sibling
+        scheduled spec's — and package the outcome."""
         run = system.run(max_cycles=self.max_cycles)
+        if self.schedule is None:
+            return _package(run, choice_log=None)
+        oracle = system.interconnect.oracle
         return _package(
             run,
             choice_log=tuple(oracle.log),

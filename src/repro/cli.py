@@ -313,14 +313,17 @@ class _Session:
                 _observability(args.metrics_out, args.metrics_port)
             )
         # Commands with --run-timeout/--retries hand their verb an
-        # executor; drf and soak pass a bare jobs count.
+        # executor when they run in parallel (serially the verb keeps
+        # its default: explore then forks machines instead of replaying
+        # schedules); drf and soak pass a bare jobs count.
         if "retries" in flags and "jobs" in flags:
-            kwargs["executor"] = self._stack.enter_context(
-                default_executor(
-                    args.jobs, run_timeout=args.run_timeout,
-                    retries=args.retries,
+            if args.jobs > 1:
+                kwargs["executor"] = self._stack.enter_context(
+                    default_executor(
+                        args.jobs, run_timeout=args.run_timeout,
+                        retries=args.retries,
+                    )
                 )
-            )
         elif "jobs" in flags:
             kwargs["jobs"] = args.jobs
 

@@ -48,6 +48,7 @@ from repro.core.operation import Location
 from repro.cpu.access import MemoryAccess
 from repro.interconnect.base import Interconnect
 from repro.sim.engine import Simulator
+from repro.sim.fork import Fork
 from repro.sim.stats import Stats
 
 
@@ -87,6 +88,17 @@ class Cache(CacheController):
         self._inval_while_outstanding: set = set()
         interconnect.register(cache_endpoint(cache_id), self._on_message)
 
+    def _fork(self, fork: Fork) -> "Cache":
+        new = super()._fork(fork)
+        new._gp_waiters = {
+            loc: [fork(access) for access in waiters]
+            for loc, waiters in self._gp_waiters.items()
+        }
+        new._stalled_recalls = list(self._stalled_recalls)
+        new._inval_while_outstanding = set(self._inval_while_outstanding)
+        new.interconnect.register(cache_endpoint(new.cache_id), new._on_message)
+        return new
+
     # ------------------------------------------------------------------
     # Processor-facing API
     # ------------------------------------------------------------------
@@ -98,7 +110,7 @@ class Cache(CacheController):
         *miss* to a location with an open transaction is a processor
         protocol violation, asserted in the miss paths.
         """
-        self.sim.schedule(self.hit_latency, lambda: self._start(access))
+        self.sim.schedule(self.hit_latency, self._start, access)
 
     # ------------------------------------------------------------------
     # Access servicing

@@ -45,6 +45,7 @@ from repro.coherence.protocol import (
 from repro.core.operation import Location, Value
 from repro.interconnect.base import Interconnect
 from repro.sim.engine import Component, Simulator
+from repro.sim.fork import Fork, Forkable
 from repro.sim.stats import Stats
 
 
@@ -62,15 +63,20 @@ class EntryState(enum.Enum):
 
 
 @dataclass
-class DirectoryEntry:
+class DirectoryEntry(Forkable):
     state: EntryState = EntryState.UNOWNED
     sharers: Set[int] = field(default_factory=set)
     owner: Optional[int] = None
     value: Value = 0
 
+    def _fork(self, fork: Fork) -> "DirectoryEntry":
+        new = fork.shell(self)
+        new.sharers = set(self.sharers)
+        return new
+
 
 @dataclass
-class _OpenTransaction:
+class _OpenTransaction(Forkable):
     """A per-location in-flight transaction."""
 
     request: Union[GetS, GetX]
@@ -82,6 +88,11 @@ class _OpenTransaction:
     #: un-acked invalidation recipients) — the wait-for edges the
     #: deadlock diagnosis walks.
     awaiting: Set[int] = field(default_factory=set)
+
+    def _fork(self, fork: Fork) -> "_OpenTransaction":
+        new = fork.shell(self)
+        new.awaiting = set(self.awaiting)
+        return new
 
 
 class Directory(Component):
@@ -106,6 +117,18 @@ class Directory(Component):
         self._open: Dict[Location, _OpenTransaction] = {}
         self._queues: Dict[Location, Deque[Union[GetS, GetX, WriteBack]]] = {}
         interconnect.register(DIRECTORY_ENDPOINT, self._on_message)
+
+    def _fork(self, fork: Fork) -> "Directory":
+        new = super()._fork(fork)
+        new.interconnect = fork(self.interconnect)
+        new.stats = fork(self.stats)
+        new._entries = {
+            loc: fork(entry) for loc, entry in self._entries.items()
+        }
+        new._open = {loc: fork(txn) for loc, txn in self._open.items()}
+        new._queues = {loc: deque(q) for loc, q in self._queues.items()}
+        new.interconnect.register(DIRECTORY_ENDPOINT, new._on_message)
+        return new
 
     # -- plumbing ------------------------------------------------------------
     def entry(self, location: Location) -> DirectoryEntry:
@@ -180,11 +203,7 @@ class Directory(Component):
 
     def _requeue_later(self, location: Location, request) -> None:
         """Re-inject a NACKed request after ``retry_delay`` cycles."""
-
-        def retry() -> None:
-            self._admit(location, request)
-
-        self.sim.schedule(self.retry_delay, retry)
+        self.sim.schedule(self.retry_delay, self._admit, location, request)
 
     # -- request handling ------------------------------------------------------
     def _handle_gets(self, request: GetS) -> None:

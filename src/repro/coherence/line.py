@@ -24,6 +24,7 @@ from repro.cpu.access import MemoryAccess
 from repro.cpu.counter import OutstandingCounter
 from repro.interconnect.base import Interconnect
 from repro.sim.engine import Component, Simulator
+from repro.sim.fork import Fork, Forkable
 from repro.sim.stats import Stats
 
 
@@ -36,7 +37,7 @@ class LineState(enum.Enum):
 
 
 @dataclass
-class CacheLine:
+class CacheLine(Forkable):
     """A resident line and its bookkeeping bits."""
 
     location: Location
@@ -58,6 +59,9 @@ class CacheLine:
     @property
     def exclusive(self) -> bool:
         return self.state is LineState.EXCLUSIVE
+
+    def _fork(self, fork: Fork) -> "CacheLine":
+        return fork.shell(self)
 
 
 class CacheController(Component):
@@ -103,7 +107,7 @@ class CacheController(Component):
         self.hit_latency = hit_latency
         self.reserve_enabled = reserve_enabled
 
-        self.counter = OutstandingCounter(owner=name, clock=lambda: sim.now)
+        self.counter = OutstandingCounter(owner=name, clock=self._now)
         self.sanitizer = sim.sanitizer
         self._lines: Dict[Location, CacheLine] = {}
         #: One outstanding transaction per location (processor enforces
@@ -120,13 +124,33 @@ class CacheController(Component):
         if self.tracer.wants("counter"):
             # Conditional wiring: untraced runs never pay the observer
             # call.  The tracer is configured before components build.
-            def observe(value, _t=self.tracer, _track=name):
-                _t.emit(
-                    "counter", "outstanding", track=_track,
-                    args=(("value", value),),
-                )
+            self.counter.observer = self._observe_counter
 
-            self.counter.observer = observe
+    def _now(self) -> int:
+        return self.sim.now
+
+    def _observe_counter(self, value: int) -> None:
+        self.tracer.emit(
+            "counter", "outstanding", track=self.name,
+            args=(("value", value),),
+        )
+
+    def _fork(self, fork: Fork) -> "CacheController":
+        """Copy lines, counter and transaction maps; register the copy's
+        handler on the forked interconnect (subclasses name it)."""
+        new = super()._fork(fork)
+        new.interconnect = fork(self.interconnect)
+        new.stats = fork(self.stats)
+        new.tracer = new.sim.tracer
+        new.sanitizer = new.sim.sanitizer
+        new.counter = fork(self.counter)
+        new._lines = {loc: fork(line) for loc, line in self._lines.items()}
+        new._outstanding = {
+            loc: fork(access) for loc, access in self._outstanding.items()
+        }
+        new._victims = dict(self._victims)
+        new.on_sync_nack = [fork.method(fn) for fn in self.on_sync_nack]
+        return new
 
     # ------------------------------------------------------------------
     # Line queries

@@ -33,6 +33,7 @@ from repro.core.operation import Location, Value
 from repro.cpu.access import MemoryAccess
 from repro.interconnect.base import Interconnect
 from repro.sim.engine import Component, Simulator
+from repro.sim.fork import Fork
 from repro.sim.stats import Stats
 
 SNOOP_ENDPOINT = "snoop"
@@ -124,6 +125,16 @@ class SnoopCoordinator(Component):
         self._busy = False
         self._waiting: List[Any] = []
         interconnect.register(SNOOP_ENDPOINT, self._on_message)
+
+    def _fork(self, fork: Fork) -> "SnoopCoordinator":
+        new = super()._fork(fork)
+        new.interconnect = fork(self.interconnect)
+        new.stats = fork(self.stats)
+        new._memory = dict(self._memory)
+        new.caches = [fork(cache) for cache in self.caches]
+        new._waiting = list(self._waiting)
+        new.interconnect.register(SNOOP_ENDPOINT, new._on_message)
+        return new
 
     def attach(self, cache: "SnoopingCache") -> None:
         self.caches.append(cache)
@@ -217,13 +228,12 @@ class SnoopCoordinator(Component):
                         ),
                     )
                 self._respond(txn.requester, SnoopNack(txn.location))
-
-                def retry(t=txn) -> None:
-                    self.interconnect.send(
-                        snoop_cache_endpoint(t.requester), SNOOP_ENDPOINT, t
-                    )
-
-                self.sim.schedule(self.retry_delay, retry)
+                # The requester re-issues the transaction after the
+                # retry delay.
+                self.sim.schedule(
+                    self.retry_delay, self.interconnect.send,
+                    snoop_cache_endpoint(txn.requester), SNOOP_ENDPOINT, txn,
+                )
                 return
         self._busy = True
         value = self.memory_value(txn.location)
@@ -269,11 +279,19 @@ class SnoopingCache(CacheController):
         interconnect.register(snoop_cache_endpoint(cache_id), self._on_message)
         coordinator.attach(self)
 
+    def _fork(self, fork: Fork) -> "SnoopingCache":
+        new = super()._fork(fork)
+        new.coordinator = fork(self.coordinator)
+        new.interconnect.register(
+            snoop_cache_endpoint(new.cache_id), new._on_message
+        )
+        return new
+
     # ------------------------------------------------------------------
     # Processor-facing API (mirrors repro.coherence.cache.Cache)
     # ------------------------------------------------------------------
     def submit(self, access: MemoryAccess) -> None:
-        self.sim.schedule(self.hit_latency, lambda: self._start(access))
+        self.sim.schedule(self.hit_latency, self._start, access)
 
     # ------------------------------------------------------------------
     # Snoop duties (called synchronously at the transaction instant)

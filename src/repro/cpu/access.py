@@ -15,21 +15,43 @@ are phrased in:
 
 The access object records the timestamp of each event and lets any
 number of listeners (the processor, the ordering policy, stall
-accounting, tests) subscribe to them.
+accounting, tests) subscribe to them.  A listener is data — a callable
+plus extra arguments, called as ``listener(access, *args)`` — so the
+machine components subscribe bound methods and an in-flight access can
+be forked with the machine (see :mod:`repro.sim.fork`).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.core.operation import Location, OpKind, Value
+from repro.core.registers import RegisterFile
+from repro.sim.fork import Fork, Forkable
 
-Listener = Callable[["MemoryAccess"], None]
+Listener = Callable[..., None]
+#: A subscription: the listener and the extra arguments it is called with.
+Subscription = Tuple[Listener, Tuple[Any, ...]]
+
+
+class IssuedWrite:
+    """A write's value function, bound at issue: the instruction plus the
+    register snapshot taken then.  Called with the old memory value like
+    any ``compute_write``; immutable, so forks share it."""
+
+    __slots__ = ("instr", "regs")
+
+    def __init__(self, instr, regs: RegisterFile) -> None:
+        self.instr = instr
+        self.regs = regs
+
+    def __call__(self, old: Value) -> Value:
+        return self.instr.compute_write(self.regs, old)
 
 
 @dataclass
-class MemoryAccess:
+class MemoryAccess(Forkable):
     """One dynamic memory access travelling through the memory system."""
 
     proc: int
@@ -60,9 +82,9 @@ class MemoryAccess:
     #: Number of NACK round-trips this access suffered (sync retries).
     nacks: int = 0
 
-    _on_value: List[Listener] = field(default_factory=list)
-    _on_commit: List[Listener] = field(default_factory=list)
-    _on_gp: List[Listener] = field(default_factory=list)
+    _on_value: List[Subscription] = field(default_factory=list)
+    _on_commit: List[Subscription] = field(default_factory=list)
+    _on_gp: List[Subscription] = field(default_factory=list)
 
     # -- predicates ----------------------------------------------------------
     @property
@@ -78,46 +100,53 @@ class MemoryAccess:
         return self.value is not None
 
     # -- subscriptions --------------------------------------------------------
-    def on_value(self, listener: Listener) -> None:
+    def on_value(self, listener: Listener, *args: Any) -> None:
         if self.value is not None:
-            listener(self)
+            listener(self, *args)
         else:
-            self._on_value.append(listener)
+            self._on_value.append((listener, args))
 
-    def on_commit(self, listener: Listener) -> None:
+    def on_commit(self, listener: Listener, *args: Any) -> None:
         if self.committed:
-            listener(self)
+            listener(self, *args)
         else:
-            self._on_commit.append(listener)
+            self._on_commit.append((listener, args))
 
-    def on_globally_performed(self, listener: Listener) -> None:
+    def on_globally_performed(self, listener: Listener, *args: Any) -> None:
         if self.globally_performed:
-            listener(self)
+            listener(self, *args)
         else:
-            self._on_gp.append(listener)
+            self._on_gp.append((listener, args))
 
     # -- event delivery (called by the memory system) -------------------------
     def deliver_value(self, value: Value, now: int) -> None:
         assert self.value is None, f"value delivered twice to {self}"
         self.value = value
         listeners, self._on_value = self._on_value, []
-        for listener in listeners:
-            listener(self)
+        for listener, args in listeners:
+            listener(self, *args)
 
     def mark_committed(self, now: int) -> None:
         assert self.commit_time is None, f"{self} committed twice"
         self.commit_time = now
         listeners, self._on_commit = self._on_commit, []
-        for listener in listeners:
-            listener(self)
+        for listener, args in listeners:
+            listener(self, *args)
 
     def mark_globally_performed(self, now: int) -> None:
         assert self.gp_time is None, f"{self} globally performed twice"
         assert self.commit_time is not None, f"{self} gp before commit"
         self.gp_time = now
         listeners, self._on_gp = self._on_gp, []
-        for listener in listeners:
-            listener(self)
+        for listener, args in listeners:
+            listener(self, *args)
+
+    def _fork(self, fork: Fork) -> "MemoryAccess":
+        new = fork.shell(self)
+        new._on_value = fork.calls(self._on_value)
+        new._on_commit = fork.calls(self._on_commit)
+        new._on_gp = fork.calls(self._on_gp)
+        return new
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

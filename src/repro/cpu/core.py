@@ -48,9 +48,10 @@ from repro.core.instructions import (
 from repro.core.operation import MemoryOp
 from repro.core.program import Thread
 from repro.core.registers import RegisterFile
-from repro.cpu.access import MemoryAccess
+from repro.cpu.access import IssuedWrite, MemoryAccess
 from repro.models.base import BlockKind, OrderingPolicy
 from repro.sim.engine import Component, Simulator
+from repro.sim.fork import Fork
 from repro.sim.stats import StallReason, Stats
 
 
@@ -175,6 +176,23 @@ class ProcessorCore(Component):
         if cache is not None:
             cache.on_sync_nack.append(self._on_sync_nack)
 
+    def _fork(self, fork: Fork) -> "ProcessorCore":
+        """Copy the architectural and pipeline state; the thread, the
+        policy and committed trace operations are shared."""
+        new = super()._fork(fork)
+        new.stats = fork(self.stats)
+        new.tracer = new.sim.tracer
+        new.port = fork(self.port)
+        if self.cache is not None:
+            new.cache = fork(self.cache)
+        new.regs = fork(self.regs)
+        new.pending_accesses = [fork(a) for a in self.pending_accesses]
+        new.trace = list(self.trace)
+        new._occurrences = dict(self._occurrences)
+        if self.blocked_access is not None:
+            new.blocked_access = fork(self.blocked_access)
+        return new
+
     # ------------------------------------------------------------------
     # Lifecycle
     # ------------------------------------------------------------------
@@ -246,12 +264,11 @@ class ProcessorCore(Component):
 
     def _after_delay(self, cycles: int) -> None:
         self._busy = True
+        self.sim.schedule(cycles, self._resume)
 
-        def resume() -> None:
-            self._busy = False
-            self._advance()
-
-        self.sim.schedule(cycles, resume)
+    def _resume(self) -> None:
+        self._busy = False
+        self._advance()
 
     # ------------------------------------------------------------------
     # Core-shape hooks
@@ -319,10 +336,7 @@ class ProcessorCore(Component):
             # Snapshot the register file now: the write's operands are an
             # intra-processor dependency bound at issue, not at whatever
             # later cycle the memory system performs the write.
-            regs_at_issue = self.regs.copy()
-
-            def compute_write(old, _instr=instr, _regs=regs_at_issue):
-                return _instr.compute_write(_regs, old)
+            compute_write = IssuedWrite(instr, self.regs.copy())
 
         access = MemoryAccess(
             proc=self.logical_proc,
@@ -355,9 +369,9 @@ class ProcessorCore(Component):
 
         dest = instr.dest
         if dest is not None:
-            access.on_value(lambda a: self.regs.write(dest, a.value))
+            access.on_value(self._write_dest, dest)
         access.on_commit(self._record_trace)
-        access.on_commit(lambda a: self.wake())
+        access.on_commit(self._wake_on)
         access.on_globally_performed(self._retire)
 
         block = self.policy.block_kind(instr.kind)
@@ -376,26 +390,34 @@ class ProcessorCore(Component):
             self._commit_wait_loc = access.location
         self.blocked_access = access
 
-        def resume(_a: MemoryAccess) -> None:
-            self.stats.stall_end(self.proc_id, reason, self.sim.now)
-            if block is BlockKind.COMMIT:
-                self._commit_wait_loc = None
-                # Close the remote-reserve overlay window, if a NACK
-                # opened one while we waited for the commit.
-                self.stats.stall_end(
-                    self.proc_id, StallReason.DEF2_RESERVED_REMOTE, self.sim.now
-                )
-            self.blocked_access = None
-            self.blocked_until = None
-            self._busy = False
-            self.sim.call_soon(self._advance)
-
         if block is BlockKind.VALUE:
-            access.on_value(resume)
+            access.on_value(self._unblock, reason, block)
         elif block is BlockKind.COMMIT:
-            access.on_commit(resume)
+            access.on_commit(self._unblock, reason, block)
         else:
-            access.on_globally_performed(resume)
+            access.on_globally_performed(self._unblock, reason, block)
+
+    def _unblock(
+        self, _access: MemoryAccess, reason: StallReason, block: BlockKind
+    ) -> None:
+        self.stats.stall_end(self.proc_id, reason, self.sim.now)
+        if block is BlockKind.COMMIT:
+            self._commit_wait_loc = None
+            # Close the remote-reserve overlay window, if a NACK
+            # opened one while we waited for the commit.
+            self.stats.stall_end(
+                self.proc_id, StallReason.DEF2_RESERVED_REMOTE, self.sim.now
+            )
+        self.blocked_access = None
+        self.blocked_until = None
+        self._busy = False
+        self.sim.call_soon(self._advance)
+
+    def _write_dest(self, access: MemoryAccess, dest) -> None:
+        self.regs.write(dest, access.value)
+
+    def _wake_on(self, _access: MemoryAccess) -> None:
+        self.wake()
 
     def _record_trace(self, access: MemoryAccess) -> None:
         op = MemoryOp(

@@ -19,6 +19,8 @@ from __future__ import annotations
 
 from typing import Callable, List, Optional
 
+from repro.sim.fork import Fork, Forkable
+
 
 def _describe_context(context: object) -> str:
     """Short human-readable form of the access that triggered an error."""
@@ -60,13 +62,15 @@ class CounterUnderflow(RuntimeError):
         self.context = context
 
 
-class OutstandingCounter:
+class OutstandingCounter(Forkable):
     """Counts outstanding accesses; fires callbacks on reaching zero.
 
     ``owner`` names the component the counter belongs to and ``clock``
     (a zero-argument callable returning the current cycle) timestamps
     :class:`CounterUnderflow` diagnostics; both are optional so the
-    counter stays usable standalone in tests.
+    counter stays usable standalone in tests.  Inside a machine the
+    clock, the zero callbacks and the observer are bound methods, so
+    the counter forks with it.
     """
 
     def __init__(
@@ -81,6 +85,15 @@ class OutstandingCounter:
         #: Optional observer called with the new value after every
         #: increment/decrement — the trace layer's counter telemetry hook.
         self.observer: Optional[Callable[[int], None]] = None
+
+    def _fork(self, fork: Fork) -> "OutstandingCounter":
+        new = fork.shell(self)
+        if self._clock is not None:
+            new._clock = fork.method(self._clock)
+        new._on_zero = [fork.method(callback) for callback in self._on_zero]
+        if self.observer is not None:
+            new.observer = fork.method(self.observer)
+        return new
 
     @property
     def value(self) -> int:

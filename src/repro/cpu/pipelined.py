@@ -42,6 +42,7 @@ from repro.core.registers import Register
 from repro.cpu.access import MemoryAccess
 from repro.cpu.core import ProcessorCore
 from repro.models.base import BlockKind
+from repro.sim.fork import Fork
 from repro.sim.stats import StallReason
 
 __all__ = ["PipelinedCore"]
@@ -65,6 +66,16 @@ class PipelinedCore(ProcessorCore):
         #: Maintained only while tracing: slot identity has no simulated
         #: behaviour.
         self._slots: List[Optional[MemoryAccess]] = [None] * self.window
+
+    def _fork(self, fork: Fork) -> "PipelinedCore":
+        new = super()._fork(fork)
+        new._pending_regs = {
+            reg: fork(access) for reg, access in self._pending_regs.items()
+        }
+        new._slots = [
+            None if access is None else fork(access) for access in self._slots
+        ]
+        return new
 
     @property
     def pending_registers(self) -> Dict[Register, MemoryAccess]:
@@ -193,7 +204,7 @@ class PipelinedCore(ProcessorCore):
 
         dest = instr.dest
         if dest is not None:
-            access.on_value(lambda a: self.regs.write(dest, a.value))
+            access.on_value(self._write_dest, dest)
         access.on_commit(self._record_trace)
         access.deliver_value(value, self.sim.now)
         access.mark_committed(self.sim.now)
@@ -210,13 +221,7 @@ class PipelinedCore(ProcessorCore):
             # Scoreboard instead of blocking: the front end runs ahead
             # until something actually needs the register.
             self._pending_regs[dest] = access
-
-            def clear(a, _dest=dest, _access=access) -> None:
-                if self._pending_regs.get(_dest) is _access:
-                    del self._pending_regs[_dest]
-                self.wake()
-
-            access.on_value(clear)
+            access.on_value(self._clear_scoreboard, dest)
 
         if self.tracer.enabled and self.tracer.wants("core"):
             self._open_slot_span(access)
@@ -224,6 +229,11 @@ class PipelinedCore(ProcessorCore):
         self.pc += 1
         self.port.submit(access)
         self._block_on(access, block)
+
+    def _clear_scoreboard(self, access: MemoryAccess, dest: Register) -> None:
+        if self._pending_regs.get(dest) is access:
+            del self._pending_regs[dest]
+        self.wake()
 
     def _retire(self, access: MemoryAccess) -> None:
         if getattr(access, "core_slot", None) is not None:

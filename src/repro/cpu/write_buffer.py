@@ -16,7 +16,6 @@ no bypassing ever happens, exactly as the figure's caption requires.
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from typing import Any, Deque, Dict, Optional
 
@@ -33,6 +32,7 @@ from repro.memsys.memory import (
     MemWriteAck,
 )
 from repro.sim.engine import Component, Simulator
+from repro.sim.fork import Fork
 from repro.sim.stats import Stats
 
 
@@ -69,7 +69,10 @@ class WriteBufferPort(Component):
         self._buffer: Deque[MemoryAccess] = deque()
         self._head_issued = False
         self._inflight: Dict[int, MemoryAccess] = {}
-        self._tokens = itertools.count()
+        #: The next request token.  Memory drops a repeated
+        #: ``(reply_to, token)`` as a duplicate, so a fork continues
+        #: from the parent's next token, never from 0.
+        self._next_token = 0
         self.sanitizer = sim.sanitizer
         #: Per-location FIFO bookkeeping, maintained only when the
         #: sanitizer is enabled: enqueue stamps and the stamp of the
@@ -77,6 +80,24 @@ class WriteBufferPort(Component):
         self._enqueue_seq = 0
         self._drained_seq: Dict[Any, int] = {}
         interconnect.register(port_endpoint(proc_id), self._on_message)
+
+    def _fork(self, fork: Fork) -> "WriteBufferPort":
+        new = super()._fork(fork)
+        new.interconnect = fork(self.interconnect)
+        new.stats = fork(self.stats)
+        new.sanitizer = new.sim.sanitizer
+        new._buffer = deque(fork(access) for access in self._buffer)
+        new._inflight = {
+            token: fork(access) for token, access in self._inflight.items()
+        }
+        new._drained_seq = dict(self._drained_seq)
+        new.interconnect.register(port_endpoint(new.proc_id), new._on_message)
+        return new
+
+    def _token(self) -> int:
+        token = self._next_token
+        self._next_token = token + 1
+        return token
 
     # ------------------------------------------------------------------
     # Processor-facing API
@@ -126,23 +147,21 @@ class WriteBufferPort(Component):
         if self._head_issued or not self._buffer:
             return
         self._head_issued = True
-        head = self._buffer[0]
+        self.sim.schedule(self.drain_delay, self._issue_head, self._buffer[0])
 
-        def issue() -> None:
-            token = next(self._tokens)
-            self._inflight[token] = head
-            self.interconnect.send(
+    def _issue_head(self, head: MemoryAccess) -> None:
+        token = self._token()
+        self._inflight[token] = head
+        self.interconnect.send(
+            port_endpoint(self.proc_id),
+            MEMORY_ENDPOINT,
+            MemWrite(
+                head.location,
+                head.value_written,
+                token,
                 port_endpoint(self.proc_id),
-                MEMORY_ENDPOINT,
-                MemWrite(
-                    head.location,
-                    head.value_written,
-                    token,
-                    port_endpoint(self.proc_id),
-                ),
-            )
-
-        self.sim.schedule(self.drain_delay, issue)
+            ),
+        )
 
     # ------------------------------------------------------------------
     # Reads
@@ -151,7 +170,7 @@ class WriteBufferPort(Component):
         forwarded = self._forward_from_buffer(access)
         if forwarded:
             return
-        token = next(self._tokens)
+        token = self._token()
         self._inflight[token] = access
         self.interconnect.send(
             port_endpoint(self.proc_id),
@@ -185,7 +204,7 @@ class WriteBufferPort(Component):
     # ------------------------------------------------------------------
     def _submit_rmw(self, access: MemoryAccess) -> None:
         assert access.compute_write is not None
-        token = next(self._tokens)
+        token = self._token()
         self._inflight[token] = access
         self.interconnect.send(
             port_endpoint(self.proc_id),

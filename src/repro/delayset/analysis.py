@@ -28,13 +28,16 @@ when it notes the approach "may be quite pessimistic"):
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
-
-import networkx as nx
+from typing import (
+    TYPE_CHECKING, Dict, FrozenSet, Iterator, List, Optional, Set, Tuple,
+)
 
 from repro.core.instructions import MemInstruction
 from repro.core.operation import OpKind
 from repro.core.program import Program
+
+if TYPE_CHECKING:  # pragma: no cover
+    import networkx as nx
 
 
 class NotStraightLineError(ValueError):
@@ -149,8 +152,14 @@ def _conflicts(a: StaticAccess, b: StaticAccess) -> bool:
     return a.kind.writes_memory or b.kind.writes_memory
 
 
-def conflict_graph(program: Program) -> nx.DiGraph:
-    """``P ∪ C``: program edges directed, conflict edges both ways."""
+def conflict_graph(program: Program) -> "nx.DiGraph":
+    """``P ∪ C``: program edges directed, conflict edges both ways.
+
+    networkx is imported here, not at package import: only the delay-set
+    analyses need it.
+    """
+    import networkx as nx
+
     per_thread = static_accesses(program)
     graph = nx.DiGraph()
     for accesses in per_thread:
@@ -182,6 +191,8 @@ def delay_pairs(program: Program) -> Set[DelayPair]:
     observed.  This is a superset of the minimal set but already far
     smaller than total order for typical programs.
     """
+    import networkx as nx
+
     per_thread = static_accesses(program)
     graph = conflict_graph(program)
     delays: Set[DelayPair] = set()
@@ -229,6 +240,8 @@ def minimal_delay_pairs(
     program-order chords.  Exponential in the worst case; intended for
     litmus/kernel-sized programs.
     """
+    import networkx as nx
+
     graph = conflict_graph(program)
     per_thread = static_accesses(program)
     order: Dict[StaticAccess, int] = {}

@@ -5,17 +5,29 @@ it *systematically*.  A schedule is a decision string for the
 :class:`~repro.explore.oracle.ReplayOracle`; the default (all-zero)
 string is the FIFO schedule and a decision ``j > 0`` at a choice point
 costs ``j`` "delays".  With a delay budget ``d``, the explorer
-enumerates every schedule whose total cost is at most ``d``, re-running
-the machine once per schedule — the delay-bounded scheduling idea of
-Emmi et al., which finds the overwhelming majority of ordering bugs at
-tiny budgets.
+enumerates every schedule whose total cost is at most ``d`` — the
+delay-bounded scheduling idea of Emmi et al., which finds the
+overwhelming majority of ordering bugs at tiny budgets.
 
 Each run is deterministic (the scheduled interconnect removes all
 timing randomness and processors start unskewed), so the search is a
-pure tree walk: explore a prefix, read the oracle's log to see where
-later choice points had more than one eligible message, and branch
-there.  Branching always happens at the *first deviation after the
-prefix*, so no schedule is executed twice.
+pure tree walk: run a prefix, see where later choice points had more
+than one eligible message, and branch there.  Branching always happens
+at the *first deviation after the prefix*, so no schedule is executed
+twice.  The walk comes in two forms with the same schedule set:
+
+* the **depth-first walk** (in-process searches): each schedule runs
+  once, and at every choice point where a child schedule deviates the
+  running machine is forked (:meth:`~repro.memsys.system.System.fork`)
+  and the child runs from the fork — the FIFO spine up to the deviation
+  is simulated once, not once per schedule;
+* the **wave loop** (parallel, journaled, traced or sanitized
+  searches): each wave of pending prefixes becomes a campaign of
+  :class:`~repro.campaign.spec.RunSpec` replays from cycle 0, and
+  branching reads each run's oracle log.  Snapshots do not cross
+  processes and a durable frontier is a list of prefixes, so these
+  searches replay; the wave loop is also the walk's differential
+  oracle.
 
 Within the budget, :func:`explore_program` returns the exact set of
 reachable observables — for small programs and ample budgets, a proof
@@ -26,22 +38,30 @@ program.
 from __future__ import annotations
 
 import base64
+import dataclasses
 import pickle
+import time
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 
 from repro.campaign import (
     CampaignJournal,
+    CampaignMetrics,
     Executor,
     JournalError,
     PolicySpec,
+    RunResult,
     RunSpec,
+    emit_metrics,
+    execute_spec_guarded,
     open_journal,
     program_fingerprint,
 )
+from repro.campaign.preempt import graceful_preemption
 from repro.core.execution import Observable
 from repro.core.program import Program
+from repro.explore.oracle import ReplayOracle
 from repro.explore.prune import (
     conflict_free_locations,
     decision_redundant,
@@ -97,10 +117,15 @@ class ExplorationReport:
             f"(delay bound {self.max_delays}, {status}), "
             f"{len(self.outcomes)} distinct outcome(s)"
         ]
-        for outcome, count in sorted(
-            self.outcomes.items(), key=lambda kv: -kv[1]
+        # Ties break on the outcome's text, not on insertion order: the
+        # depth-first walk and the wave loop discover outcomes in
+        # different orders, and their reports must print the same.
+        for count, text in sorted(
+            ((count, outcome.describe())
+             for outcome, count in self.outcomes.items()),
+            key=lambda pair: (-pair[0], pair[1]),
         ):
-            lines.append(f"  {count:5d}x {outcome.describe()}")
+            lines.append(f"  {count:5d}x {text}")
         if self.pruned_decisions:
             lines.append(
                 f"  ({self.pruned_decisions} redundant delay decision(s) "
@@ -168,12 +193,20 @@ def explore_program(
 ) -> ExplorationReport:
     """Enumerate all delay-bounded schedules of ``program``.
 
-    The re-execution search runs through :mod:`repro.campaign`: each
-    wave of pending schedule prefixes becomes a batch of
-    :class:`~repro.campaign.spec.RunSpec` (with ``schedule`` set), so
-    the frontier executes in parallel under a parallel executor while
-    branching stays a pure function of each run's own oracle log —
-    serial and parallel exploration visit the identical schedule set.
+    An in-process search (no ``executor``, ``jobs == 1``, no
+    ``journal``, ``trace`` or ``sanitize``) takes the depth-first walk:
+    every schedule runs once, and each child schedule runs on a fork of
+    its parent's machine taken at the choice point where it deviates.
+    At most ``max_delays + 1`` machines are alive at once.  Every other
+    search runs through :mod:`repro.campaign`: each wave of pending
+    schedule prefixes becomes a batch of
+    :class:`~repro.campaign.spec.RunSpec` (with ``schedule`` set) run
+    from cycle 0, so the frontier executes in parallel under a parallel
+    executor while branching stays a pure function of each run's own
+    oracle log.  Both visit the identical schedule set and produce
+    byte-identical per-schedule results; only a search cut short by
+    ``max_runs`` differs — the walk's truncated set is a depth-first
+    prefix of the tree, the wave loop's a breadth-first one.
 
     Args:
         policy_factory: zero-argument policy constructor.
@@ -181,7 +214,8 @@ def explore_program(
         config: machine configuration; timing fields are ignored (the
             scheduled interconnect replaces them) but cache structure is
             honoured.  Defaults to the cache-coherent machine.
-        max_runs: safety bound on executed schedules.
+        max_runs: safety bound on executed schedules (the walk stops
+            starting schedules once it has started this many).
         relaxed_request_channels: drop per-channel FIFO for cache->dir
             requests — the paper's unrestricted network.  A single
             blocking directory plus virtual-channel FIFO partially
@@ -265,11 +299,29 @@ def explore_program(
                 )
             frontier = _restore_frontier(payload["state"], report)
 
-    reporter, own_reporter = coerce_progress(
-        progress, f"explore:{program.name}:{policy_spec.name}"
-    )
+    label = f"explore:{program.name}:{policy_spec.name}"
+    reporter, own_reporter = coerce_progress(progress, label)
     truncated = False
     try:
+        if (
+            executor is None and jobs == 1 and journal_obj is None
+            and trace is None and sanitize is None
+        ):
+            spec = RunSpec(
+                program=program,
+                policy=policy_spec,
+                config=config,
+                seed=0,
+                max_cycles=max_cycles,
+                schedule=(),
+                relaxed_request_channels=relaxed_request_channels,
+                inval_virtual_channel=inval_virtual_channel,
+            )
+            truncated = _Walk(
+                spec, max_delays, max_runs, message_pruning,
+                conflict_free, reporter,
+            ).explore(report, label)
+            return _finish(report, truncated)
         truncated = _explore_waves(
             report, frontier, journal_obj, identity, run_campaign,
             program, policy_spec, config, max_runs, max_cycles,
@@ -287,8 +339,221 @@ def explore_program(
             # unwound by an exception (the fsync'd records and the
             # wave-top checkpoint are already durable).
             journal_obj.close()
+    return _finish(report, truncated)
+
+
+def _finish(report: ExplorationReport, truncated: bool) -> ExplorationReport:
     report.exhausted = not truncated and not report.preempted
     return report
+
+
+class _ForkingOracle(ReplayOracle):
+    """A replay oracle that hands the walk every choice point past its
+    prefix before deciding, so the walk can fork the machine there."""
+
+    def __init__(self, walk: "_Walk", decisions: Tuple[int, ...] = ()) -> None:
+        super().__init__(decisions)
+        self.walk = walk
+
+    def choose(self, pending, details=None) -> int:
+        if pending > 1 and len(self.log) >= len(self.decisions):
+            self.walk.branch(self, pending, details)
+        return super().choose(pending, details)
+
+
+#: Forked children run nested inside their parent's run, a few
+#: interpreter frames per level.  Past this depth a child is queued and
+#: later replayed from cycle 0 (forking its own children again), so a
+#: large delay budget cannot exhaust the interpreter's stack.
+_MAX_NESTING = 48
+
+
+class _Walk:
+    """The depth-first schedule walk of :func:`explore_program`.
+
+    A schedule runs on a machine whose oracle is a
+    :class:`_ForkingOracle`.  At each choice point past the schedule's
+    prefix, every child decision within the delay budget that pruning
+    keeps is run at once, on a fork of the running machine taken before
+    the delivery — so the live machines are one per nesting level, at
+    most ``max_delays + 1`` — and then the parent continues FIFO.  A
+    child deeper than :data:`_MAX_NESTING` is queued as a prefix instead
+    and replayed once the walk unwinds.
+
+    A schedule's subtree (its children's results, outcome counts,
+    pruned decisions and queued prefixes) is committed only when the
+    schedule itself finishes without raising.  A schedule that raises
+    folds the result of :func:`~repro.campaign.spec.execute_spec_guarded`
+    for its spec and has no children, exactly as in the wave loop; if
+    that replay does not raise too, the fault was the walk's own and
+    is raised.
+    """
+
+    def __init__(
+        self,
+        spec: RunSpec,
+        max_delays: int,
+        max_runs: int,
+        message_pruning: bool,
+        conflict_free,
+        reporter,
+    ) -> None:
+        self.spec = spec
+        self.max_delays = max_delays
+        self.max_runs = max_runs
+        self.message_pruning = message_pruning
+        self.conflict_free = conflict_free
+        self.reporter = reporter
+        self.token = None
+        #: Per committed (or pending) schedule: its observable (None
+        #: when it did not complete) and its failure record, if any.
+        self.outcomes: List[Tuple[Optional[Observable], object]] = []
+        self.pruned = 0
+        self.started = 0
+        self.truncated = False
+        self.preempted = False
+        #: ``[system, prefix, delays left]`` per running schedule,
+        #: innermost last.
+        self._running: List[list] = []
+        #: Child prefixes past the nesting bound, replayed after the walk
+        #: unwinds.
+        self.queued: List[Tuple[int, ...]] = []
+
+    def explore(self, report: ExplorationReport, label: str) -> bool:
+        """Walk the whole tree into ``report``; returns ``truncated``.
+
+        Like a wave's campaign, the walk emits one
+        :class:`~repro.campaign.metrics.CampaignMetrics` record.
+        """
+        started = time.perf_counter()
+        with graceful_preemption() as token:
+            self.token = token
+            self._run(None, ())
+            while self.queued and not self._stop_requested():
+                self._run(None, self.queued.pop())
+        wall = time.perf_counter() - started
+        failures = []
+        for observable, failure in self.outcomes:
+            report.runs += 1
+            if failure is not None:
+                failures.append(failure.kind)
+            if observable is None:
+                report.incomplete_runs += 1
+            else:
+                report.outcomes[observable] = (
+                    report.outcomes.get(observable, 0) + 1
+                )
+        report.pruned_decisions += self.pruned
+        report.preempted = self.preempted
+        runs = len(self.outcomes)
+        completed = runs - report.incomplete_runs
+        emit_metrics(CampaignMetrics(
+            label=label,
+            runs=runs,
+            completed_runs=completed,
+            wall_clock_seconds=wall,
+            runs_per_second=runs / wall if wall > 0 else 0.0,
+            completion_rate=completed / runs if runs else 1.0,
+            jobs=1,
+            failed_runs=len(failures),
+            timed_out_runs=failures.count("sim-timeout"),
+            preempted=self.preempted,
+        ))
+        if METRICS.enabled:
+            METRICS.inc("repro_explore_schedules_total", len(self.outcomes),
+                        help="Delay-bounded schedules executed")
+            if self.pruned:
+                METRICS.inc("repro_explore_pruned_decisions_total",
+                            self.pruned,
+                            help="Delay decisions skipped as redundant")
+        return self.truncated
+
+    def _run(self, system, prefix: Tuple[int, ...]) -> None:
+        """Run one schedule on ``system`` — a fork taken where ``prefix``
+        deviates — and fold its result; with ``system`` None, build the
+        machine and replay ``prefix`` from cycle 0."""
+        self.started += 1
+        marks = (
+            len(self.outcomes), len(self.queued), self.pruned, self.started,
+            self.truncated,
+        )
+        frame = [system, prefix, self.max_delays - sum(prefix)]
+        self._running.append(frame)
+        error = result = None
+        try:
+            if system is None:
+                system = frame[0] = self.spec.build_system(
+                    _ForkingOracle(self, prefix)
+                )
+            else:
+                system.interconnect.oracle.decisions = prefix
+            result = self.spec.run_system(system)
+        except Exception as exc:
+            # Drop the subtree; the wave loop never sees children of a
+            # schedule that raised.
+            error = exc
+            del self.outcomes[marks[0]:]
+            del self.queued[marks[1]:]
+            self.pruned, self.started, self.truncated = marks[2:]
+        finally:
+            self._running.pop()
+        if error is not None:
+            # Outside the handler, so the failure's traceback does not
+            # chain this exception and stays byte-identical.
+            result = execute_spec_guarded(
+                dataclasses.replace(self.spec, schedule=prefix)
+            )
+            if result.failure is None or result.failure.kind not in (
+                "exception", "sanitizer"
+            ):
+                raise error
+        self._fold(prefix, result)
+
+    def _stop_requested(self) -> bool:
+        if self.token is not None and self.token.requested():
+            self.preempted = True
+        return self.preempted
+
+    def _fold(self, prefix: Tuple[int, ...], result: RunResult) -> None:
+        self.outcomes.append((
+            result.observable
+            if result.completed and result.observable is not None
+            else None,
+            result.failure,
+        ))
+        if self.reporter is not None:
+            self.reporter.tick(result)
+
+    def branch(self, oracle: _ForkingOracle, pending: int, details) -> None:
+        """A choice point of the innermost running schedule, before its
+        delivery: run each child schedule that deviates here."""
+        system, prefix, budget = self._running[-1]
+        if budget <= 0:
+            return
+        point = len(oracle.log)
+        details = (
+            tuple(details)
+            if self.message_pruning and details is not None
+            else None
+        )
+        for decision in range(1, min(pending - 1, budget) + 1):
+            if details is not None and decision_redundant(
+                details, decision, self.conflict_free
+            ):
+                self.pruned += 1
+                continue
+            if self.started + len(self.queued) >= self.max_runs:
+                self.truncated = True
+                continue
+            if self._stop_requested():
+                continue
+            child_prefix = (
+                prefix + (0,) * (point - len(prefix)) + (decision,)
+            )
+            if len(self._running) >= _MAX_NESTING:
+                self.queued.append(child_prefix)
+            else:
+                self._run(system.fork(), child_prefix)
 
 
 def _explore_waves(

@@ -5,7 +5,9 @@ Seed sampling (the litmus runner) covers timing behaviours statistically;
 enters a pending pool and an oracle decides, at each delivery slot, which
 pending message goes next.  With all other events deterministic, a run
 is a pure function of the oracle's decision string — so the explorer in
-:mod:`repro.explore.explorer` can walk the schedule tree by re-execution.
+:mod:`repro.explore.explorer` can walk the schedule tree, either by
+re-execution or by forking the machine at a choice point: the oracle is
+consulted before the delivery slot changes any state.
 
 The oracle's default decision is 0 (FIFO).  A decision ``j`` at a choice
 point delivers the ``j``-th oldest pending message, "delaying" the ``j``
@@ -18,10 +20,11 @@ from typing import Any, List, Optional, Sequence, Tuple
 
 from repro.interconnect.base import Interconnect, channel_key
 from repro.sim.engine import Simulator
+from repro.sim.fork import Fork, Forkable
 from repro.sim.stats import Stats
 
 
-class ReplayOracle:
+class ReplayOracle(Forkable):
     """Replays a fixed decision prefix, then defaults to FIFO.
 
     Records the pending-pool size at every choice point so the explorer
@@ -54,6 +57,12 @@ class ReplayOracle:
     @property
     def choice_points(self) -> int:
         return len(self.log)
+
+    def _fork(self, fork: Fork) -> "ReplayOracle":
+        new = fork.shell(self)
+        new.log = list(self.log)
+        new.detail_log = list(self.detail_log)
+        return new
 
 
 class ScheduledInterconnect(Interconnect):
@@ -94,6 +103,12 @@ class ScheduledInterconnect(Interconnect):
         self.inval_virtual_channel = inval_virtual_channel
         self._pending: List[Tuple[str, str, Any]] = []
 
+    def _fork(self, fork: Fork) -> "ScheduledInterconnect":
+        new = super()._fork(fork)
+        new.oracle = fork(self.oracle)
+        new._pending = list(self._pending)
+        return new
+
     def send(self, src: str, dst: str, payload: Any) -> None:
         self.stats.bump("scheduled.sent")
         self._pending.append((src, dst, payload))
@@ -118,6 +133,8 @@ class ScheduledInterconnect(Interconnect):
         return eligible
 
     def _deliver_slot(self) -> None:
+        # Nothing changes before the oracle decides: a machine forked
+        # inside ``choose`` replays this slot from its start.
         eligible = self._eligible_indices()
         details = [
             getattr(self._pending[idx][2], "location", None) for idx in eligible

@@ -35,6 +35,7 @@ from repro.faults.plan import FaultPlan
 from repro.obs import METRICS
 from repro.interconnect.base import Handler, Interconnect, channel_key
 from repro.sim.engine import Simulator
+from repro.sim.fork import Fork
 from repro.sim.rng import TimingRng
 from repro.sim.stats import Stats
 
@@ -62,6 +63,13 @@ class FaultyInterconnect(Interconnect):
         #: Latest release time handed to the inner interconnect per
         #: channel — the FIFO floor that keeps injection legal.
         self._release_floor: Dict[Tuple, int] = {}
+
+    def _fork(self, fork: Fork) -> "FaultyInterconnect":
+        new = super()._fork(fork)
+        new.inner = fork(self.inner)
+        new.rng = fork(self.rng)
+        new._release_floor = dict(self._release_floor)
+        return new
 
     # Handlers live on the inner interconnect, which performs delivery.
     def register(self, endpoint: str, handler: Handler) -> None:
@@ -134,8 +142,7 @@ class FaultyInterconnect(Interconnect):
         self, release_at: int, src: str, dst: str, payload: Any
     ) -> None:
         self.sim.schedule(
-            release_at - self.sim.now,
-            lambda: self.inner.send(src, dst, payload),
+            release_at - self.sim.now, self.inner.send, src, dst, payload
         )
 
     def __getattr__(self, attr: str):

@@ -13,6 +13,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro.sim.engine import Component, Simulator
+from repro.sim.fork import Fork
 from repro.sim.stats import Stats
 
 #: A delivery handler: receives ``(payload, source_endpoint)``.
@@ -46,6 +47,14 @@ class Interconnect(Component):
         super().__init__(sim, name)
         self.stats = stats
         self._handlers: Dict[str, Handler] = {}
+
+    def _fork(self, fork: Fork) -> "Interconnect":
+        """Copy the transport with no handlers: each forked component
+        registers its own on the copy through :meth:`register`."""
+        new = super()._fork(fork)
+        new.stats = fork(self.stats)
+        new._handlers = {}
+        return new
 
     def register(self, endpoint: str, handler: Handler) -> None:
         """Attach ``handler`` to ``endpoint`` (one handler per endpoint)."""

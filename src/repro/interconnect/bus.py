@@ -21,6 +21,7 @@ from typing import Any, Deque, Optional, Tuple
 
 from repro.interconnect.base import Interconnect
 from repro.sim.engine import Simulator
+from repro.sim.fork import Fork
 from repro.sim.stats import Stats
 
 
@@ -41,6 +42,11 @@ class Bus(Interconnect):
         self._queue: Deque[Tuple[str, str, Any, Optional[int]]] = deque()
         self._busy = False
 
+    def _fork(self, fork: Fork) -> "Bus":
+        new = super()._fork(fork)
+        new._queue = deque(self._queue)
+        return new
+
     def send(self, src: str, dst: str, payload: Any) -> None:
         self.stats.bump("bus.sent")
         flow_id = (
@@ -56,13 +62,15 @@ class Bus(Interconnect):
             self._busy = False
             return
         self._busy = True
-        src, dst, payload, flow_id = self._queue.popleft()
+        self.sim.schedule(
+            self.transfer_cycles, self._complete, *self._queue.popleft()
+        )
 
-        def complete() -> None:
-            self._deliver(src, dst, payload, flow_id=flow_id)
-            self._grant()
-
-        self.sim.schedule(self.transfer_cycles, complete)
+    def _complete(
+        self, src: str, dst: str, payload: Any, flow_id: Optional[int]
+    ) -> None:
+        self._deliver(src, dst, payload, flow_id=flow_id)
+        self._grant()
 
     @property
     def queued(self) -> int:

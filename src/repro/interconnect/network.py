@@ -15,6 +15,7 @@ from typing import Any, Dict, Tuple
 
 from repro.interconnect.base import Interconnect, channel_key
 from repro.sim.engine import Simulator
+from repro.sim.fork import Fork
 from repro.sim.rng import TimingRng
 from repro.sim.stats import Stats
 
@@ -49,6 +50,12 @@ class Network(Interconnect):
         #: Earliest permissible delivery per channel when FIFO is on.
         self._last_delivery: Dict[Tuple, int] = {}
 
+    def _fork(self, fork: Fork) -> "Network":
+        new = super()._fork(fork)
+        new.rng = fork(self.rng)
+        new._last_delivery = dict(self._last_delivery)
+        return new
+
     def _channel(self, src: str, dst: str, payload: Any) -> Tuple:
         return channel_key(
             src, dst, payload,
@@ -68,8 +75,7 @@ class Network(Interconnect):
             floor = self._last_delivery.get(channel, 0)
             deliver_at = max(deliver_at, floor + 1)
             self._last_delivery[channel] = deliver_at
-
-        def complete() -> None:
-            self._deliver(src, dst, payload, flow_id=flow_id)
-
-        self.sim.schedule(deliver_at - self.sim.now, complete)
+        self.sim.schedule(
+            deliver_at - self.sim.now, self._deliver, src, dst, payload,
+            flow_id,
+        )

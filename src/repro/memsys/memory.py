@@ -19,6 +19,7 @@ from typing import Any, Callable, Dict, Optional, Set, Tuple
 from repro.core.operation import Location, Value
 from repro.interconnect.base import Interconnect
 from repro.sim.engine import Component, Simulator
+from repro.sim.fork import Fork
 from repro.sim.stats import Stats
 
 MEMORY_ENDPOINT = "mem"
@@ -96,6 +97,15 @@ class MemoryModule(Component):
         self._serviced: Set[Tuple[str, int]] = set()
         interconnect.register(MEMORY_ENDPOINT, self._on_message)
 
+    def _fork(self, fork: Fork) -> "MemoryModule":
+        new = super()._fork(fork)
+        new.interconnect = fork(self.interconnect)
+        new.stats = fork(self.stats)
+        new._memory = dict(self._memory)
+        new._serviced = set(self._serviced)
+        new.interconnect.register(MEMORY_ENDPOINT, new._on_message)
+        return new
+
     def value(self, location: Location) -> Value:
         return self._memory.get(location, 0)
 
@@ -128,7 +138,7 @@ class MemoryModule(Component):
             raise TypeError(f"memory cannot handle {payload!r}")
 
     def _respond(self, reply_to: str, response: Any) -> None:
-        def send() -> None:
-            self.interconnect.send(MEMORY_ENDPOINT, reply_to, response)
-
-        self.sim.schedule(self.service_latency, send)
+        self.sim.schedule(
+            self.service_latency, self.interconnect.send,
+            MEMORY_ENDPOINT, reply_to, response,
+        )

@@ -32,6 +32,7 @@ from repro.models.base import OrderingPolicy
 from repro.sanitizer.checker import Violation
 from repro.sanitizer.deadlock import DeadlockDiagnosis, diagnose
 from repro.sim.engine import SimulationTimeout, Simulator
+from repro.sim.fork import Fork, Forkable
 from repro.sim.rng import TimingRng
 from repro.sim.stats import Stats
 from repro.trace.summary import TraceSummary
@@ -111,8 +112,13 @@ class HardwareRun:
         return text
 
 
-class System:
-    """A concrete simulated machine executing one program."""
+class System(Forkable):
+    """A concrete simulated machine executing one program.
+
+    A running system can be forked (:meth:`fork`): the copy shares the
+    program, policy and configuration, owns a copy of every component's
+    state, and :meth:`run` continues it from the fork point.
+    """
 
     def __init__(
         self,
@@ -163,6 +169,9 @@ class System:
         self.fault_plan = fault_plan
         self.trace_spec = trace
         self.sanitize_mode = sanitize
+        #: Whether the processors' start events are scheduled (a fork of
+        #: a running system continues instead of starting again).
+        self._started = False
 
         self.sim = Simulator()
         self.stats = Stats()
@@ -318,12 +327,45 @@ class System:
             self.processors.append(processor)
 
     # ------------------------------------------------------------------
+    # Forking
+    # ------------------------------------------------------------------
+    def fork(self) -> "System":
+        """An independent copy of this machine in its current state.
+
+        Called from inside an event handler, the copy replays that event
+        from its start (see :meth:`Simulator._fork
+        <repro.sim.engine.Simulator._fork>`), so fork before the handler
+        changes any state — as the explorer does at a choice point.
+        """
+        return Fork()(self)
+
+    def _fork(self, fork: Fork) -> "System":
+        new = fork.shell(self)
+        new.sim = fork(self.sim)
+        new.stats = fork(self.stats)
+        new.rng = fork(self.rng)
+        new.interconnect = fork(self.interconnect)
+        new.caches = [fork(cache) for cache in self.caches]
+        if self.directory is not None:
+            new.directory = fork(self.directory)
+        if self.snoop_coordinator is not None:
+            new.snoop_coordinator = fork(self.snoop_coordinator)
+        if self.memory is not None:
+            new.memory = fork(self.memory)
+        new.processors = [fork(p) for p in self.processors]
+        return new
+
+    # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def run(self, max_cycles: int = 1_000_000) -> HardwareRun:
-        for processor in self.processors:
-            skew = self.rng.latency(0, self.config.start_skew)
-            self.sim.schedule(skew, processor.start)
+        """Run to quiescence (or the watchdog) and package the outcome;
+        a forked system continues from where its parent was."""
+        if not self._started:
+            self._started = True
+            for processor in self.processors:
+                skew = self.rng.latency(0, self.config.start_skew)
+                self.sim.schedule(skew, processor.start)
         completed = True
         timed_out = False
         try:

@@ -25,9 +25,8 @@ from __future__ import annotations
 import json
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from typing import List, Optional, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Tuple, Union
 
 from repro.obs.registry import (
     COUNTER,
@@ -36,6 +35,9 @@ from repro.obs.registry import (
     MetricsRegistry,
     Snapshot,
 )
+
+if TYPE_CHECKING:  # pragma: no cover
+    from http.server import ThreadingHTTPServer
 
 
 def _sanitize(name: str) -> str:
@@ -266,30 +268,10 @@ class FlightRecorder:
         self.stop()
 
 
-class _MetricsHandler(BaseHTTPRequestHandler):
-    registry: MetricsRegistry = None  # patched per-server below
-
-    def do_GET(self):  # noqa: N802 - http.server API
-        if self.path.rstrip("/") not in ("", "/metrics".rstrip("/")):
-            self.send_error(404)
-            return
-        body = to_prometheus(self.registry).encode()
-        self.send_response(200)
-        self.send_header(
-            "Content-Type", "text/plain; version=0.0.4; charset=utf-8"
-        )
-        self.send_header("Content-Length", str(len(body)))
-        self.end_headers()
-        self.wfile.write(body)
-
-    def log_message(self, *args):  # silence per-request stderr spam
-        pass
-
-
 class MetricsServer:
     """A running ``/metrics`` endpoint; ``port`` is the bound port."""
 
-    def __init__(self, server: ThreadingHTTPServer):
+    def __init__(self, server: "ThreadingHTTPServer"):
         self._server = server
         self.port = server.server_address[1]
         self._thread = threading.Thread(
@@ -307,9 +289,28 @@ class MetricsServer:
 def serve_metrics(
     registry: MetricsRegistry, port: int = 0, host: str = "127.0.0.1"
 ) -> MetricsServer:
-    """Serve ``registry`` at ``http://host:port/metrics`` (0 = ephemeral)."""
-    handler = type(
-        "BoundMetricsHandler", (_MetricsHandler,), {"registry": registry}
-    )
-    server = ThreadingHTTPServer((host, port), handler)
-    return MetricsServer(server)
+    """Serve ``registry`` at ``http://host:port/metrics`` (0 = ephemeral).
+
+    ``http.server`` is imported here, not at package import: only a
+    live endpoint needs it.
+    """
+    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+    class MetricsHandler(BaseHTTPRequestHandler):
+        def do_GET(self):  # noqa: N802 - http.server API
+            if self.path.rstrip("/") not in ("", "/metrics"):
+                self.send_error(404)
+                return
+            body = to_prometheus(registry).encode()
+            self.send_response(200)
+            self.send_header(
+                "Content-Type", "text/plain; version=0.0.4; charset=utf-8"
+            )
+            self.send_header("Content-Length", str(len(body)))
+            self.end_headers()
+            self.wfile.write(body)
+
+        def log_message(self, *args):  # silence per-request stderr spam
+            pass
+
+    return MetricsServer(ThreadingHTTPServer((host, port), MetricsHandler))

@@ -132,6 +132,16 @@ class Sanitizer:
         self.mode = parse_mode(mode)
         self.enabled = self.mode != "off"
 
+    def _fork(self, fork) -> "Sanitizer":
+        """Copy for a :class:`~repro.sim.fork.Fork` of the simulator
+        (forkable by protocol: this module sits below ``repro.sim``)."""
+        new = fork.shell(self)
+        new.sim = fork(self.sim)
+        new.violations = list(self.violations)
+        if self._system is not None:
+            new._system = fork(self._system)
+        return new
+
     def attach(self, system: Any) -> None:
         """Point the sweeps at a :class:`~repro.memsys.system.System`.
 

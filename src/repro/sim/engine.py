@@ -2,9 +2,12 @@
 
 Everything on the hardware side of the reproduction — processors, caches,
 the directory, interconnects — is an event-driven component hanging off
-one :class:`Simulator`.  Events are ``(time, sequence, callback)``
-triples in a binary heap; same-time events fire in scheduling order,
-which keeps runs deterministic for a fixed seed.
+one :class:`Simulator`.  Events are data: ``(time, sequence, callback,
+args)`` in a binary heap, where the callback is a bound method of a
+component and ``args`` its arguments.  Same-time events fire in
+scheduling order, which keeps runs deterministic for a fixed seed, and
+because no event is a closure a running machine can be forked (see
+:mod:`repro.sim.fork`).
 """
 
 from __future__ import annotations
@@ -14,7 +17,11 @@ from typing import Any, Callable, List, Optional, Tuple
 
 from repro.obs import METRICS
 from repro.sanitizer.checker import Sanitizer
+from repro.sim.fork import Fork, Forkable
 from repro.trace.tracer import Tracer
+
+#: A queued event: ``(time, seq, callback, args)``.
+Event = Tuple[int, int, Callable[..., None], Tuple[Any, ...]]
 
 
 class SimulationTimeout(RuntimeError):
@@ -37,13 +44,15 @@ class SimulationTimeout(RuntimeError):
         self.budget = budget
 
 
-class Simulator:
+class Simulator(Forkable):
     """A deterministic event-driven simulator with integer time."""
 
     def __init__(self) -> None:
-        self._queue: List[Tuple[int, int, Callable[[], None]]] = []
+        self._queue: List[Event] = []
         self._time = 0
         self._seq = 0
+        #: The event :meth:`run` is firing, if any (see :meth:`_fork`).
+        self._firing: Optional[Event] = None
         #: Event tracer, created disabled (see :mod:`repro.trace`).
         self.tracer = Tracer(self)
         #: Protocol-invariant checker, created disabled (see
@@ -56,16 +65,24 @@ class Simulator:
         """Current simulation time in cycles."""
         return self._time
 
-    def schedule(self, delay: int, callback: Callable[[], None]) -> None:
-        """Run ``callback`` ``delay`` cycles from now (``delay >= 0``)."""
+    def schedule(
+        self, delay: int, callback: Callable[..., None], *args: Any
+    ) -> None:
+        """Run ``callback(*args)`` ``delay`` cycles from now (``delay >= 0``).
+
+        Machine components pass a bound method and its arguments, never
+        a closure, so the queued event stays forkable.
+        """
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        heapq.heappush(self._queue, (self._time + delay, self._seq, callback))
+        heapq.heappush(
+            self._queue, (self._time + delay, self._seq, callback, args)
+        )
         self._seq += 1
 
-    def call_soon(self, callback: Callable[[], None]) -> None:
-        """Run ``callback`` at the current time, after pending same-time events."""
-        self.schedule(0, callback)
+    def call_soon(self, callback: Callable[..., None], *args: Any) -> None:
+        """Run ``callback(*args)`` now, after pending same-time events."""
+        self.schedule(0, callback, *args)
 
     def run(
         self,
@@ -89,7 +106,8 @@ class Simulator:
             while self._queue:
                 if until is not None and until():
                     break
-                time, _seq, callback = heapq.heappop(self._queue)
+                event = heapq.heappop(self._queue)
+                time, _seq, callback, args = event
                 if time > max_cycles:
                     raise SimulationTimeout(
                         f"simulation passed {max_cycles} cycles without quiescing",
@@ -102,7 +120,8 @@ class Simulator:
                     if sanitizer.enabled:
                         sanitizer.on_cycle()
                     self._time = time
-                callback()
+                self._firing = event
+                callback(*args)
         except SimulationTimeout:
             if METRICS.enabled:
                 METRICS.inc(
@@ -111,6 +130,7 @@ class Simulator:
                 )
             raise
         finally:
+            self._firing = None
             if METRICS.enabled:
                 METRICS.inc(
                     "repro_sim_runs_total",
@@ -137,9 +157,9 @@ class Simulator:
         """
         deadline = self._time + cycles
         while self._queue and self._queue[0][0] <= deadline:
-            time, _seq, callback = heapq.heappop(self._queue)
+            time, _seq, callback, args = heapq.heappop(self._queue)
             self._time = time
-            callback()
+            callback(*args)
         self._time = deadline
         return self._time
 
@@ -147,8 +167,31 @@ class Simulator:
     def pending_events(self) -> int:
         return len(self._queue)
 
+    def _fork(self, fork: Fork) -> "Simulator":
+        """Copy the clock and the queue, each event rebound to the copy.
 
-class Component:
+        Forked from inside an event handler, the copy re-queues the
+        firing event, so it replays that event from its start: fork only
+        before the handler has changed any state.
+        """
+        new = fork.shell(self)
+        new.tracer = fork(self.tracer)
+        new.sanitizer = fork(self.sanitizer)
+        method, args = fork.method, fork.args
+        new._queue = [
+            (time, seq, method(callback), args(event_args))
+            for time, seq, callback, event_args in self._queue
+        ]
+        new._firing = None
+        if self._firing is not None:
+            time, seq, callback, event_args = self._firing
+            heapq.heappush(
+                new._queue, (time, seq, method(callback), args(event_args))
+            )
+        return new
+
+
+class Component(Forkable):
     """Base class for simulated hardware components.
 
     Components that re-evaluate their state after an event cascade (a
@@ -172,13 +215,12 @@ class Component:
         if self.wake_suppressed() or self._wake_scheduled:
             return
         self._wake_scheduled = True
+        self.sim.call_soon(self._run_wake)
 
-        def run() -> None:
-            self._wake_scheduled = False
-            if self.wake_ready():
-                self.on_wake()
-
-        self.sim.call_soon(run)
+    def _run_wake(self) -> None:
+        self._wake_scheduled = False
+        if self.wake_ready():
+            self.on_wake()
 
     # -- wake hooks, overridden by components that use the facility ------
     def wake_suppressed(self) -> bool:
@@ -191,6 +233,14 @@ class Component:
 
     def on_wake(self) -> None:
         """The component's re-evaluation; default is a no-op."""
+
+    # -- forking ---------------------------------------------------------
+    def _fork(self, fork: Fork) -> "Component":
+        """The shared part of every component's fork: a shallow copy on
+        the forked simulator.  Subclasses copy their own mutable state."""
+        new = fork.shell(self)
+        new.sim = fork(self.sim)
+        return new
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name}>"

@@ -9,15 +9,26 @@ the hardware analogue of the idealized enumerator's interleavings.
 from __future__ import annotations
 
 import random
-from typing import Iterator
+from typing import Iterator, Optional
+
+from repro.sim.fork import Fork, Forkable
 
 
-class TimingRng:
+class TimingRng(Forkable):
     """A thin wrapper over :class:`random.Random` with latency helpers."""
 
     def __init__(self, seed: int) -> None:
         self.seed = seed
-        self._rng = random.Random(seed)
+        #: Seeded on the first draw: a machine that never draws (the
+        #: explorer's, whose schedule replaces every timing) neither
+        #: seeds nor, when forked, copies a generator.
+        self._random: Optional[random.Random] = None
+
+    @property
+    def _rng(self) -> random.Random:
+        if self._random is None:
+            self._random = random.Random(self.seed)
+        return self._random
 
     def latency(self, base: int, jitter: int) -> int:
         """A latency in ``[base, base + jitter]`` cycles."""
@@ -35,6 +46,16 @@ class TimingRng:
         out = list(items)
         self._rng.shuffle(out)
         return out
+
+    def _fork(self, fork: Fork) -> "TimingRng":
+        """The same stream at the same position.  ``Random.__new__`` plus
+        ``setstate`` copies the state; ``Random()`` would first reseed
+        from the operating system."""
+        new = fork.shell(self)
+        if self._random is not None:
+            new._random = random.Random.__new__(random.Random)
+            new._random.setstate(self._random.getstate())
+        return new
 
     def fork(self, salt: int) -> "TimingRng":
         """A new independent stream derived from this one."""

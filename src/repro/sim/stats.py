@@ -13,6 +13,7 @@ from collections import defaultdict
 from typing import Dict, Optional, Tuple
 
 from repro.obs import METRICS
+from repro.sim.fork import Fork, Forkable
 
 
 class StallReason(enum.Enum):
@@ -66,7 +67,7 @@ class StallReason(enum.Enum):
     CORE_WINDOW_FULL = "core_window_full"
 
 
-class Stats:
+class Stats(Forkable):
     """Counters, totals, and stall attribution for one hardware run."""
 
     def __init__(self) -> None:
@@ -78,6 +79,15 @@ class Stats:
         #: windows as ``stall`` B/E trace events (set by ``System`` when
         #: a run is traced; None costs one load + branch per call).
         self.tracer = None
+
+    def _fork(self, fork: Fork) -> "Stats":
+        new = fork.shell(self)
+        new.counters = self.counters.copy()
+        new._stalls = self._stalls.copy()
+        new._stall_starts = self._stall_starts.copy()
+        if self.tracer is not None:
+            new.tracer = fork(self.tracer)
+        return new
 
     # -- counters ----------------------------------------------------------
     def bump(self, counter: str, amount: int = 1) -> None:

@@ -181,6 +181,14 @@ class Tracer:
 
         return tuple(islice(events, len(events) - count, None))
 
+    def _fork(self, fork) -> "Tracer":
+        """Copy for a :class:`~repro.sim.fork.Fork` of the simulator
+        (forkable by protocol: this module sits below ``repro.sim``)."""
+        new = fork.shell(self)
+        new.sim = fork(self.sim)
+        new._events = deque(self._events, maxlen=self._ring)
+        return new
+
     def drain(self) -> Tuple[TraceEvent, ...]:
         """Snapshot and clear, for incremental consumers."""
         events = tuple(self._events)
