@@ -33,7 +33,7 @@ from repro.campaign.spec import (
     RunResult,
     RunSpec,
 )
-from repro.obs import METRICS, ProgressReporter, coerce_progress
+from repro.obs import ProgressReporter, coerce_progress
 from repro.trace.summary import TraceSummary
 
 
@@ -292,40 +292,8 @@ def run_campaign(
         ),
     )
     emit_metrics(metrics)
-    if METRICS.enabled:
-        _publish_campaign(metrics)
     if reporter is not None and own_reporter:
         reporter.finish(metrics)
     return CampaignResult(
         results=results, metrics=metrics, triage=triage_report
-    )
-
-
-def _publish_campaign(metrics: CampaignMetrics) -> None:
-    """Fold a finished campaign's totals into the metrics registry.
-
-    This is what makes the flight recorder's final sample agree with
-    the end-of-run :class:`CampaignMetrics` summary.
-    """
-    METRICS.inc("repro_campaign_total", help="Campaigns executed")
-    for name, amount, help_text in (
-        ("repro_campaign_runs_total", metrics.runs,
-         "Specs submitted to campaigns"),
-        ("repro_campaign_completed_total", metrics.completed_runs,
-         "Runs that completed"),
-        ("repro_campaign_failed_total", metrics.failed_runs,
-         "Runs that came back with a failure record"),
-        ("repro_campaign_cache_hits_total", metrics.cache_hits,
-         "Runs satisfied by the result cache"),
-        ("repro_campaign_journal_replayed_total", metrics.journal_replayed,
-         "Runs replayed from a campaign journal"),
-        ("repro_campaign_preempted_total", metrics.preempted_runs,
-         "Runs skipped by graceful preemption"),
-    ):
-        if amount:
-            METRICS.inc(name, amount, help=help_text)
-    METRICS.observe(
-        "repro_campaign_wall_seconds", metrics.wall_clock_seconds,
-        help="Campaign wall-clock durations",
-        buckets=(0.01, 0.1, 1.0, 10.0, 60.0, 600.0),
     )

@@ -1,10 +1,13 @@
 """Campaign-level metrics: wall-clock, throughput, completion, caching.
 
 Every call to :func:`repro.campaign.run_campaign` produces one
-:class:`CampaignMetrics` record.  Registered hooks observe every record
-— the benchmark suite uses this to accumulate per-session campaign
-telemetry and emit it as JSON (``BENCH_*.json`` trajectory tracking);
-the CLI uses it for ``--metrics-json``.
+:class:`CampaignMetrics` record (and so does every in-process
+exploration), delivered through :func:`emit_metrics`.  Registered hooks
+observe every record — the benchmark suite uses this to accumulate
+per-session campaign telemetry and emit it as JSON (``BENCH_*.json``
+trajectory tracking); the CLI uses it for ``--metrics-json``.  With the
+:mod:`repro.obs` registry enabled, every record's totals also land in
+the ``repro_campaign_*`` counters.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from dataclasses import asdict, dataclass
 from typing import Callable, List, Optional
 
 from repro.log import get_logger
+from repro.obs import METRICS
 from repro.trace.summary import TraceSummary
 
 _LOG = get_logger("campaign")
@@ -141,7 +145,40 @@ def unregister_metrics_hook(hook: Callable[[CampaignMetrics], None]) -> None:
 
 
 def emit_metrics(metrics: CampaignMetrics) -> None:
-    """Deliver a metrics record to every registered hook and the log."""
+    """Deliver a metrics record to every registered hook, the log and
+    (when enabled) the metrics registry."""
     _LOG.info("%s", metrics.describe())
     for hook in list(_METRICS_HOOKS):
         hook(metrics)
+    if METRICS.enabled:
+        _publish(metrics)
+
+
+def _publish(metrics: CampaignMetrics) -> None:
+    """Fold a finished campaign's totals into the metrics registry.
+
+    This is what makes the flight recorder's final sample agree with
+    the end-of-run :class:`CampaignMetrics` summary.
+    """
+    METRICS.inc("repro_campaign_total", help="Campaigns executed")
+    for name, amount, help_text in (
+        ("repro_campaign_runs_total", metrics.runs,
+         "Specs submitted to campaigns"),
+        ("repro_campaign_completed_total", metrics.completed_runs,
+         "Runs that completed"),
+        ("repro_campaign_failed_total", metrics.failed_runs,
+         "Runs that came back with a failure record"),
+        ("repro_campaign_cache_hits_total", metrics.cache_hits,
+         "Runs satisfied by the result cache"),
+        ("repro_campaign_journal_replayed_total", metrics.journal_replayed,
+         "Runs replayed from a campaign journal"),
+        ("repro_campaign_preempted_total", metrics.preempted_runs,
+         "Runs skipped by graceful preemption"),
+    ):
+        if amount:
+            METRICS.inc(name, amount, help=help_text)
+    METRICS.observe(
+        "repro_campaign_wall_seconds", metrics.wall_clock_seconds,
+        help="Campaign wall-clock durations",
+        buckets=(0.01, 0.1, 1.0, 10.0, 60.0, 600.0),
+    )

@@ -14,20 +14,21 @@ timing randomness and processors start unskewed), so the search is a
 pure tree walk: run a prefix, see where later choice points had more
 than one eligible message, and branch there.  Branching always happens
 at the *first deviation after the prefix*, so no schedule is executed
-twice.  The walk comes in two forms with the same schedule set:
+twice.  The walk holds one queue of decision prefixes and has two ways
+to run a queued prefix, with the same schedule set:
 
-* the **depth-first walk** (in-process searches): each schedule runs
-  once, and at every choice point where a child schedule deviates the
-  running machine is forked (:meth:`~repro.memsys.system.System.fork`)
-  and the child runs from the fork — the FIFO spine up to the deviation
-  is simulated once, not once per schedule;
-* the **wave loop** (parallel, journaled, traced or sanitized
-  searches): each wave of pending prefixes becomes a campaign of
+* **in-process** (the default): build the machine and run the prefix;
+  at every choice point where a child schedule deviates, the running
+  machine is forked (:meth:`~repro.memsys.system.System.fork`) and the
+  child runs from the fork — the FIFO spine up to the deviation is
+  simulated once, not once per schedule;
+* **through a campaign** (parallel or journaled searches): the queue
+  runs in breadth-first waves, each a campaign of
   :class:`~repro.campaign.spec.RunSpec` replays from cycle 0, and
-  branching reads each run's oracle log.  Snapshots do not cross
-  processes and a durable frontier is a list of prefixes, so these
-  searches replay; the wave loop is also the walk's differential
-  oracle.
+  branching reads each run's oracle log.
+  Snapshots do not cross processes and a durable frontier is a list of
+  prefixes, so these searches replay; they are also the in-process
+  mode's differential oracle.
 
 Within the budget, :func:`explore_program` returns the exact set of
 reachable observables — for small programs and ample budgets, a proof
@@ -39,6 +40,7 @@ from __future__ import annotations
 
 import base64
 import dataclasses
+import functools
 import pickle
 import time
 from dataclasses import dataclass, field
@@ -117,9 +119,8 @@ class ExplorationReport:
             f"(delay bound {self.max_delays}, {status}), "
             f"{len(self.outcomes)} distinct outcome(s)"
         ]
-        # Ties break on the outcome's text, not on insertion order: the
-        # depth-first walk and the wave loop discover outcomes in
-        # different orders, and their reports must print the same.
+        # Ties break on the outcome's text, not on insertion order: a
+        # report must print the same whatever order its schedules ran.
         for count, text in sorted(
             ((count, outcome.describe())
              for outcome, count in self.outcomes.items()),
@@ -194,19 +195,19 @@ def explore_program(
     """Enumerate all delay-bounded schedules of ``program``.
 
     An in-process search (no ``executor``, ``jobs == 1``, no
-    ``journal``, ``trace`` or ``sanitize``) takes the depth-first walk:
-    every schedule runs once, and each child schedule runs on a fork of
-    its parent's machine taken at the choice point where it deviates.
-    At most ``max_delays + 1`` machines are alive at once.  Every other
-    search runs through :mod:`repro.campaign`: each wave of pending
-    schedule prefixes becomes a batch of
-    :class:`~repro.campaign.spec.RunSpec` (with ``schedule`` set) run
-    from cycle 0, so the frontier executes in parallel under a parallel
-    executor while branching stays a pure function of each run's own
-    oracle log.  Both visit the identical schedule set and produce
-    byte-identical per-schedule results; only a search cut short by
-    ``max_runs`` differs — the walk's truncated set is a depth-first
-    prefix of the tree, the wave loop's a breadth-first one.
+    ``journal``) runs every schedule once, and each child schedule runs
+    on a fork of its parent's machine taken at the choice point where
+    it deviates.  At most ``max_delays + 1`` machines are alive at
+    once.  A parallel or journaled search runs the walk's queue through
+    :mod:`repro.campaign` instead: each wave of pending schedule
+    prefixes becomes a campaign of :class:`~repro.campaign.spec.RunSpec`
+    (with ``schedule`` set) run from cycle 0, so the frontier executes
+    in parallel under a parallel executor while branching stays a pure
+    function of each run's own oracle log.  Both visit the identical
+    schedule set, produce byte-identical per-schedule results and list
+    ``run_traces`` in the same (breadth-first) order; only a search cut
+    short by ``max_runs`` differs — the in-process truncated set is a
+    depth-first prefix of the tree, the campaign's a breadth-first one.
 
     Args:
         policy_factory: zero-argument policy constructor.
@@ -214,8 +215,8 @@ def explore_program(
         config: machine configuration; timing fields are ignored (the
             scheduled interconnect replaces them) but cache structure is
             honoured.  Defaults to the cache-coherent machine.
-        max_runs: safety bound on executed schedules (the walk stops
-            starting schedules once it has started this many).
+        max_runs: safety bound on executed schedules (no schedule is
+            started or queued once started + queued ones reach it).
         relaxed_request_channels: drop per-channel FIFO for cache->dir
             requests — the paper's unrestricted network.  A single
             blocking directory plus virtual-channel FIFO partially
@@ -301,34 +302,30 @@ def explore_program(
 
     label = f"explore:{program.name}:{policy_spec.name}"
     reporter, own_reporter = coerce_progress(progress, label)
-    truncated = False
+    walk = _Walk(
+        RunSpec(
+            program=program,
+            policy=policy_spec,
+            config=config,
+            seed=0,
+            max_cycles=max_cycles,
+            schedule=(),
+            relaxed_request_channels=relaxed_request_channels,
+            inval_virtual_channel=inval_virtual_channel,
+            trace=trace,
+            sanitize=sanitize,
+        ),
+        report, frontier, max_delays, max_runs, message_pruning,
+        conflict_free, reporter,
+    )
     try:
-        if (
-            executor is None and jobs == 1 and journal_obj is None
-            and trace is None and sanitize is None
-        ):
-            spec = RunSpec(
-                program=program,
-                policy=policy_spec,
-                config=config,
-                seed=0,
-                max_cycles=max_cycles,
-                schedule=(),
-                relaxed_request_channels=relaxed_request_channels,
-                inval_virtual_channel=inval_virtual_channel,
-            )
-            truncated = _Walk(
-                spec, max_delays, max_runs, message_pruning,
-                conflict_free, reporter,
-            ).explore(report, label)
-            return _finish(report, truncated)
-        truncated = _explore_waves(
-            report, frontier, journal_obj, identity, run_campaign,
-            program, policy_spec, config, max_runs, max_cycles,
-            relaxed_request_channels, inval_virtual_channel, trace,
-            sanitize, executor, jobs, max_delays, message_pruning,
-            conflict_free, reporter,
-        )
+        if executor is None and jobs == 1 and journal is None:
+            walk.explore(label)
+        else:
+            walk.explore(label, functools.partial(
+                run_campaign, executor=executor, jobs=jobs, label=label,
+                journal=journal_obj, progress=reporter,
+            ), journal_obj, identity)
     finally:
         if reporter is not None and own_reporter:
             reporter.finish()
@@ -339,12 +336,15 @@ def explore_program(
             # unwound by an exception (the fsync'd records and the
             # wave-top checkpoint are already durable).
             journal_obj.close()
-    return _finish(report, truncated)
-
-
-def _finish(report: ExplorationReport, truncated: bool) -> ExplorationReport:
-    report.exhausted = not truncated and not report.preempted
+    report.exhausted = not walk.dropped and not report.preempted
     return report
+
+
+def _wave_order(prefix: Tuple[int, ...]):
+    """Breadth-first rank of a schedule: its number of deviations, then
+    its ``(point, decision)`` deviations — the order a campaign folds."""
+    deviations = [(point, d) for point, d in enumerate(prefix) if d]
+    return len(deviations), deviations
 
 
 class _ForkingOracle(ReplayOracle):
@@ -369,29 +369,33 @@ _MAX_NESTING = 48
 
 
 class _Walk:
-    """The depth-first schedule walk of :func:`explore_program`.
+    """The schedule walk of :func:`explore_program`.
 
-    A schedule runs on a machine whose oracle is a
-    :class:`_ForkingOracle`.  At each choice point past the schedule's
-    prefix, every child decision within the delay budget that pruning
-    keeps is run at once, on a fork of the running machine taken before
-    the delivery — so the live machines are one per nesting level, at
-    most ``max_delays + 1`` — and then the parent continues FIFO.  A
-    child deeper than :data:`_MAX_NESTING` is queued as a prefix instead
-    and replayed once the walk unwinds.
+    The walk holds one queue of decision prefixes.  Each schedule's
+    result is folded once (:meth:`_fold`), and each choice point past a
+    schedule's prefix yields its children through one rule
+    (:meth:`_children`).  Only the way a queued prefix runs differs:
 
-    A schedule's subtree (its children's results, outcome counts,
-    pruned decisions and queued prefixes) is committed only when the
-    schedule itself finishes without raising.  A schedule that raises
-    folds the result of :func:`~repro.campaign.spec.execute_spec_guarded`
-    for its spec and has no children, exactly as in the wave loop; if
-    that replay does not raise too, the fault was the walk's own and
-    is raised.
+    * **in-process** (:meth:`_run`): at each choice point past its
+      prefix (a :class:`_ForkingOracle` reports it), every child runs at
+      once on a fork of the running machine taken before the delivery,
+      so the live machines are one per nesting level; a child deeper
+      than :data:`_MAX_NESTING` is queued instead.  A schedule's subtree
+      is committed only when the schedule itself finishes without
+      raising.  A schedule that raises folds the result of
+      :func:`~repro.campaign.spec.execute_spec_guarded` for its spec and
+      has no children, exactly as through a campaign; if that replay
+      does not raise too, the fault was the walk's own and is raised.
+    * **through a campaign** (:meth:`_run_waves`): the whole queue runs
+      as one wave of replays from cycle 0, and each result's
+      ``choice_log`` yields the next wave.
     """
 
     def __init__(
         self,
         spec: RunSpec,
+        report: ExplorationReport,
+        frontier: List[Tuple[int, ...]],
         max_delays: int,
         max_runs: int,
         message_pruning: bool,
@@ -399,54 +403,130 @@ class _Walk:
         reporter,
     ) -> None:
         self.spec = spec
+        self.report = report
         self.max_delays = max_delays
         self.max_runs = max_runs
         self.message_pruning = message_pruning
         self.conflict_free = conflict_free
         self.reporter = reporter
         self.token = None
-        #: Per committed (or pending) schedule: its observable (None
-        #: when it did not complete) and its failure record, if any.
-        self.outcomes: List[Tuple[Optional[Observable], object]] = []
+        #: ``(prefix, observable or None, failure, trace events)`` per
+        #: schedule folded but not yet committed to the report.
+        self.folded: List[tuple] = []
         self.pruned = 0
-        self.started = 0
-        self.truncated = False
-        self.preempted = False
+        self.started = report.runs
+        # A resumed frontier goes through the same max_runs rule.
+        keep = max(max_runs - self.started, 0)
+        self.queued: List[Tuple[int, ...]] = frontier[:keep]
+        #: Children the max_runs rule refused, in breadth-first order
+        #: through a campaign; non-empty means the search is truncated.
+        self.dropped: List[Tuple[int, ...]] = frontier[keep:]
         #: ``[system, prefix, delays left]`` per running schedule,
-        #: innermost last.
+        #: innermost last (in-process only).
         self._running: List[list] = []
-        #: Child prefixes past the nesting bound, replayed after the walk
-        #: unwinds.
-        self.queued: List[Tuple[int, ...]] = []
 
-    def explore(self, report: ExplorationReport, label: str) -> bool:
-        """Walk the whole tree into ``report``; returns ``truncated``.
-
-        Like a wave's campaign, the walk emits one
-        :class:`~repro.campaign.metrics.CampaignMetrics` record.
-        """
-        started = time.perf_counter()
+    def explore(
+        self,
+        label: str,
+        run_campaign: Optional[Callable] = None,
+        journal: Optional[CampaignJournal] = None,
+        identity: Optional[dict] = None,
+    ) -> None:
+        """Walk the tree into the report: in-process, or through
+        ``run_campaign`` (called with a wave's specs) when given."""
+        report = self.report
+        runs, pruned = report.runs, report.pruned_decisions
         with graceful_preemption() as token:
             self.token = token
-            self._run(None, ())
-            while self.queued and not self._stop_requested():
-                self._run(None, self.queued.pop())
-        wall = time.perf_counter() - started
-        failures = []
-        for observable, failure in self.outcomes:
+            if run_campaign is None:
+                self._run_in_process(label)
+            else:
+                self._run_waves(run_campaign, journal, identity)
+        if METRICS.enabled:
+            METRICS.inc("repro_explore_schedules_total", report.runs - runs,
+                        help="Delay-bounded schedules executed")
+            if report.pruned_decisions > pruned:
+                METRICS.inc("repro_explore_pruned_decisions_total",
+                            report.pruned_decisions - pruned,
+                            help="Delay decisions skipped as redundant")
+
+    def _stop_requested(self) -> bool:
+        if self.token is not None and self.token.requested():
+            self.report.preempted = True
+        return self.report.preempted
+
+    def _fold(self, prefix: Tuple[int, ...], result: RunResult) -> None:
+        self.folded.append((
+            prefix,
+            result.observable
+            if result.completed and result.observable is not None
+            else None,
+            result.failure,
+            result.trace_events,
+        ))
+
+    def _commit(self) -> None:
+        """Move the folded schedules and pruned decisions into the report."""
+        report = self.report
+        for prefix, observable, _, events in self.folded:
             report.runs += 1
-            if failure is not None:
-                failures.append(failure.kind)
             if observable is None:
                 report.incomplete_runs += 1
             else:
                 report.outcomes[observable] = (
                     report.outcomes.get(observable, 0) + 1
                 )
+            if events is not None:
+                report.run_traces.append((
+                    "schedule:" + ",".join(map(str, prefix))
+                    if prefix else "schedule:fifo",
+                    events,
+                ))
         report.pruned_decisions += self.pruned
-        report.preempted = self.preempted
-        runs = len(self.outcomes)
-        completed = runs - report.incomplete_runs
+        self.folded, self.pruned = [], 0
+
+    def _children(
+        self, prefix: Tuple[int, ...], budget: int, point: int,
+        pending: int, details,
+    ):
+        """The prefixes of the schedules that follow ``prefix`` to choice
+        point ``point`` (``pending`` messages eligible) and deviate
+        there, with ``budget`` delays left.  Decisions pruning proves
+        redundant are only counted; once started + queued schedules
+        reach ``max_runs``, a child is neither started nor queued but
+        dropped, and the search is truncated."""
+        for decision in range(1, min(pending - 1, budget) + 1):
+            if (
+                self.message_pruning and details is not None
+                and decision_redundant(details, decision, self.conflict_free)
+            ):
+                self.pruned += 1
+                continue
+            child = prefix + (0,) * (point - len(prefix)) + (decision,)
+            if self.started + len(self.queued) >= self.max_runs:
+                self.dropped.append(child)
+            else:
+                yield child
+
+    # -- in-process -----------------------------------------------------------
+
+    def _run_in_process(self, label: str) -> None:
+        """Run the queue (the root, and children past the nesting bound)
+        in-process; like a campaign, emit one
+        :class:`~repro.campaign.metrics.CampaignMetrics` record."""
+        started = time.perf_counter()
+        while self.queued and not self._stop_requested():
+            self._run(None, self.queued.pop())
+        # Fold in a campaign's order, so both modes list ``run_traces``
+        # alike.
+        self.folded.sort(key=lambda record: _wave_order(record[0]))
+        runs = len(self.folded)
+        completed = sum(record[1] is not None for record in self.folded)
+        failures = [
+            record[2].kind for record in self.folded if record[2] is not None
+        ]
+        self._commit()
+        wall = time.perf_counter() - started
         emit_metrics(CampaignMetrics(
             label=label,
             runs=runs,
@@ -457,16 +537,8 @@ class _Walk:
             jobs=1,
             failed_runs=len(failures),
             timed_out_runs=failures.count("sim-timeout"),
-            preempted=self.preempted,
+            preempted=self.report.preempted,
         ))
-        if METRICS.enabled:
-            METRICS.inc("repro_explore_schedules_total", len(self.outcomes),
-                        help="Delay-bounded schedules executed")
-            if self.pruned:
-                METRICS.inc("repro_explore_pruned_decisions_total",
-                            self.pruned,
-                            help="Delay decisions skipped as redundant")
-        return self.truncated
 
     def _run(self, system, prefix: Tuple[int, ...]) -> None:
         """Run one schedule on ``system`` — a fork taken where ``prefix``
@@ -474,8 +546,8 @@ class _Walk:
         machine and replay ``prefix`` from cycle 0."""
         self.started += 1
         marks = (
-            len(self.outcomes), len(self.queued), self.pruned, self.started,
-            self.truncated,
+            len(self.folded), len(self.queued), len(self.dropped),
+            self.pruned, self.started,
         )
         frame = [system, prefix, self.max_delays - sum(prefix)]
         self._running.append(frame)
@@ -489,12 +561,13 @@ class _Walk:
                 system.interconnect.oracle.decisions = prefix
             result = self.spec.run_system(system)
         except Exception as exc:
-            # Drop the subtree; the wave loop never sees children of a
+            # Drop the subtree; a campaign never sees children of a
             # schedule that raised.
             error = exc
-            del self.outcomes[marks[0]:]
+            del self.folded[marks[0]:]
             del self.queued[marks[1]:]
-            self.pruned, self.started, self.truncated = marks[2:]
+            del self.dropped[marks[2]:]
+            self.pruned, self.started = marks[3:]
         finally:
             self._running.pop()
         if error is not None:
@@ -508,19 +581,6 @@ class _Walk:
             ):
                 raise error
         self._fold(prefix, result)
-
-    def _stop_requested(self) -> bool:
-        if self.token is not None and self.token.requested():
-            self.preempted = True
-        return self.preempted
-
-    def _fold(self, prefix: Tuple[int, ...], result: RunResult) -> None:
-        self.outcomes.append((
-            result.observable
-            if result.completed and result.observable is not None
-            else None,
-            result.failure,
-        ))
         if self.reporter is not None:
             self.reporter.tick(result)
 
@@ -530,166 +590,73 @@ class _Walk:
         system, prefix, budget = self._running[-1]
         if budget <= 0:
             return
-        point = len(oracle.log)
-        details = (
-            tuple(details)
-            if self.message_pruning and details is not None
-            else None
-        )
-        for decision in range(1, min(pending - 1, budget) + 1):
-            if details is not None and decision_redundant(
-                details, decision, self.conflict_free
-            ):
-                self.pruned += 1
-                continue
-            if self.started + len(self.queued) >= self.max_runs:
-                self.truncated = True
-                continue
+        for child in self._children(
+            prefix, budget, len(oracle.log), pending, details
+        ):
             if self._stop_requested():
                 continue
-            child_prefix = (
-                prefix + (0,) * (point - len(prefix)) + (decision,)
-            )
             if len(self._running) >= _MAX_NESTING:
-                self.queued.append(child_prefix)
+                self.queued.append(child)
             else:
-                self._run(system.fork(), child_prefix)
+                self._run(system.fork(), child)
 
+    # -- through a campaign ---------------------------------------------------
 
-def _explore_waves(
-    report: ExplorationReport,
-    frontier: List[Tuple[int, ...]],
-    journal_obj: Optional[CampaignJournal],
-    identity: dict,
-    run_campaign,
-    program: Program,
-    policy_spec: PolicySpec,
-    config: MachineConfig,
-    max_runs: int,
-    max_cycles: int,
-    relaxed_request_channels: bool,
-    inval_virtual_channel: bool,
-    trace,
-    sanitize: Optional[str],
-    executor,
-    jobs: int,
-    max_delays: int,
-    message_pruning: bool,
-    conflict_free,
-    reporter=None,
-) -> bool:
-    """The wave loop of :func:`explore_program`; returns ``truncated``."""
-    truncated = False
-    waves = 0
-    while frontier:
-        if journal_obj is not None:
-            # Snapshot *before* popping the wave: the checkpoint plus
-            # the per-result journal records reconstruct any point
-            # inside the wave (completed schedules replay by digest).
-            journal_obj.checkpoint(
-                FRONTIER_CHECKPOINT,
-                {
-                    "identity": identity,
-                    "state": _snapshot_frontier(report, frontier),
-                },
-            )
-        remaining = max_runs - report.runs
-        if remaining <= 0:
-            truncated = True
-            break
-        batch, frontier = frontier[:remaining], frontier[remaining:]
-        specs = [
-            RunSpec(
-                program=program,
-                policy=policy_spec,
-                config=config,
-                seed=0,
-                max_cycles=max_cycles,
-                schedule=prefix,
-                relaxed_request_channels=relaxed_request_channels,
-                inval_virtual_channel=inval_virtual_channel,
-                trace=trace,
-                sanitize=sanitize,
-            )
-            for prefix in batch
-        ]
-        waves += 1
-        if METRICS.enabled:
-            METRICS.inc("repro_explore_waves_total",
-                        help="Explorer waves executed")
-            METRICS.set_gauge("repro_explore_frontier_size",
-                              len(batch) + len(frontier),
-                              help="Pending schedule prefixes at wave start")
-        pruned_before = report.pruned_decisions
-        campaign = run_campaign(
-            specs, executor=executor, jobs=jobs,
-            label=f"explore:{program.name}:{policy_spec.name}",
-            journal=journal_obj, progress=reporter,
-        )
-        if campaign.preempted:
-            # Put the wave back: completed schedules are journaled (and
-            # will replay on resume); preempted slots carry no choice
-            # log and must re-execute, so none of this wave's results
-            # can be folded into the report yet.
-            frontier = batch + frontier
-            report.preempted = True
-            break
-        for prefix, result in zip(batch, campaign.results):
-            report.runs += 1
-            if result.trace_events is not None:
-                label = (
-                    "schedule:" + ",".join(map(str, prefix))
-                    if prefix
-                    else "schedule:fifo"
+    def _run_waves(self, run_campaign, journal, identity) -> None:
+        """Run the queue through ``run_campaign``, one wave at a time."""
+        while self.queued and not self._stop_requested():
+            self._checkpoint(journal, identity)
+            wave, self.queued = self.queued, []
+            if METRICS.enabled:
+                METRICS.inc("repro_explore_waves_total",
+                            help="Explorer waves executed")
+                METRICS.set_gauge(
+                    "repro_explore_frontier_size",
+                    len(wave) + len(self.dropped),
+                    help="Pending schedule prefixes at wave start",
                 )
-                report.run_traces.append((label, result.trace_events))
-            if result.completed and result.observable is not None:
-                report.outcomes[result.observable] = (
-                    report.outcomes.get(result.observable, 0) + 1
-                )
-            else:
-                report.incomplete_runs += 1
-            budget_left = max_delays - sum(prefix)
-            if budget_left <= 0:
-                continue
-            choice_log = result.choice_log or ()
-            choice_details = result.choice_details or ()
-            for point in range(len(prefix), len(choice_log)):
-                eligible = choice_log[point]
-                if eligible <= 1:
-                    continue
-                details = (
-                    choice_details[point]
-                    if message_pruning and point < len(choice_details)
-                    else None
-                )
-                for decision in range(1, min(eligible - 1, budget_left) + 1):
-                    if details is not None and decision_redundant(
-                        details, decision, conflict_free
+            campaign = run_campaign([
+                dataclasses.replace(self.spec, schedule=prefix)
+                for prefix in wave
+            ])
+            if campaign.preempted:
+                # Put the wave back: completed schedules are journaled
+                # (and will replay on resume); preempted slots carry no
+                # choice log and must re-execute, so none of this
+                # wave's results can be folded into the report yet.
+                self.queued = wave
+                self.report.preempted = True
+                break
+            self.started += len(wave)
+            for prefix, result in zip(wave, campaign.results):
+                self._fold(prefix, result)
+                budget = self.max_delays - sum(prefix)
+                choice_log = result.choice_log or ()
+                choice_details = result.choice_details or ()
+                for point in range(len(prefix), len(choice_log)):
+                    for child in self._children(
+                        prefix, budget, point, choice_log[point],
+                        choice_details[point]
+                        if point < len(choice_details) else None,
                     ):
-                        report.pruned_decisions += 1
-                        continue
-                    padding = (0,) * (point - len(prefix))
-                    frontier.append(prefix + padding + (decision,))
-        if METRICS.enabled:
-            METRICS.inc("repro_explore_schedules_total", len(batch),
-                        help="Delay-bounded schedules executed")
-            pruned_delta = report.pruned_decisions - pruned_before
-            if pruned_delta:
-                METRICS.inc("repro_explore_pruned_decisions_total",
-                            pruned_delta,
-                            help="Delay decisions skipped as redundant")
-    if journal_obj is not None:
-        # Final checkpoint: an empty frontier marks the walk complete
-        # (a preempted walk re-checkpoints its reconstructed frontier).
-        journal_obj.checkpoint(
-            FRONTIER_CHECKPOINT,
-            {
+                        self.queued.append(child)
+            self._commit()
+        # Final checkpoint: an empty frontier marks the walk complete (a
+        # preempted or truncated walk checkpoints what it left).
+        self._checkpoint(journal, identity)
+
+    def _checkpoint(self, journal, identity) -> None:
+        """Snapshot the pending frontier (queued, then dropped) and the
+        report, *before* a wave runs: the checkpoint plus the
+        per-result journal records reconstruct any point inside it
+        (completed schedules replay by digest)."""
+        if journal is not None:
+            journal.checkpoint(FRONTIER_CHECKPOINT, {
                 "identity": identity,
-                "state": _snapshot_frontier(report, frontier),
-            },
-        )
-    return truncated
+                "state": _snapshot_frontier(
+                    self.report, self.queued + self.dropped
+                ),
+            })
 
 
 def explore_to_fixpoint(

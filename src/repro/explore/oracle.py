@@ -101,7 +101,8 @@ class ScheduledInterconnect(Interconnect):
         self.oracle = oracle
         self.relaxed_request_channels = relaxed_request_channels
         self.inval_virtual_channel = inval_virtual_channel
-        self._pending: List[Tuple[str, str, Any]] = []
+        #: ``(src, dst, payload, flow id)`` per message in flight.
+        self._pending: List[Tuple[str, str, Any, Optional[int]]] = []
 
     def _fork(self, fork: Fork) -> "ScheduledInterconnect":
         new = super()._fork(fork)
@@ -111,7 +112,11 @@ class ScheduledInterconnect(Interconnect):
 
     def send(self, src: str, dst: str, payload: Any) -> None:
         self.stats.bump("scheduled.sent")
-        self._pending.append((src, dst, payload))
+        flow_id = (
+            self._trace_send(src, dst, payload)
+            if self.sim.tracer.enabled else None
+        )
+        self._pending.append((src, dst, payload, flow_id))
         self.sim.schedule(1, self._deliver_slot)
 
     def _eligible_indices(self) -> List[int]:
@@ -119,7 +124,7 @@ class ScheduledInterconnect(Interconnect):
         (every pending message of relaxed request channels is eligible)."""
         seen = set()
         eligible = []
-        for idx, (src, dst, payload) in enumerate(self._pending):
+        for idx, (src, dst, payload, _) in enumerate(self._pending):
             if self.relaxed_request_channels and dst == "dir":
                 eligible.append(idx)
                 continue
@@ -140,5 +145,5 @@ class ScheduledInterconnect(Interconnect):
             getattr(self._pending[idx][2], "location", None) for idx in eligible
         ]
         pick = self.oracle.choose(len(eligible), details)
-        src, dst, payload = self._pending.pop(eligible[pick])
-        self._deliver(src, dst, payload)
+        src, dst, payload, flow_id = self._pending.pop(eligible[pick])
+        self._deliver(src, dst, payload, flow_id=flow_id)

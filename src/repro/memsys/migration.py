@@ -27,6 +27,7 @@ from dataclasses import dataclass
 from typing import List, Optional
 
 from repro.memsys.system import System
+from repro.sim.fork import Fork, Forkable
 from repro.sim.stats import StallReason
 
 
@@ -49,17 +50,25 @@ class MigrationError(RuntimeError):
     """The migration request is not executable."""
 
 
-class MigrationController:
+class MigrationController(Forkable):
     """Schedules drained context switches on a built :class:`System`.
 
     The target processor must be idle — built from an empty thread (use
     :func:`add_idle_processor_thread` when constructing the program) or
-    already migrated away from.
+    already migrated away from.  Its pending steps are queued as bound
+    methods, so a machine with a migration under way still forks; the
+    fork gets its own controller, reached through its event queue.
     """
 
     def __init__(self, system: System) -> None:
         self.system = system
         self.records: List[MigrationRecord] = []
+
+    def _fork(self, fork: Fork) -> "MigrationController":
+        new = fork.shell(self)
+        new.system = fork(self.system)
+        new.records = list(self.records)
+        return new
 
     def schedule(self, thread_id: int, to_proc: int, at_cycle: int) -> None:
         """Migrate ``thread_id``'s context to ``to_proc`` at ``at_cycle``."""
@@ -70,11 +79,9 @@ class MigrationController:
             raise MigrationError(f"no processor {to_proc}")
         if to_proc == thread_id:
             raise MigrationError("source and target coincide")
-
-        def begin() -> None:
-            self._begin(thread_id, to_proc, at_cycle)
-
-        system.sim.schedule(at_cycle, begin)
+        system.sim.schedule(
+            at_cycle, self._begin, thread_id, to_proc, at_cycle
+        )
 
     # ------------------------------------------------------------------
     def _begin(self, thread_id: int, to_proc: int, requested_at: int) -> None:
@@ -86,17 +93,22 @@ class MigrationController:
         system.stats.stall_begin(
             source.logical_proc, StallReason.MIGRATION_DRAIN, system.sim.now
         )
+        system.sim.call_soon(self._poll, thread_id, to_proc, requested_at)
 
-        def poll() -> None:
-            if not self._drained(thread_id):
-                system.sim.schedule(1, poll)
-                return
-            system.stats.stall_end(
-                source.logical_proc, StallReason.MIGRATION_DRAIN, system.sim.now
+    def _poll(self, thread_id: int, to_proc: int, requested_at: int) -> None:
+        """Wait out the drain a cycle at a time, then transfer."""
+        system = self.system
+        if not self._drained(thread_id):
+            system.sim.schedule(
+                1, self._poll, thread_id, to_proc, requested_at
             )
-            self._transfer(thread_id, to_proc, requested_at)
-
-        system.sim.call_soon(poll)
+            return
+        system.stats.stall_end(
+            system.processors[thread_id].logical_proc,
+            StallReason.MIGRATION_DRAIN,
+            system.sim.now,
+        )
+        self._transfer(thread_id, to_proc, requested_at)
 
     def _drained(self, proc_id: int) -> bool:
         system = self.system

@@ -413,7 +413,10 @@ class Sanitizer:
         self.on_cycle()
         if self.sim.pending_events == 0:
             stats = system.stats
-            sent = stats.count("bus.sent") + stats.count("network.sent")
+            sent = (
+                stats.count("bus.sent") + stats.count("network.sent")
+                + stats.count("scheduled.sent")
+            )
             delivered = stats.count("interconnect.delivered")
             if sent != delivered:
                 self.record(

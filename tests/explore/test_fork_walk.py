@@ -1,15 +1,17 @@
-"""The depth-first forking walk against the wave loop and fresh replays.
+"""The in-process forking walk against campaign replays and fresh runs.
 
 ``explore_program`` runs an in-process search as a depth-first walk that
 forks the running machine at each choice point where a child schedule
 deviates (:meth:`repro.memsys.system.System.fork`), instead of replaying
-every schedule from cycle 0 as the wave loop does.  These tests hold the
-two to the same answers:
+every schedule from cycle 0 as a campaign-backed search does.  These
+tests hold the two to the same answers:
 
 * every schedule's ``RunResult`` pickles byte-identically to a fresh
-  ``execute_spec_guarded`` replay of its decision string;
+  ``execute_spec_guarded`` replay of its decision string, traced and
+  sanitized too, and the report (``run_traces`` included) equals the
+  campaign's;
 * a forked machine and its parent evolve independently;
-* a schedule that raises is folded exactly as the wave loop folds it;
+* a schedule that raises is folded exactly as a campaign folds it;
 * no closure hides in machine state (so a fork can rebind everything);
 * at most ``max_delays + 1`` machines are alive during a walk.
 """
@@ -49,6 +51,7 @@ from repro.memsys.config import (
 from repro.memsys.system import System, ensure_compatible
 from repro.models.policies import policy_by_name
 from repro.sim.engine import Component
+from repro.trace.tracer import TraceSpec
 
 CATALOG = catalog_by_name()
 MACHINES = (BUS_CACHE, BUS_CACHE_SNOOP, BUS_NOCACHE, NET_CACHE,
@@ -57,7 +60,16 @@ POLICIES = ("SC", "TSO", "PSO", "RELAXED", "DEF1", "DEF2", "DEF2-R")
 CORES = ("simple", "pipelined")
 
 
-def _spec(program, policy, config, core="simple", schedule=()):
+#: Search options each byte-identity check can run under.
+MODES = {
+    "plain": {},
+    "traced": {"trace": TraceSpec()},
+    "sanitize-log": {"sanitize": "log"},
+    "sanitize-strict": {"sanitize": "strict"},
+}
+
+
+def _spec(program, policy, config, core="simple", schedule=(), **options):
     return RunSpec(
         program=program,
         policy=PolicySpec(policy, core=core),
@@ -65,6 +77,7 @@ def _spec(program, policy, config, core="simple", schedule=()):
         seed=0,
         max_cycles=200_000,
         schedule=schedule,
+        **options,
     )
 
 
@@ -76,7 +89,8 @@ def _compatible(policy, config, core):
     return True
 
 
-def _walk_results(monkeypatch, program, policy, config, core, delays=2):
+def _walk_results(monkeypatch, program, policy, config, core, delays=2,
+                  **options):
     """Explore on the walk; returns the report and each schedule's
     ``(prefix, result)`` in the order the walk folded them."""
     folded = []
@@ -89,7 +103,7 @@ def _walk_results(monkeypatch, program, policy, config, core, delays=2):
     monkeypatch.setattr(explorer._Walk, "_fold", record)
     report = explore_program(
         program, PolicySpec(policy, core=core), max_delays=delays,
-        config=config,
+        config=config, **options,
     )
     monkeypatch.setattr(explorer._Walk, "_fold", fold)
     return report, folded
@@ -99,25 +113,32 @@ def _report_key(report):
     return (
         report.runs, report.outcomes, report.pruned_decisions,
         report.incomplete_runs, report.exhausted, report.describe(),
+        report.run_traces,
     )
 
 
-def _assert_walk_matches_replays(monkeypatch, program, policy, config, core):
-    report, folded = _walk_results(monkeypatch, program, policy, config, core)
+def _assert_walk_matches_replays(monkeypatch, program, policy, config, core,
+                                 **options):
+    report, folded = _walk_results(
+        monkeypatch, program, policy, config, core, **options
+    )
     prefixes = [prefix for prefix, _ in folded]
     assert len(set(prefixes)) == len(prefixes) == report.runs
     for prefix, result in folded:
         fresh = execute_spec_guarded(
-            _spec(program, policy, config, core, schedule=prefix)
+            _spec(program, policy, config, core, schedule=prefix, **options)
         )
         # Per result, never the list: see the verify notes on pickle
         # memoization of strings shared across one program's results.
         assert pickle.dumps(result) == pickle.dumps(fresh), prefix
-    waves = explore_program(
+    replayed = explore_program(
         program, PolicySpec(policy, core=core), max_delays=2, config=config,
-        executor=SerialExecutor(),
+        executor=SerialExecutor(), **options,
     )
-    assert _report_key(report) == _report_key(waves)
+    assert _report_key(report) == _report_key(replayed)
+    traced = [prefix for prefix, result in folded if result.trace_events]
+    assert len(report.run_traces) == len(traced)
+    assert bool(traced) <= ("trace" in options)
 
 
 # -- byte identity ---------------------------------------------------------
@@ -125,13 +146,14 @@ def _assert_walk_matches_replays(monkeypatch, program, policy, config, core):
 TIER1_PROGRAMS = ("fig1_dekker_sync_warm", "message_passing", "iriw")
 
 
+@pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("config", MACHINES, ids=lambda c: c.name)
 @pytest.mark.parametrize("policy", ("SC", "DEF2"))
-def test_walk_matches_fresh_replays(monkeypatch, config, policy):
+def test_walk_matches_fresh_replays(monkeypatch, config, policy, mode):
     for name in TIER1_PROGRAMS:
         program = CATALOG[name].executable_program()
         _assert_walk_matches_replays(
-            monkeypatch, program, policy, config, "simple"
+            monkeypatch, program, policy, config, "simple", **MODES[mode]
         )
 
 
@@ -161,12 +183,12 @@ def test_walk_matches_fresh_replays_full_sweep(monkeypatch, config, core):
 def test_unbuildable_machine_is_one_failed_run():
     program = CATALOG["fig1_dekker"].executable_program()
     walk = explore_program(program, PolicySpec("DEF2"), config=NET_NOCACHE)
-    waves = explore_program(
+    replayed = explore_program(
         program, PolicySpec("DEF2"), config=NET_NOCACHE,
         executor=SerialExecutor(),
     )
     assert walk.runs == walk.incomplete_runs == 1
-    assert _report_key(walk) == _report_key(waves)
+    assert _report_key(walk) == _report_key(replayed)
 
 
 # -- fork independence -----------------------------------------------------
@@ -219,7 +241,7 @@ def test_forks_and_parent_run_independently(config, core):
 
 def test_raising_schedule_folds_like_the_wave_loop(monkeypatch):
     """A delivery that raises on some schedules only: the walk folds each
-    raising schedule's guarded replay, exactly as the wave loop does."""
+    raising schedule's guarded replay, exactly as a campaign does."""
     deliver = Interconnect._deliver
     raised = []
 
@@ -235,13 +257,13 @@ def test_raising_schedule_folds_like_the_wave_loop(monkeypatch):
     monkeypatch.setattr(Interconnect, "_deliver", flaky)
     program = CATALOG["fig1_dekker_sync_warm"].executable_program()
     walk = explore_program(program, PolicySpec("DEF2"), max_delays=2)
-    waves = explore_program(
+    replayed = explore_program(
         program, PolicySpec("DEF2"), max_delays=2,
         executor=SerialExecutor(),
     )
     assert raised, "the injected fault never fired"
     assert 0 < walk.incomplete_runs < walk.runs
-    assert _report_key(walk) == _report_key(waves)
+    assert _report_key(walk) == _report_key(replayed)
 
 
 def test_raising_schedule_discards_forked_children(monkeypatch):
@@ -268,14 +290,14 @@ def test_raising_schedule_discards_forked_children(monkeypatch):
     )
     walk = explore_program(program, PolicySpec("DEF2"), max_delays=2)
     assert forks, "the FIFO schedule raised before forking any child"
-    waves = explore_program(
+    replayed = explore_program(
         program, PolicySpec("DEF2"), max_delays=2,
         executor=SerialExecutor(),
     )
     assert calls["n"] > 0
     # The FIFO root raised: it is the only schedule, and it failed.
-    assert walk.runs == waves.runs == 1
-    assert _report_key(walk) == _report_key(waves)
+    assert walk.runs == replayed.runs == 1
+    assert _report_key(walk) == _report_key(replayed)
 
 
 def test_a_fault_of_the_walk_itself_is_raised(monkeypatch):
@@ -296,7 +318,7 @@ def test_a_fault_of_the_walk_itself_is_raised(monkeypatch):
 @pytest.mark.parametrize("nesting", (1, 2))
 def test_children_past_the_nesting_bound_are_replayed(monkeypatch, nesting):
     """Past the nesting bound a child is queued and replayed from cycle
-    0; the walk still visits the wave loop's schedules, byte for byte."""
+    0; the walk still visits the campaign's schedules, byte for byte."""
     monkeypatch.setattr(explorer, "_MAX_NESTING", nesting)
     live = weakref.WeakSet()
     fork = System._fork

@@ -92,3 +92,42 @@ class TestScheduledInterconnect:
             return harness.delivered
 
         assert run((1, 0, 1)) == run((1, 0, 1))
+
+
+class TestTracedSchedules:
+    """A scheduled run traces each message's send and links it to the
+    delivery, as the bus and the network do."""
+
+    def _events(self, schedule):
+        from repro.api import catalog_by_name
+        from repro.campaign import PolicySpec, RunSpec
+        from repro.memsys.config import NET_CACHE
+        from repro.trace.tracer import TraceSpec
+
+        spec = RunSpec(
+            program=catalog_by_name()["message_passing"].executable_program(),
+            policy=PolicySpec("DEF2"),
+            config=NET_CACHE.with_overrides(start_skew=0),
+            seed=0,
+            schedule=schedule,
+            trace=TraceSpec(),
+        )
+        result = spec.execute()
+        assert result.completed
+        return [e for e in result.trace_events if e.category == "msg"]
+
+    def test_every_delivery_has_its_send(self):
+        for schedule in ((), (0, 1), (0, 0, 2)):
+            events = self._events(schedule)
+            sends = [e.flow_id for e in events if e.phase == "S"]
+            delivered = [e.flow_id for e in events if e.phase == "F"]
+            assert delivered and None not in delivered
+            assert len(set(sends)) == len(sends)
+            assert sorted(sends) == sorted(delivered), schedule
+            # No delivery is recorded before its send.
+            order = {id(e): i for i, e in enumerate(events)}
+            sent = {e.flow_id: order[id(e)] for e in events if e.phase == "S"}
+            assert all(
+                sent[e.flow_id] < order[id(e)]
+                for e in events if e.phase == "F"
+            )

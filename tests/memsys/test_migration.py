@@ -8,6 +8,7 @@ from repro.memsys.migration import MigrationController, MigrationError
 from repro.memsys.system import System
 from repro.models.policies import Def2Policy, RelaxedPolicy
 from repro.sc.verifier import SCVerifier
+from repro.sim.fork import Fork, Forkable
 from repro.sim.stats import StallReason
 
 
@@ -129,3 +130,59 @@ class TestChainedMigration:
         assert run.completed
         assert run.observable.register(0, "r2") == 2
         assert len(controller.records) in (1, 2)  # second may find it halted
+
+
+class _ForkAt(Forkable):
+    """An event that forks the machine (and its controller) once."""
+
+    def __init__(self, system, controller):
+        self.system = system
+        self.controller = controller
+        self.forks = []
+
+    def fork_now(self):
+        # The fork replays this event; the list it shares with its
+        # parent is non-empty by then, so it forks no further.
+        if not self.forks:
+            fork = Fork()
+            self.forks.append((fork(self.system), fork(self.controller)))
+
+    def _fork(self, fork):
+        return fork.shell(self)
+
+
+def _summary(run, controller):
+    return (
+        run.observable, run.cycles, run.completed, tuple(run.halt_times),
+        sorted(run.stats.stall_breakdown().items(),
+               key=lambda kv: (kv[0][0], kv[0][1].value)),
+        controller.records,
+    )
+
+
+class TestForkingAMigratingMachine:
+    """A machine with a migration pending or draining forks, and the
+    parent and the fork each run on exactly as an unforked machine."""
+
+    def _migrating(self, seed=3):
+        system = System(worker_program(), Def2Policy(), NET_CACHE, seed=seed)
+        controller = MigrationController(system)
+        controller.schedule(thread_id=0, to_proc=2, at_cycle=20)
+        return system, controller
+
+    @pytest.mark.parametrize("fork_at", (5, 20, 21, 24))
+    def test_fork_equals_a_fresh_run(self, fork_at):
+        fresh_system, fresh_controller = self._migrating()
+        fresh = _summary(fresh_system.run(), fresh_controller)
+        assert len(fresh_controller.records) == 1
+
+        system, controller = self._migrating()
+        forker = _ForkAt(system, controller)
+        system.sim.schedule(fork_at, forker.fork_now)
+        parent = _summary(system.run(), controller)
+        assert len(forker.forks) == 1
+        child_system, child_controller = forker.forks[0]
+        assert child_controller is not controller
+        child = _summary(child_system.run(), child_controller)
+        assert parent == fresh
+        assert child == fresh

@@ -372,6 +372,34 @@ class TestObservabilityOptions:
         METRICS.reset()
 
 
+    def test_serial_and_parallel_explore_publish_equal_campaign_totals(
+        self, tmp_path, capsys
+    ):
+        """The in-process walk's record reaches the registry the way a
+        campaign's does, so both searches count the same runs."""
+        from repro.obs import METRICS, load_snapshot
+
+        totals = []
+        for extra in ([], ["--jobs", "2"]):
+            out_dir = tmp_path / f"obs{len(totals)}"
+            METRICS.reset()
+            assert main(
+                ["explore", "fig1_dekker_sync_warm", "--delays", "2",
+                 "--metrics-out", str(out_dir)] + extra
+            ) == 0
+            prom = load_snapshot(out_dir / "metrics.prom")
+            totals.append(tuple(
+                prom.value(name) for name in (
+                    "repro_explore_schedules_total",
+                    "repro_campaign_runs_total",
+                    "repro_campaign_completed_total",
+                )
+            ))
+        METRICS.reset()
+        assert totals[0] == totals[1]
+        assert totals[0][0] == totals[0][1] > 1
+
+
 class TestMetricsSubcommand:
     def _write_snapshots(self, tmp_path):
         from repro.obs import MetricsRegistry, write_prometheus
