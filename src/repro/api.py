@@ -132,7 +132,7 @@ from repro.memsys.config import (
     config_by_name,
     machine_names,
 )
-from repro.memsys.system import System
+from repro.memsys.system import System, ensure_compatible
 from repro.models.base import policy_names, registered_policies
 from repro.models.policies import (
     Def1Policy,
@@ -278,8 +278,6 @@ def explore(
     core: Optional[str] = None,
     max_runs: int = 20_000,
     max_cycles: int = 200_000,
-    relaxed_request_channels: bool = False,
-    inval_virtual_channel: bool = False,
     executor: Optional[Executor] = None,
     jobs: int = 1,
     trace: Optional[TraceSpec] = None,
@@ -296,18 +294,20 @@ def explore(
     ``journal`` the search checkpoints its decision frontier durably;
     ``resume=True`` continues a killed exploration from that journal;
     ``progress`` prints a live heartbeat spanning every search wave.
-    ``model`` is the model-centric alias of ``policy``.
+    ``model`` is the model-centric alias of ``policy``.  A (policy,
+    machine) pair that cannot be built raises ``ConfigurationError``,
+    as :func:`run` does.
     """
     policy_spec = _coerce_policy(policy, core=core, model=model)
+    config = _coerce_machine(machine)
+    ensure_compatible(policy_spec.build(), config, policy_spec.core)
     return explore_program(
         program,
         policy_spec,
         max_delays=max_delays,
-        config=_coerce_machine(machine) if machine is not None else None,
+        config=config,
         max_runs=max_runs,
         max_cycles=max_cycles,
-        relaxed_request_channels=relaxed_request_channels,
-        inval_virtual_channel=inval_virtual_channel,
         executor=executor,
         jobs=jobs,
         trace=trace,

@@ -216,8 +216,6 @@ class RunSpec:
     seed: int
     max_cycles: int = 1_000_000
     schedule: Optional[Tuple[int, ...]] = None
-    relaxed_request_channels: bool = False
-    inval_virtual_channel: bool = False
     #: Optional fault-injection plan; seed-derived, so it keeps the run
     #: a pure function of the spec (see :mod:`repro.faults`).
     faults: Optional[FaultPlan] = None
@@ -241,46 +239,35 @@ class RunSpec:
         A scheduled spec's machine delivers through a
         :class:`~repro.explore.oracle.ScheduledInterconnect` driven by
         ``oracle`` — by default a
-        :class:`~repro.explore.oracle.ReplayOracle` of ``schedule``.
+        :class:`~repro.explore.oracle.ReplayOracle` of ``schedule`` —
+        whose channels follow the config's ``inval_virtual_channel``.
         """
         from repro.memsys.system import System
 
-        if self.schedule is None:
-            return System(
-                self.program,
-                self.policy.build(),
-                self.config,
-                seed=self.seed,
-                fault_plan=self.faults,
-                trace=self.trace,
-                sanitize=self.sanitize,
+        factory = None
+        if self.schedule is not None:
+            from repro.explore.oracle import (
+                ReplayOracle, ScheduledInterconnect,
             )
 
-        if self.faults is not None and not self.faults.is_null:
-            raise ValueError(
-                "fault injection cannot be combined with schedule replay: "
-                "the scheduled interconnect is already adversarial and "
-                "must stay replay-exact"
-            )
+            if oracle is None:
+                oracle = ReplayOracle(self.schedule)
 
-        from repro.explore.oracle import ReplayOracle, ScheduledInterconnect
+            def factory(sim, stats, rng):
+                return ScheduledInterconnect(
+                    sim, stats, oracle,
+                    inval_virtual_channel=self.config.inval_virtual_channel,
+                )
 
-        if oracle is None:
-            oracle = ReplayOracle(self.schedule)
         return System(
             self.program,
             self.policy.build(),
             self.config,
             seed=self.seed,
+            interconnect_factory=factory,
+            fault_plan=self.faults,
             trace=self.trace,
             sanitize=self.sanitize,
-            interconnect_factory=lambda sim, stats, rng: ScheduledInterconnect(
-                sim,
-                stats,
-                oracle,
-                relaxed_request_channels=self.relaxed_request_channels,
-                inval_virtual_channel=self.inval_virtual_channel,
-            ),
         )
 
     def run_system(self, system) -> RunResult:
@@ -319,8 +306,11 @@ class RunSpec:
             str(self.seed),
             str(self.max_cycles),
             repr(self.schedule),
-            str(self.relaxed_request_channels),
-            str(self.inval_virtual_channel),
+            # The bytes of two retired fields: relaxed request channels
+            # (never set) and the scheduled invalidation channel.
+            "False",
+            str(self.schedule is not None
+                and self.config.inval_virtual_channel),
             repr(self.faults),
         ]
         if self.policy.core != "simple":
@@ -390,11 +380,6 @@ def _package(
         sanitizer_violations=run.sanitizer_violations,
         diagnosis=diagnosis,
     )
-
-
-def execute_spec(spec: RunSpec) -> RunResult:
-    """Module-level entry point for worker processes (picklable by ref)."""
-    return spec.execute()
 
 
 def execute_spec_guarded(spec: RunSpec) -> RunResult:

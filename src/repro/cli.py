@@ -80,8 +80,8 @@ from pathlib import Path
 from typing import List, Optional, Sequence
 
 # The CLI is a consumer of the stable facade: the library comes through
-# repro.api, apart from the lazy imports of repro.service (the service
-# commands) and repro.testing.chaos (soak).
+# repro.api, apart from ensure_compatible and the lazy imports of
+# repro.service (the service commands) and repro.testing.chaos (soak).
 import repro.api as api
 from repro.api import (
     EXIT_PREEMPTED,
@@ -122,6 +122,7 @@ from repro.api import (
     write_prometheus,
     write_trace,
 )
+from repro.memsys.system import ensure_compatible
 
 _log = get_logger("cli")
 
@@ -253,6 +254,14 @@ class _Session:
                     )
         if "machine" in flags:
             self.config = config_by_name(args.machine)
+            if "policy" in flags:  # an unbuildable pair is a usage error
+                core = flags.get("core") or "simple"
+                try:
+                    policy = policy_by_name(args.policy, core=core)
+                    ensure_compatible(policy, self.config, core)
+                except ValueError as exc:
+                    print(f"error: {exc}", file=sys.stderr)
+                    raise SystemExit(2)
         if "faults" in flags:
             try:
                 kwargs["faults"] = parse_fault_plan(args.faults)

@@ -181,8 +181,6 @@ def explore_program(
     config: Optional[MachineConfig] = None,
     max_runs: int = 20_000,
     max_cycles: int = 200_000,
-    relaxed_request_channels: bool = False,
-    inval_virtual_channel: bool = False,
     executor: Optional[Executor] = None,
     jobs: int = 1,
     trace: Optional[TraceSpec] = None,
@@ -213,16 +211,11 @@ def explore_program(
         policy_factory: zero-argument policy constructor.
         max_delays: total delay budget per schedule (0 = FIFO only).
         config: machine configuration; timing fields are ignored (the
-            scheduled interconnect replaces them) but cache structure is
-            honoured.  Defaults to the cache-coherent machine.
+            scheduled interconnect replaces them) but cache structure
+            and ``inval_virtual_channel`` are honoured.  Defaults to the
+            cache-coherent machine.
         max_runs: safety bound on executed schedules (no schedule is
             started or queued once started + queued ones reach it).
-        relaxed_request_channels: drop per-channel FIFO for cache->dir
-            requests — the paper's unrestricted network.  A single
-            blocking directory plus virtual-channel FIFO partially
-            subsumes condition 5 (requests can never bypass one another
-            to the serialization point), so necessity experiments for
-            the reserve bit must relax it.
         executor/jobs: campaign execution strategy for each wave.
         trace: record each schedule's event stream onto the report's
             ``run_traces`` (labelled by decision string).
@@ -278,8 +271,6 @@ def explore_program(
         "config": repr(config),
         "max_delays": max_delays,
         "max_cycles": max_cycles,
-        "relaxed_request_channels": relaxed_request_channels,
-        "inval_virtual_channel": inval_virtual_channel,
         "sanitize": sanitize,
         "prune": bool(message_pruning),
     }
@@ -310,8 +301,6 @@ def explore_program(
             seed=0,
             max_cycles=max_cycles,
             schedule=(),
-            relaxed_request_channels=relaxed_request_channels,
-            inval_virtual_channel=inval_virtual_channel,
             trace=trace,
             sanitize=sanitize,
         ),

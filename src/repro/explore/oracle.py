@@ -75,9 +75,10 @@ class ScheduledInterconnect(Interconnect):
     deterministically steerable.
 
     Per-channel FIFO is preserved: only the oldest pending message of
-    each ``(src, dst)`` pair is eligible at a slot, matching the
-    virtual-channel assumption the coherence protocol relies on while
-    still exploring every cross-channel reordering.
+    each channel (:func:`~repro.interconnect.base.channel_key`) is
+    eligible at a slot, matching the virtual-channel assumption the
+    coherence protocol relies on while still exploring every
+    cross-channel reordering.
     """
 
     def __init__(
@@ -86,20 +87,15 @@ class ScheduledInterconnect(Interconnect):
         stats: Stats,
         oracle: ReplayOracle,
         name: str = "scheduled",
-        relaxed_request_channels: bool = False,
         inval_virtual_channel: bool = False,
     ) -> None:
-        """``relaxed_request_channels`` frees cache->directory traffic
-        from per-channel FIFO (responses keep it — the grant/recall race
-        needs it), modelling the paper's unrestricted interconnection
-        network where a processor's requests may arrive out of order.
-        ``inval_virtual_channel`` puts invalidations on their own channel
-        so they race grants, the setting where condition 5's reserve bit
-        carries the correctness burden.
+        """``inval_virtual_channel`` puts invalidations on their own
+        channel so they race grants, as on the machine config of the
+        same name: the setting where condition 5's reserve bit carries
+        the correctness burden.
         """
         super().__init__(sim, stats, name)
         self.oracle = oracle
-        self.relaxed_request_channels = relaxed_request_channels
         self.inval_virtual_channel = inval_virtual_channel
         #: ``(src, dst, payload, flow id)`` per message in flight.
         self._pending: List[Tuple[str, str, Any, Optional[int]]] = []
@@ -120,14 +116,10 @@ class ScheduledInterconnect(Interconnect):
         self.sim.schedule(1, self._deliver_slot)
 
     def _eligible_indices(self) -> List[int]:
-        """Index of the oldest pending message per (src, dst) channel
-        (every pending message of relaxed request channels is eligible)."""
+        """Index of the oldest pending message per channel."""
         seen = set()
         eligible = []
         for idx, (src, dst, payload, _) in enumerate(self._pending):
-            if self.relaxed_request_channels and dst == "dir":
-                eligible.append(idx)
-                continue
             channel = channel_key(
                 src, dst, payload,
                 inval_virtual_channel=self.inval_virtual_channel,

@@ -12,14 +12,15 @@ by comparing the two.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from repro.coherence.cache import Cache
 from repro.coherence.directory import Directory
 from repro.coherence.snooping import SnoopCoordinator, SnoopingCache
 from repro.core.execution import Execution, Observable
-from repro.core.operation import Location, Value
+from repro.core.operation import Location, MemoryOp, Value
 from repro.core.program import Program
 from repro.cpu.core import ProcessorCore, core_class_by_name
 from repro.cpu.write_buffer import WriteBufferPort
@@ -79,8 +80,6 @@ class HardwareRun:
     config_name: str
     seed: int
     observable: Observable
-    #: Trace of committed operations, ordered by commit time.
-    execution: Execution
     stats: Stats
     cycles: int
     #: True when every processor ran its thread to completion.
@@ -100,6 +99,22 @@ class HardwareRun:
     #: complete (watchdog trip or quiet deadlock) — regardless of the
     #: sanitizer mode.
     deadlock: Optional[DeadlockDiagnosis] = None
+    #: Each processor's committed operations at run end, and whether
+    #: every processor halted: the inputs of :attr:`execution`.
+    committed: Tuple[Tuple[MemoryOp, ...], ...] = field(default=(), repr=False)
+    all_halted: bool = True
+
+    @functools.cached_property
+    def execution(self) -> Execution:
+        """Trace of committed operations, ordered by commit time.
+
+        Built on first read: most callers keep only the observable.
+        """
+        ops = [op for trace in self.committed for op in trace]
+        ops.sort(key=lambda op: (op.commit_time, op.proc))
+        return Execution(
+            ops=ops, observable=self.observable, completed=self.all_halted
+        )
 
     def describe(self) -> str:
         status = "completed" if self.completed else "DID NOT COMPLETE"
@@ -366,16 +381,14 @@ class System(Forkable):
             for processor in self.processors:
                 skew = self.rng.latency(0, self.config.start_skew)
                 self.sim.schedule(skew, processor.start)
-        completed = True
         timed_out = False
         try:
             cycles = self.sim.run(max_cycles=max_cycles)
         except SimulationTimeout:
             cycles = self.sim.now
-            completed = False
             timed_out = True
-        if not all(p.halted for p in self.processors):
-            completed = False
+        all_halted = all(p.halted for p in self.processors)
+        completed = all_halted and not timed_out
         self.stats.end_all_stalls(self.sim.now)
         self.stats.total_cycles = cycles
 
@@ -399,14 +412,12 @@ class System(Forkable):
                     recorded, dropped=self.sim.tracer.dropped
                 )
 
-        observable = self._observable()
         return HardwareRun(
             program=self.program,
             policy_name=self.policy.name,
             config_name=self.config.name,
             seed=self.seed,
-            observable=observable,
-            execution=self._trace(observable),
+            observable=self._observable(),
             stats=self.stats,
             cycles=cycles,
             completed=completed,
@@ -416,6 +427,8 @@ class System(Forkable):
             trace_summary=trace_summary,
             sanitizer_violations=violations,
             deadlock=deadlock,
+            committed=tuple(tuple(p.trace) for p in self.processors),
+            all_halted=all_halted,
         )
 
     # ------------------------------------------------------------------
@@ -453,15 +466,6 @@ class System(Forkable):
         for processor in self.processors:
             halts[processor.logical_proc] = processor.halt_time
         return halts
-
-    def _trace(self, observable: Observable) -> Execution:
-        ops = [op for p in self.processors for op in p.trace]
-        ops.sort(key=lambda op: (op.commit_time, op.proc))
-        return Execution(
-            ops=ops,
-            observable=observable,
-            completed=all(p.halted for p in self.processors),
-        )
 
 
 def run_program(

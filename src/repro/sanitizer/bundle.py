@@ -237,15 +237,15 @@ def spec_to_dict(spec) -> Dict[str, Any]:
         "seed": spec.seed,
         "max_cycles": spec.max_cycles,
         "schedule": list(spec.schedule) if spec.schedule is not None else None,
-        "relaxed_request_channels": spec.relaxed_request_channels,
-        "inval_virtual_channel": spec.inval_virtual_channel,
         "faults": _faults_to_dict(spec.faults),
         "sanitize": spec.sanitize,
     }
 
 
 def spec_from_dict(data: Dict[str, Any]):
-    """Decode :func:`spec_to_dict` output back into a ``RunSpec``."""
+    """Decode :func:`spec_to_dict` output back into a ``RunSpec``,
+    refusing an older bundle whose channel keys name another transport
+    than the config now gives its replay."""
     from repro.campaign.spec import PolicySpec, RunSpec
 
     policy = PolicySpec(
@@ -254,15 +254,23 @@ def spec_from_dict(data: Dict[str, Any]):
     )
     faults_data = data.get("faults")
     schedule = data.get("schedule")
+    config = _config_from_dict(data["config"])
+    channel = schedule is not None and config.inval_virtual_channel
+    relaxed = data.get("relaxed_request_channels", False)
+    recorded = data.get("inval_virtual_channel", channel)
+    if relaxed or recorded != channel:
+        raise ValueError(
+            f"bundle spec sets relaxed_request_channels={relaxed}, "
+            f"inval_virtual_channel={recorded}; a replay on {config.name!r} "
+            f"now uses no relaxed channels, inval_virtual_channel={channel}"
+        )
     return RunSpec(
         program=_program_from_dict(data["program"]),
         policy=policy,
-        config=_config_from_dict(data["config"]),
+        config=config,
         seed=data["seed"],
         max_cycles=data["max_cycles"],
         schedule=tuple(schedule) if schedule is not None else None,
-        relaxed_request_channels=data.get("relaxed_request_channels", False),
-        inval_virtual_channel=data.get("inval_virtual_channel", False),
         faults=FaultPlan(**faults_data) if faults_data is not None else None,
         sanitize=data.get("sanitize"),
     )

@@ -13,6 +13,7 @@ import pytest
 from repro.explore.explorer import ExplorationReport, explore_program
 from repro.explore.prune import conflict_free_locations, decision_redundant
 from repro.litmus.catalog import standard_catalog
+from repro.memsys.config import NET_CACHE, NET_CACHE_VC
 from repro.models.policies import Def2Policy, RelaxedPolicy
 from repro.workloads.barrier import barrier_program
 from repro.workloads.locks import critical_section_program
@@ -21,18 +22,22 @@ from repro.workloads.ticket_lock import ticket_lock_program
 CATALOG = standard_catalog()
 
 
+@pytest.mark.parametrize(
+    "config", [NET_CACHE, NET_CACHE_VC], ids=lambda c: c.name
+)
 class TestCatalogEquivalence:
     @pytest.mark.parametrize(
         "test", CATALOG, ids=[t.name for t in CATALOG]
     )
-    def test_relaxed_outcome_sets_identical(self, test):
+    def test_relaxed_outcome_sets_identical(self, test, config):
         program = test.executable_program()
         pruned = explore_program(
-            program, RelaxedPolicy, max_delays=2, max_runs=50_000
+            program, RelaxedPolicy, max_delays=2, max_runs=50_000,
+            config=config,
         )
         full = explore_program(
             program, RelaxedPolicy, max_delays=2, max_runs=50_000,
-            prune=False,
+            config=config, prune=False,
         )
         assert pruned.exhausted and full.exhausted
         assert pruned.observables == full.observables
@@ -42,14 +47,16 @@ class TestCatalogEquivalence:
             pruned.runs <= full.runs
         )
 
-    def test_def2_outcome_sets_identical_on_sync_dekker(self):
+    def test_def2_outcome_sets_identical_on_sync_dekker(self, config):
         test = next(t for t in CATALOG if t.name == "fig1_dekker_sync_warm")
         program = test.executable_program()
         pruned = explore_program(
-            program, Def2Policy, max_delays=3, max_runs=50_000
+            program, Def2Policy, max_delays=3, max_runs=50_000,
+            config=config,
         )
         full = explore_program(
-            program, Def2Policy, max_delays=3, max_runs=50_000, prune=False
+            program, Def2Policy, max_delays=3, max_runs=50_000,
+            config=config, prune=False,
         )
         assert pruned.exhausted and full.exhausted
         assert pruned.observables == full.observables

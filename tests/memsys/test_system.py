@@ -75,6 +75,27 @@ class TestRuns:
         assert config.name in text and "SC" in text and "completed" in text
 
 
+class TestExecutionOnFirstRead:
+    def test_built_from_the_committed_ops_not_the_system(self):
+        system = System(simple_program(), RelaxedPolicy(), NET_CACHE, seed=4)
+        run = system.run()
+        assert "execution" not in vars(run)
+        assert not any(isinstance(v, System) for v in vars(run).values())
+        execution = run.execution
+        assert execution.ops == sorted(
+            (op for p in system.processors for op in p.trace),
+            key=lambda op: (op.commit_time, op.proc),
+        )
+        assert execution.observable == run.observable
+        assert execution.completed
+        assert run.execution is execution
+
+    def test_cut_off_run_gives_an_incomplete_execution(self):
+        run = run_program(simple_program(), SCPolicy(), NET_CACHE, max_cycles=3)
+        assert run.timed_out and not run.completed
+        assert not run.execution.completed
+
+
 class TestFinalMemory:
     def test_dirty_cache_lines_folded_in(self):
         """A written line stays dirty in a cache; final memory must show it."""

@@ -7,7 +7,7 @@ import pytest
 from repro.campaign import PolicySpec, RunSpec, program_fingerprint
 from repro.core.program import Program, ThreadBuilder
 from repro.faults import FaultPlan
-from repro.memsys.config import BUS_CACHE, NET_CACHE
+from repro.memsys.config import BUS_CACHE, NET_CACHE, NET_CACHE_VC
 from repro.models.policies import Def2Policy, SCPolicy
 from repro.sanitizer import (
     BUNDLE_FORMAT,
@@ -73,6 +73,50 @@ class TestSpecCodec:
         spec = spin_deadlock_spec(trace=TraceSpec())
         restored = spec_from_dict(spec_to_dict(spec))
         assert restored.trace is None
+
+    @pytest.mark.parametrize(
+        "config, schedule, keys",
+        [
+            (NET_CACHE, (0, 1), {"relaxed_request_channels": True}),
+            (NET_CACHE, None, {"relaxed_request_channels": True}),
+            (NET_CACHE, (0, 1), {"inval_virtual_channel": True}),
+            (NET_CACHE, None, {"inval_virtual_channel": True}),
+            # Explored before the channel followed the config, this
+            # schedule indexed the shared-channel tree.
+            (NET_CACHE_VC, (0, 1), {"inval_virtual_channel": False}),
+        ],
+    )
+    def test_old_channel_keys_naming_another_machine_refused(
+        self, config, schedule, keys
+    ):
+        data = spec_to_dict(
+            spin_deadlock_spec(config=config, schedule=schedule)
+        )
+        data.update(
+            {"relaxed_request_channels": False,
+             "inval_virtual_channel": False, **keys}
+        )
+        with pytest.raises(ValueError, match="channel"):
+            spec_from_dict(data)
+
+    @pytest.mark.parametrize(
+        "config, schedule, inval",
+        [
+            (NET_CACHE, (0, 1), False),
+            (NET_CACHE_VC, None, False),
+            (NET_CACHE_VC, (0, 1), True),
+        ],
+    )
+    def test_old_channel_keys_matching_the_machine_replay(
+        self, config, schedule, inval
+    ):
+        spec = spin_deadlock_spec(config=config, schedule=schedule)
+        data = spec_to_dict(spec)
+        data.update(
+            {"relaxed_request_channels": False,
+             "inval_virtual_channel": inval}
+        )
+        assert spec_from_dict(data).digest() == spec.digest()
 
     def test_unknown_instruction_op_rejected(self):
         data = spec_to_dict(spin_deadlock_spec())

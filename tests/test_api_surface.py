@@ -60,8 +60,6 @@ FACADE_SHAPES = {
         ("core", "KEYWORD_ONLY", True),
         ("max_runs", "KEYWORD_ONLY", True),
         ("max_cycles", "KEYWORD_ONLY", True),
-        ("relaxed_request_channels", "KEYWORD_ONLY", True),
-        ("inval_virtual_channel", "KEYWORD_ONLY", True),
         ("executor", "KEYWORD_ONLY", True),
         ("jobs", "KEYWORD_ONLY", True),
         ("trace", "KEYWORD_ONLY", True),

@@ -512,6 +512,34 @@ class TestFlagChecks:
         assert excinfo.value.code == 2
         assert "must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["litmus", "message_passing", "--machine", "bus_nocache",
+             "--runs", "3", "--expect-sc"],
+            ["fuzz", "--machine", "net_nocache", "--seeds", "2"],
+            ["trace", "message_passing", "--machine", "net_nocache"],
+            ["soak", "--runs", "2", "--kills", "0"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_policy_the_machine_cannot_build_is_a_usage_error(
+        self, argv, capsys
+    ):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv + ["--policy", "DEF2"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: policy DEF2 requires caches; ")
+        assert captured.out == ""
+
+    def test_rejected_policy_leaves_no_journal(self, tmp_path):
+        journal = tmp_path / "j.jsonl"
+        with pytest.raises(SystemExit):
+            main(["litmus", "fig1_dekker", "--policy", "DEF2",
+                  "--machine", "net_nocache", "--journal", str(journal)])
+        assert not journal.exists()
+
     def test_rejected_cache_flag_leaves_no_journal(self, tmp_path):
         journal = tmp_path / "j.jsonl"
         with pytest.raises(SystemExit, match="requires --cache"):
