@@ -6,7 +6,7 @@ A herd-style checker does not interleave anything: it generates every
 reject the inconsistent ones.  The axioms live in
 :mod:`repro.axiomatic.model`; this module produces what they judge.
 
-Both entry points compile the program once per call into an int-indexed
+Both entry points work on the program compiled into an int-indexed
 table (:class:`_Table`):
 
 * :func:`enumerate_candidates` is the **raw** enumerator: every rf
@@ -14,7 +14,8 @@ table (:class:`_Table`):
   full :class:`~repro.axiomatic.relations.Relations`.  Together with
   :meth:`AxiomaticModel.allows <repro.axiomatic.model.AxiomaticModel.allows>`
   it is the per-execution API and the oracle the kernel is tested
-  against.  It resolves values with the plain fixpoint :func:`_resolve`.
+  against.  It compiles the program itself on every call and resolves
+  values with the plain fixpoint :func:`_resolve`.
 * :func:`allowed_outcomes` is the **kernel** (re-exported by
   :mod:`repro.axiomatic.crosscheck` and the package).  It prunes only
   what the model-independent ``sc-per-location`` axiom rejects under
@@ -34,14 +35,22 @@ table (:class:`_Table`):
   model's own :meth:`~repro.axiomatic.model.AxiomaticModel.ppo`.  Values
   are resolved only for rf choices that some allowed combination uses,
   by :class:`_Replayer`: the same rounds as :func:`_resolve`, with each
-  thread's replay memoised for the length of the call.
+  thread's replay memoised.
+
+  Only ppo depends on the model.  The table, each location's coherent
+  configurations, the thread replays and the values of each resolved rf
+  choice are the program's, so they live in its
+  :func:`~repro.core.memo.program_memo` (:class:`_Derived`) and every
+  model's call on that program shares them until another program is
+  checked.
 
 **Budget.**  The kernel compares ``max_candidates`` with the static size
 of the candidate space — Π over locations of (writes to it)! times Π
-over reads of (writes to the read's location + 1) — before resolving any
-value, and raises :class:`CandidateBudgetExceeded` when the size is
-larger.  The raw enumerator counts the candidates it generates instead,
-and raises once the count passes the budget.
+over reads of (writes to the read's location + 1) — on every call before
+it uses or resolves any configuration, and raises
+:class:`CandidateBudgetExceeded` when the size is larger.  The raw
+enumerator counts the candidates it generates instead, and raises once
+the count passes the budget.
 
 Both handle **straight-line** programs only (no ``Branch`` / ``Jump``):
 with control flow fixed, each thread contributes one static sequence of
@@ -81,6 +90,7 @@ from repro.core.instructions import (
     MemInstruction,
     RegInstruction,
 )
+from repro.core.memo import program_memo
 from repro.core.operation import Location, MemoryOp
 from repro.core.program import Program
 from repro.core.registers import RegisterFile
@@ -310,8 +320,9 @@ class _Replayer:
     changed since its last replay would replay the same: a round skips
     it.  The rounds and their ``len(ops) + 1`` bound are
     :func:`_resolve`'s, so the same choices are discarded as value
-    cycles.  One replayer serves one kernel call: its memos are keyed
-    on the program's ops and die with the call.
+    cycles.  One replayer serves one program: it lives in the program's
+    :class:`_Derived`, its memos are keyed on that program's ops, and
+    their entries are the same whoever fills them.
     """
 
     def __init__(self, table: _Table) -> None:
@@ -656,6 +667,52 @@ def _finals(lasts, write_values: Sequence[int]) -> Tuple[Optional[int], ...]:
     )
 
 
+class _Derived:
+    """The model-independent facts :func:`allowed_outcomes` derives for
+    one straight-line program, kept in its :func:`program_memo`.
+
+    Every model asks for the same compiled table, the same coherent
+    configurations per location and the same values per reads-from
+    choice; only ppo, and so which combinations survive, differs.  The
+    configurations and resolutions are filled in on first use, with
+    entries that are the same whoever fills them, so calls on other
+    threads may share them.  Callers must not mutate what they return.
+    """
+
+    def __init__(self, program: Program) -> None:
+        self.table = _compile(program)
+        self._configs: Dict[int, List[_LocationConfig]] = {}
+        self._replayer = _Replayer(self.table)
+        #: The rf choice of every location -> :meth:`_Replayer.resolve`.
+        self._resolved: Dict[tuple, Optional[Tuple[Tuple[int, ...], Tuple]]] = {}
+
+    def location_configs(self, l: int) -> List[_LocationConfig]:
+        """:func:`_location_configs` of location ``l``."""
+        configs = self._configs.get(l)
+        if configs is None:
+            configs = self._configs.setdefault(
+                l, _location_configs(self.table, l)
+            )
+        return configs
+
+    def resolve(
+        self, pick: Sequence[_LocationConfig], rf: List[int]
+    ) -> Optional[Tuple[Tuple[int, ...], Tuple]]:
+        """``(write_values, register snapshots)`` of the rf choice one
+        configuration per location makes, or ``None`` for a value cycle.
+        ``rf`` is the caller's scratch list, one slot per op."""
+        key = tuple([rf_pick for rf_pick, _, _, _ in pick])
+        if key in self._resolved:
+            return self._resolved[key]
+        for reads, rf_pick in zip(self.table.loc_reads, key):
+            for r, w in zip(reads, rf_pick):
+                rf[r] = w
+        resolved = self._replayer.resolve(rf)
+        if resolved is not None:
+            resolved = tuple(resolved[0]), resolved[1]
+        return self._resolved.setdefault(key, resolved)
+
+
 def allowed_outcomes(
     program: Program,
     model: AxiomaticModel,
@@ -676,7 +733,8 @@ def allowed_outcomes(
     read's location + 1) — is larger than ``max_candidates``.  The size
     is checked before any value is resolved.
     """
-    table = _compile(program)
+    derived = program_memo(program).fact("axiomatic", _Derived)
+    table = derived.table
     size = table.space_size()
     if size > max_candidates:
         raise CandidateBudgetExceeded(
@@ -696,19 +754,12 @@ def allowed_outcomes(
 
     per_location = []
     for l in range(len(table.locations)):
-        configs = _location_configs(table, l)
+        configs = derived.location_configs(l)
         if not configs:
             return frozenset()
         per_location.append(configs)
 
-    replayer = _Replayer(table)
-    rf = [-1] * len(ops)
-
-    def resolve(pick):
-        for reads, (rf_pick, _, _, _) in zip(table.loc_reads, pick):
-            for r, w in zip(reads, rf_pick):
-                rf[r] = w
-        return replayer.resolve(rf)
+    rf = [-1] * len(ops)  # scratch for resolving a pick
 
     # Observable key: (register snapshots, final value per location,
     # None for a location nothing writes).
@@ -720,7 +771,7 @@ def allowed_outcomes(
             # One coherence edge set per location: one test decides.
             edges = rfes + [edges for _, edges in singles]
             if _acyclic(_with_edges(ppo, edges), sweep):
-                resolved = resolve(pick)
+                resolved = derived.resolve(pick, rf)
                 if resolved is not None:
                     write_values, registers = resolved
                     allowed.add((registers, _finals(singles, write_values)))
@@ -741,7 +792,7 @@ def allowed_outcomes(
             ):
                 continue
             if write_values is None:
-                resolved = resolve(pick)
+                resolved = derived.resolve(pick, rf)
                 if resolved is None:
                     break
                 write_values, registers = resolved

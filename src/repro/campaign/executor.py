@@ -70,15 +70,18 @@ from repro.obs import METRICS
 PARENT_POLL_S = 0.25
 
 
-def exit_with_parent() -> None:
+def exit_with_parent(parent: int) -> None:
     """Pool-worker initializer: exit once the parent process is gone.
 
     A parent killed by SIGKILL cannot shut its pool down, so its workers
-    would live on as orphans.  A daemon thread polls ``os.getppid()`` and
-    ends the worker as soon as it changes, i.e. the worker has been
-    re-parented.
+    would live on as orphans.  ``parent`` is the pool owner's pid, taken
+    in the owner before the worker starts: a worker whose owner died
+    before this initializer ran has already been re-parented and exits
+    at once.  Otherwise a daemon thread polls ``os.getppid()`` and ends
+    the worker as soon as it differs from ``parent``.
     """
-    parent = os.getppid()
+    if os.getppid() != parent:
+        os._exit(1)
 
     def watch() -> None:
         while os.getppid() == parent:
@@ -102,7 +105,8 @@ def worker_pool(jobs: int, mp_context: Optional[str] = None):
 
         context = multiprocessing.get_context(mp_context)
     return ProcessPoolExecutor(
-        max_workers=jobs, mp_context=context, initializer=exit_with_parent
+        max_workers=jobs, mp_context=context,
+        initializer=exit_with_parent, initargs=(os.getpid(),),
     )
 
 

@@ -53,8 +53,12 @@ class _ThreadState:
     ``advanced`` caches where the thread's local instructions lead, so
     peeking and stepping run them once per state, and ``successors``
     caches, per memory value the next access meets, the thread state
-    and written value that access leads to.  A state lives as long as
-    the search that built it, and so do its caches.
+    and written value that access leads to.  The root states belong to
+    the program's :class:`_Code`, so the caches grow into a graph of
+    every state reached from them, shared by every machine built on
+    that code: the searches of one program share one in its
+    :func:`~repro.core.memo.program_memo`.  A cache entry is the same
+    whoever fills it.
     """
 
     __slots__ = ("pc", "regs", "occurrences", "snapshot", "ident", "halted",
@@ -78,10 +82,12 @@ class _Code:
 
     ``halts[p][pc]`` says whether thread ``p`` is halted at ``pc``;
     ``accesses[p][pc]`` is the access summary of the memory instruction
-    there (``None`` elsewhere).
+    there (``None`` elsewhere); ``roots[p]`` is thread ``p``'s state at
+    the start.  The roots' caches grow into every state reached from
+    them, so the machines built on one ``_Code`` share all that work.
     """
 
-    __slots__ = ("halts", "accesses")
+    __slots__ = ("halts", "accesses", "roots")
 
     def __init__(self, program: Program) -> None:
         self.halts: List[Tuple[bool, ...]] = []
@@ -96,6 +102,10 @@ class _Code:
                 if isinstance(i, MemInstruction) else None
                 for i in body
             ) + (None,))
+        empty = RegisterFile()
+        self.roots: Tuple[_ThreadState, ...] = tuple(
+            _ThreadState(0, empty, {}, (), halts[0]) for halts in self.halts
+        )
 
 
 class IdealizedMachine:
@@ -114,13 +124,13 @@ class IdealizedMachine:
     #: thread exceeding it is assumed stuck in a memory-free loop.
     MAX_LOCAL_STEPS = 10_000
 
-    def __init__(self, program: Program) -> None:
+    def __init__(self, program: Program, code: Optional[_Code] = None) -> None:
+        """``code``, when given, is ``program``'s :class:`_Code`, shared
+        with the other machines built on it; by default the machine
+        builds its own."""
         self.program = program
-        self._code = _Code(program)
-        empty = RegisterFile()
-        self._threads = [
-            _ThreadState(0, empty, {}, (), halts[0]) for halts in self._code.halts
-        ]
+        self._code = code if code is not None else _Code(program)
+        self._threads = list(self._code.roots)
         #: Every program location, in sorted order, so the memory part of
         #: the state key is just the values.
         self._memory: Dict[Location, Value] = {

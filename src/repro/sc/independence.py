@@ -118,9 +118,11 @@ def persistent_set(
 
     ``memo``, when provided, maps ``(thread, pc, next access)`` of every
     runnable thread to the set chosen for them: those are all the answer
-    reads, given one ``footprints`` and ``dep``.  A search passes one
-    memo for its own length, so a memo never outlives the program it was
-    filled from.  The returned list is shared; callers must not mutate it.
+    reads, given one ``footprints`` and ``dep``.  The searches pass the
+    memo that their program's :func:`~repro.core.memo.program_memo`
+    keeps for ``dep``, so a memo never serves another program or
+    another dependence relation.  The returned list is shared; callers
+    must not mutate it.
     """
     if len(runnable) <= 1:
         return list(runnable)

@@ -48,11 +48,13 @@ import dataclasses
 from typing import Dict, FrozenSet, Iterator, List, Optional, Set, Tuple
 
 from repro.core.execution import Execution, Observable
+from repro.core.memo import program_memo
 from repro.core.program import Program
 from repro.delayset.analysis import AccessSummary, Footprint, static_footprints
 from repro.obs import METRICS
-from repro.sc.executor import IdealizedMachine, StateKey
+from repro.sc.executor import IdealizedMachine, StateKey, _Code
 from repro.sc.independence import (
+    Dependence,
     SearchStats,
     conflict_dep,
     hb_dep,
@@ -108,6 +110,31 @@ def _publish_search(
                 kernel=kernel)
 
 
+class _Walks:
+    """What every search of one program shares, kept in its
+    :func:`program_memo`: the machine's code and root thread states
+    (whose caches then hold every thread state a search reached), the
+    static footprints, and one persistent-set memo per dependence
+    relation.  Each entry is the same whoever fills it, so searches on
+    other threads may share them; ``seen``/``on_path``, budgets and
+    :class:`SearchStats` stay with each search."""
+
+    def __init__(self, program: Program) -> None:
+        self.code = _Code(program)
+        self.footprints: Tuple[Tuple[Footprint, ...], ...] = (
+            static_footprints(program)
+        )
+        self.chosen: Dict[Dependence, Dict[tuple, List[int]]] = {
+            conflict_dep: {},
+            hb_dep: {},
+        }
+
+
+def _walks(program: Program) -> _Walks:
+    """The :class:`_Walks` of ``program``'s memo."""
+    return program_memo(program).fact("idealized", _Walks)
+
+
 def enumerate_results(
     program: Program,
     max_states: int = 2_000_000,
@@ -130,14 +157,14 @@ def enumerate_results(
     stats, stats_base = _search_obs(stats)
     obs_on = METRICS.enabled  # hoisted: one local branch per state below
     results: Set[Observable] = set()
-    footprints = static_footprints(program) if prune else None
+    walks = _walks(program)
+    footprints = walks.footprints
+    chosen = walks.chosen[conflict_dep]
     #: State -> sleep set it was (last) expanded with.  A revisit whose
     #: sleep set suppresses at least as much is fully covered; one that
     #: suppresses less re-expands with the intersection.
     seen: Dict[StateKey, FrozenSet[int]] = {}
-    #: Persistent sets by thread positions, for this search only.
-    chosen: Dict[tuple, List[int]] = {}
-    root = IdealizedMachine(program)
+    root = IdealizedMachine(program, walks.code)
     empty: FrozenSet[int] = frozenset()
     stack: List[Tuple[IdealizedMachine, FrozenSet[int]]] = [(root, empty)]
     seen[root.state_key()] = empty
@@ -159,7 +186,6 @@ def enumerate_results(
             continue
         nexts: Dict[int, Optional[AccessSummary]] = {}
         if prune:
-            assert footprints is not None
             expand = persistent_set(
                 machine, runnable, footprints, conflict_dep, nexts, chosen
             )
@@ -283,11 +309,11 @@ def _walk_executions(
     would visit them)."""
     if max_executions is not None and max_executions <= 0:
         return
-    footprints = static_footprints(program) if prune else None
-    #: Persistent sets by thread positions, for this walk only.
-    chosen: Dict[tuple, List[int]] = {}
+    walks = _walks(program)
+    footprints = walks.footprints
+    chosen = walks.chosen[hb_dep]
     yielded = 0
-    root = IdealizedMachine(program)
+    root = IdealizedMachine(program, walks.code)
     on_path: Set[StateKey] = {root.state_key()}
     frames: List[_Frame] = []
     node: Optional[IdealizedMachine] = root
@@ -302,7 +328,6 @@ def _walk_executions(
             runnable = node.runnable_threads()
             if runnable:
                 if prune:
-                    assert footprints is not None
                     first = persistent_set(
                         node, runnable, footprints, hb_dep, None, chosen
                     )

@@ -72,3 +72,26 @@ def test_workers_exit_after_parent_sigkill(pool):
         child.wait(timeout=10)
         child.stdout.close()
 
+
+
+def test_worker_already_reparented_exits_at_once():
+    """A worker whose pool owner died before its initializer ran is
+    handed a pid that is no longer its parent: it exits straight away
+    instead of watching its new parent."""
+    code = textwrap.dedent(
+        """
+        import os, time
+        from repro.campaign.executor import exit_with_parent
+
+        exit_with_parent(os.getpid())  # never this process's own parent
+        time.sleep(60)
+        """
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    start = time.monotonic()
+    done = subprocess.run(
+        [sys.executable, "-c", code], env=env, stderr=subprocess.PIPE,
+        timeout=30,
+    )
+    assert (done.returncode, done.stderr) == (1, b"")
+    assert time.monotonic() - start < 10
