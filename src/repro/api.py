@@ -132,7 +132,7 @@ from repro.memsys.config import (
     config_by_name,
     machine_names,
 )
-from repro.memsys.system import System, ensure_compatible
+from repro.memsys.system import System
 from repro.models.base import policy_names, registered_policies
 from repro.models.policies import (
     Def1Policy,
@@ -295,17 +295,13 @@ def explore(
     ``resume=True`` continues a killed exploration from that journal;
     ``progress`` prints a live heartbeat spanning every search wave.
     ``model`` is the model-centric alias of ``policy``.  A (policy,
-    machine) pair that cannot be built raises ``ConfigurationError``,
-    as :func:`run` does.
+    machine) pair that cannot be built raises ``ConfigurationError``.
     """
-    policy_spec = _coerce_policy(policy, core=core, model=model)
-    config = _coerce_machine(machine)
-    ensure_compatible(policy_spec.build(), config, policy_spec.core)
     return explore_program(
         program,
-        policy_spec,
+        _coerce_policy(policy, core=core, model=model),
         max_delays=max_delays,
-        config=config,
+        config=_coerce_machine(machine),
         max_runs=max_runs,
         max_cycles=max_cycles,
         executor=executor,
@@ -379,16 +375,15 @@ def check_drf0(
     *,
     model: SynchronizationModel = DRF0,
     max_executions: Optional[int] = None,
-    jobs: int = 1,
     prune: bool = True,
 ) -> DRFReport:
-    """Definition 3: does ``program`` obey the synchronization model?"""
+    """Definition 3: does ``program`` obey the synchronization model?
+
+    Judges the idealized executions in order and stops at the first
+    racy one; see :func:`repro.drf.drf0.check_program`.
+    """
     return check_program(
-        program,
-        model=model,
-        max_executions=max_executions,
-        jobs=jobs,
-        prune=prune,
+        program, model=model, max_executions=max_executions, prune=prune
     )
 
 

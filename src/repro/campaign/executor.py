@@ -94,9 +94,11 @@ def exit_with_parent(parent: int) -> None:
 
 
 def worker_pool(jobs: int, mp_context: Optional[str] = None):
-    """A ``ProcessPoolExecutor`` of ``jobs`` workers that exit with this
-    process (see :func:`exit_with_parent`).  ``mp_context`` names the
-    start method; ``None`` takes the platform default."""
+    """The ``ProcessPoolExecutor`` of ``jobs`` workers that
+    :class:`ParallelExecutor` runs on, the one process pool the library
+    starts; its workers exit with this process (see
+    :func:`exit_with_parent`).  ``mp_context`` names the start method;
+    ``None`` takes the platform default."""
     from concurrent.futures import ProcessPoolExecutor
 
     context = None

@@ -57,7 +57,7 @@ Examples::
     python -m repro litmus fig1_dekker_sync --policy DEF2 --sanitize strict
     python -m repro conformance --faults jitter=12,reorder=20 --jobs 4
     python -m repro crosscheck --policy TSO --policy PSO --jobs 4
-    python -m repro drf fig1_dekker --jobs 4
+    python -m repro drf fig1_dekker
     python -m repro explore fig1_dekker_sync_warm --policy DEF2 --delays 3
     python -m repro trace fig1_dekker_sync --policy DEF2 --filter stall,msg
     python -m repro fuzz --family spin --seeds 20 --triage-dir bundles/
@@ -324,7 +324,7 @@ class _Session:
         # Commands with --run-timeout/--retries hand their verb an
         # executor when they run in parallel (serially the verb keeps
         # its default: explore then forks machines instead of replaying
-        # schedules); drf and soak pass a bare jobs count.
+        # schedules); soak passes a bare jobs count.
         if "retries" in flags and "jobs" in flags:
             if args.jobs > 1:
                 kwargs["executor"] = self._stack.enter_context(
@@ -401,8 +401,7 @@ def _cmd_litmus(args: argparse.Namespace, session: _Session) -> int:
 def _cmd_drf(args: argparse.Namespace, session: _Session) -> int:
     started = time.perf_counter()
     report = api.check_drf0(
-        session.test.program, max_executions=args.max_executions,
-        **session.kwargs,
+        session.test.program, max_executions=args.max_executions
     )
     wall = time.perf_counter() - started
     # check_drf0 is also a conformance-grid subroutine, so the library
@@ -417,7 +416,7 @@ def _cmd_drf(args: argparse.Namespace, session: _Session) -> int:
                 report.executions_checked / wall if wall > 0 else 0.0
             ),
             completion_rate=1.0,
-            jobs=args.jobs,
+            jobs=1,
         )
     )
     print(report.describe())
@@ -1139,7 +1138,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="exit nonzero if any outcome violates SC")
 
     drf = command("drf", _cmd_drf, "check a program against DRF0",
-                  _TEST, _JOBS, _METRICS_JSON)
+                  _TEST, _METRICS_JSON)
     drf.add_argument("--max-executions", type=int, default=None)
 
     explore = command(

@@ -24,11 +24,10 @@ from __future__ import annotations
 
 from collections import defaultdict
 from dataclasses import dataclass, field
-from itertools import islice
-from typing import Dict, Iterable, List, Mapping, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro.core.execution import Execution
-from repro.core.operation import Location, MemoryOp, OpKind, Value
+from repro.core.operation import Location, MemoryOp, OpKind
 from repro.core.program import Program
 from repro.drf.models import DRF0, SynchronizationModel
 from repro.drf.races import Race, find_races
@@ -74,18 +73,15 @@ def check_program(
     program: Program,
     model: SynchronizationModel = DRF0,
     max_executions: Optional[int] = None,
-    jobs: int = 1,
     prune: bool = True,
 ) -> DRFReport:
     """Decide whether ``program`` obeys ``model`` (Definition 3).
 
-    Stops at the first racy idealized execution.  With ``max_executions``
-    set, a clean result may be non-exhaustive (reflected in the report);
-    a racy result is always definitive.
-
-    With ``jobs > 1`` the race detection fans out over a process pool in
-    execution-order chunks; the verdict, witness index, and
-    ``executions_checked`` are identical to the serial scan.
+    Judges the idealized executions in enumeration order and stops at
+    the first racy one; a racy result is always definitive.  With
+    ``max_executions`` set, at most that many executions are judged,
+    and a clean result is exhaustive iff the enumeration has no
+    execution beyond them.
 
     ``prune`` controls the hb-preserving partial-order reduction of the
     underlying enumeration (see
@@ -93,45 +89,47 @@ def check_program(
     every race verdict is still reachable, but clean programs need far
     fewer executions to prove it.
     """
-    if jobs > 1:
-        return _check_program_parallel(program, model, max_executions, jobs, prune)
-    checked, hit = _first_race(
-        enumerate_executions(program, max_executions=max_executions, prune=prune),
-        model,
-        program.num_procs,
-        program.initial_memory,
+    # One execution past the budget tells a cut-short search from one
+    # whose tree fits the budget exactly.
+    executions = enumerate_executions(
+        program,
+        max_executions=(
+            None if max_executions is None else max(max_executions, 0) + 1
+        ),
+        prune=prune,
     )
-    return _report(program, model, checked, hit, max_executions)
-
-
-def _report(
-    program: Program,
-    model: SynchronizationModel,
-    checked: int,
-    hit: Optional[Tuple[List[Race], Execution]],
-    max_executions: Optional[int],
-) -> DRFReport:
-    """The report of a scan that judged ``checked`` executions.
-
-    A racy verdict is definitive; a clean one is exhaustive unless the
-    scan stopped at ``max_executions``.
-    """
-    if hit is not None:
-        races, witness = hit
+    kernel = _PrefixRaceChecker(model, program.num_procs)
+    checked = 0
+    for execution in executions:
+        if max_executions is not None and checked >= max_executions:
+            return DRFReport(
+                program=program,
+                model=model,
+                obeys=True,
+                executions_checked=checked,
+                exhaustive=False,
+            )
+        checked += 1
+        if not kernel.racy(execution):
+            continue
+        races = find_races(
+            execution, model=model, initial_memory=dict(program.initial_memory)
+        )
+        if not races:
+            raise RaceKernelMismatch(
+                f"the race kernel flags execution {checked} under "
+                f"{model.name}, but find_races reports no race"
+            )
         return DRFReport(
             program=program,
             model=model,
             obeys=False,
             executions_checked=checked,
             races=races,
-            witness=witness,
+            witness=execution,
         )
     return DRFReport(
-        program=program,
-        model=model,
-        obeys=True,
-        executions_checked=checked,
-        exhaustive=max_executions is None or checked < max_executions,
+        program=program, model=model, obeys=True, executions_checked=checked
     )
 
 
@@ -261,100 +259,6 @@ def _sync_sources(model: SynchronizationModel) -> Dict[str, Tuple[str, ...]]:
         )
         for later in kinds
     }
-
-
-def _first_race(
-    executions: Iterable[Execution],
-    model: SynchronizationModel,
-    num_procs: int,
-    initial_memory: Mapping[Location, Value],
-) -> Tuple[int, Optional[Tuple[List[Race], Execution]]]:
-    """Scan ``executions`` in order; stop at the first racy one.
-
-    Returns how many executions were judged and, for a racy one, its
-    races as :func:`find_races` reports them and the execution itself.
-    """
-    kernel = _PrefixRaceChecker(model, num_procs)
-    checked = 0
-    for execution in executions:
-        checked += 1
-        if not kernel.racy(execution):
-            continue
-        races = find_races(
-            execution, model=model, initial_memory=dict(initial_memory)
-        )
-        if not races:
-            raise RaceKernelMismatch(
-                f"the race kernel flags execution {checked} under "
-                f"{model.name}, but find_races reports no race"
-            )
-        return checked, (races, execution)
-    return checked, None
-
-
-#: Executions per parallel work item — large enough to amortize pickling,
-#: small enough that early-exit on a racy program wastes little work.
-_CHUNK = 32
-
-
-def _check_chunk(payload) -> Tuple[int, Optional[Tuple[List[Race], Execution]]]:
-    """Worker: :func:`_first_race` over one chunk of executions.
-
-    The chunk arrives as one pickle payload, so its executions still
-    share operation identity, which the race kernel relies on.  Races
-    and witness come back in the same return value, so pickling keeps
-    their operation identities mutually consistent.
-    """
-    model, num_procs, initial_memory, chunk = payload
-    return _first_race(chunk, model, num_procs, initial_memory)
-
-
-def _check_program_parallel(
-    program: Program,
-    model: SynchronizationModel,
-    max_executions: Optional[int],
-    jobs: int,
-    prune: bool = True,
-) -> DRFReport:
-    """Chunked parallel scan with the serial scan's exact semantics.
-
-    Chunks are dispatched and *judged* in enumeration order, so the
-    first racy chunk's first racy execution is the same witness the
-    serial loop would return.
-    """
-    from collections import deque
-
-    from repro.campaign.executor import worker_pool
-
-    source = enumerate_executions(
-        program, max_executions=max_executions, prune=prune
-    )
-    initial_memory = dict(program.initial_memory)
-    checked = 0
-    with worker_pool(jobs) as pool:
-        pending = deque()
-
-        def submit_next() -> bool:
-            chunk = list(islice(source, _CHUNK))
-            if not chunk:
-                return False
-            payload = (model, program.num_procs, initial_memory, chunk)
-            pending.append(pool.submit(_check_chunk, payload))
-            return True
-
-        # Keep one extra chunk in flight so workers never starve.
-        for _ in range(jobs + 1):
-            if not submit_next():
-                break
-        while pending:
-            judged, hit = pending.popleft().result()
-            checked += judged
-            if hit is not None:
-                for later in pending:
-                    later.cancel()
-                return _report(program, model, checked, hit, max_executions)
-            submit_next()
-    return _report(program, model, checked, None, max_executions)
 
 
 def contract_obeys(

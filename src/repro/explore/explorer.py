@@ -70,6 +70,7 @@ from repro.explore.prune import (
     supports_message_pruning,
 )
 from repro.memsys.config import MachineConfig, NET_CACHE
+from repro.memsys.system import ensure_compatible
 from repro.models.base import OrderingPolicy
 from repro.obs import METRICS, coerce_progress
 from repro.trace.events import TraceEvent
@@ -213,7 +214,10 @@ def explore_program(
         config: machine configuration; timing fields are ignored (the
             scheduled interconnect replaces them) but cache structure
             and ``inval_virtual_channel`` are honoured.  Defaults to the
-            cache-coherent machine.
+            cache-coherent machine.  A (policy, machine) pair that
+            cannot be built raises
+            :class:`~repro.memsys.system.ConfigurationError` before any
+            schedule runs or any journal opens.
         max_runs: safety bound on executed schedules (no schedule is
             started or queued once started + queued ones reach it).
         executor/jobs: campaign execution strategy for each wave.
@@ -248,6 +252,9 @@ def explore_program(
 
     config = (config or NET_CACHE).with_overrides(start_skew=0)
     policy_spec = PolicySpec.of(policy_factory)
+    # An unbuildable pair has no schedules to search; refusing it here
+    # keeps a failed build from reading as an exhausted search.
+    ensure_compatible(policy_spec.build(), config, policy_spec.core)
     message_pruning = prune and supports_message_pruning(config)
     conflict_free = (
         conflict_free_locations(program) if message_pruning else frozenset()
@@ -708,7 +715,8 @@ def verify_weak_ordering(
     Returns ``(holds, report)``: ``holds`` is True iff every outcome
     reachable within the delay budget is sequentially consistent.  For a
     DRF0 program on correctly weakly ordered hardware this must hold at
-    *every* budget.
+    *every* budget.  A (policy, machine) pair that cannot be built
+    raises ``ConfigurationError``: it has no outcomes to vouch for.
     """
     report = explore_program(
         program, policy_factory, max_delays=max_delays, config=config,

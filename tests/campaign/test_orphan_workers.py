@@ -22,7 +22,7 @@ _CHILD = textwrap.dedent(
     if sys.argv[1] == "executor":
         pool = ParallelExecutor(jobs=2)._ensure_pool()
     else:
-        pool = worker_pool(2)  # the pool drf0's parallel check uses
+        pool = worker_pool(2)  # the bare pool ParallelExecutor runs on
     futures = [pool.submit(time.sleep, 60) for _ in range(2)]
     while len(pool._processes) < 2:
         time.sleep(0.01)

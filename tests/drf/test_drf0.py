@@ -7,7 +7,6 @@ from repro.conformance import _conforms
 from repro.core.program import Program, ThreadBuilder
 from repro.drf import drf0
 from repro.drf.drf0 import (
-    _CHUNK,
     RaceKernelMismatch,
     check_execution,
     check_program,
@@ -17,10 +16,8 @@ from repro.drf.drf0 import (
 from repro.drf.models import DRF0, DRF0_R
 from repro.hb.augment import AugmentationError
 from repro.litmus.catalog import critical_section as catalog_critical_section
-from repro.litmus.catalog import standard_catalog
 from repro.sc.executor import run_schedule
 from repro.sc.interleaving import SearchBudgetExceeded
-from repro.workloads import random_drf0_program
 from repro.workloads.barrier import barrier_program, barrier_program_data_spin
 from repro.workloads.locks import critical_section_program
 
@@ -108,45 +105,6 @@ class TestCheckProgram:
         assert pruned.executions_checked <= full.executions_checked
 
 
-def _report_key(report):
-    """Everything a DRF report states, with witness ops by static origin."""
-    witness = report.witness
-    return (
-        report.obeys,
-        report.executions_checked,
-        report.exhaustive,
-        None
-        if witness is None
-        else [
-            (op.proc, op.thread_pos, op.occurrence, op.kind, op.location)
-            for op in witness.ops
-        ],
-        report.describe(),
-    )
-
-
-def _parallel_programs():
-    catalog = {test.program.name: test.program for test in standard_catalog()}
-    return list(catalog.values()) + [random_drf0_program(seed) for seed in range(3)]
-
-
-class TestParallelCheck:
-    @pytest.mark.parametrize("model", (DRF0, DRF0_R), ids=lambda m: m.name)
-    def test_jobs_2_report_equals_serial(self, model):
-        for program in _parallel_programs():
-            serial = check_program(program, model)
-            parallel = check_program(program, model, jobs=2)
-            assert _report_key(parallel) == _report_key(serial), program.name
-
-    def test_jobs_2_clean_program_spanning_chunks(self):
-        """A clean program whose executions fill several chunks."""
-        program = random_drf0_program(0, num_procs=3, sections_per_proc=1)
-        serial = check_program(program, DRF0, prune=False)
-        assert serial.obeys and serial.executions_checked > _CHUNK
-        parallel = check_program(program, DRF0, prune=False, jobs=2)
-        assert _report_key(parallel) == _report_key(serial)
-
-
 class TestLoudFailures:
     @pytest.mark.parametrize("model", (DRF0, DRF0_R), ids=lambda m: m.name)
     @pytest.mark.parametrize("location", ("__init_sync__", "__final_sync__0"))
@@ -175,3 +133,20 @@ class TestContractBudget:
             _conforms(test, DRF0, {})
         with pytest.raises(SearchBudgetExceeded, match="critical_section.*budget of 1"):
             _drf_flags(test, {})
+
+    @pytest.mark.parametrize("model", (DRF0, DRF0_R), ids=lambda m: m.name)
+    def test_budget_the_tree_fits_exactly_is_exhaustive(self, model):
+        program = catalog_critical_section().program
+        assert check_program(program, model).executions_checked == 8
+        reports = [
+            check_program(program, model, max_executions=budget)
+            for budget in (7, 8, 9)
+        ]
+        assert [report.obeys for report in reports] == [True] * 3
+        assert [report.exhaustive for report in reports] == [False, True, True]
+        assert [report.executions_checked for report in reports] == [7, 8, 8]
+
+    def test_contract_budget_the_tree_fits_exactly_proves(self, monkeypatch):
+        monkeypatch.setattr(drf0, "CONTRACT_MAX_EXECUTIONS", 8)
+        test = catalog_critical_section()
+        assert contract_obeys(test.name, test.program, DRF0)

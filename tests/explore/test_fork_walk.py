@@ -35,7 +35,11 @@ from repro.campaign import (
     execute_spec_guarded,
 )
 from repro.explore import explorer
-from repro.explore.explorer import explore_program
+from repro.explore.explorer import (
+    explore_program,
+    explore_to_fixpoint,
+    verify_weak_ordering,
+)
 from repro.explore.oracle import ReplayOracle
 from repro.interconnect.base import Interconnect
 from repro.api import catalog_by_name
@@ -152,9 +156,19 @@ TIER1_PROGRAMS = ("fig1_dekker_sync_warm", "message_passing", "iriw")
 def test_walk_matches_fresh_replays(monkeypatch, config, policy, mode):
     for name in TIER1_PROGRAMS:
         program = CATALOG[name].executable_program()
-        _assert_walk_matches_replays(
-            monkeypatch, program, policy, config, "simple", **MODES[mode]
-        )
+        if _compatible(policy, config, "simple"):
+            _assert_walk_matches_replays(
+                monkeypatch, program, policy, config, "simple", **MODES[mode]
+            )
+            continue
+        # An unbuildable pair has nothing to compare: the walk and the
+        # campaign replay both refuse it, in every search mode.
+        for executor in ({}, {"executor": SerialExecutor()}):
+            with pytest.raises(ConfigurationError, match="requires caches"):
+                explore_program(
+                    program, PolicySpec(policy), max_delays=2, config=config,
+                    **executor, **MODES[mode],
+                )
 
 
 @pytest.mark.parametrize("config", (NET_CACHE, NET_NOCACHE),
@@ -180,15 +194,25 @@ def test_walk_matches_fresh_replays_full_sweep(monkeypatch, config, core):
             )
 
 
-def test_unbuildable_machine_is_one_failed_run():
+@pytest.mark.parametrize(
+    "options", ({}, {"executor": SerialExecutor()}), ids=("walk", "campaign")
+)
+def test_unbuildable_machine_raises(options):
     program = CATALOG["fig1_dekker"].executable_program()
-    walk = explore_program(program, PolicySpec("DEF2"), config=NET_NOCACHE)
-    replayed = explore_program(
-        program, PolicySpec("DEF2"), config=NET_NOCACHE,
-        executor=SerialExecutor(),
-    )
-    assert walk.runs == walk.incomplete_runs == 1
-    assert _report_key(walk) == _report_key(replayed)
+    with pytest.raises(ConfigurationError, match="requires caches"):
+        explore_program(
+            program, PolicySpec("DEF2"), config=NET_NOCACHE, **options
+        )
+
+
+def test_unbuildable_machine_is_no_proof():
+    program = CATALOG["message_passing"].executable_program()
+    with pytest.raises(ConfigurationError, match="requires caches"):
+        verify_weak_ordering(
+            program, PolicySpec("DEF2"), set(), config=BUS_NOCACHE
+        )
+    with pytest.raises(ConfigurationError, match="requires caches"):
+        explore_to_fixpoint(program, PolicySpec("DEF2"), config=BUS_NOCACHE)
 
 
 # -- fork independence -----------------------------------------------------

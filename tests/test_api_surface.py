@@ -80,7 +80,6 @@ FACADE_SHAPES = {
         ("program", "POSITIONAL_OR_KEYWORD", False),
         ("model", "KEYWORD_ONLY", True),
         ("max_executions", "KEYWORD_ONLY", True),
-        ("jobs", "KEYWORD_ONLY", True),
         ("prune", "KEYWORD_ONLY", True),
     ),
     "campaign": (

@@ -117,12 +117,6 @@ class TestDrfCommand:
         assert main(["drf", "critical_section"]) == 0
         assert "obeys" in capsys.readouterr().out
 
-    def test_parallel_matches_serial_verdict(self, capsys):
-        assert main(["drf", "fig1_dekker", "--jobs", "2"]) == 1
-        parallel_out = capsys.readouterr().out
-        assert main(["drf", "fig1_dekker"]) == 1
-        assert capsys.readouterr().out == parallel_out
-
     def test_metrics_json(self, tmp_path, capsys):
         path = tmp_path / "drf.json"
         assert main(
@@ -501,7 +495,7 @@ class TestFlagChecks:
             ["litmus", "fig1_dekker", "--jobs", "0"],
             ["conformance", "--jobs", "-3"],
             ["figure1", "--runs", "0"],
-            ["drf", "fig1_dekker", "--jobs", "0"],
+            ["explore", "fig1_dekker", "--jobs", "0"],
             ["soak", "--runs", "0"],
         ],
         ids=" ".join,
