@@ -42,7 +42,12 @@ table (:class:`_Table`):
   choice are the program's, so they live in its
   :func:`~repro.core.memo.program_memo` (:class:`_Derived`) and every
   model's call on that program shares them until another program is
-  checked.
+  checked.  So does each finished allowed set, keyed by the ppo
+  bitmasks it was computed under: two models with the same ppo over
+  the program allow the same set, and the second is answered from the
+  memo (``WO-DRF0`` is ``SC`` or ``RELAXED`` once its DRF flag is
+  known, ``WO`` is ``RELAXED`` on a program without syncs, ``PSO`` is
+  ``TSO`` on one without a store-store pair).
 
 **Budget.**  The kernel compares ``max_candidates`` with the static size
 of the candidate space — Π over locations of (writes to it)! times Π
@@ -674,9 +679,10 @@ class _Derived:
     Every model asks for the same compiled table, the same coherent
     configurations per location and the same values per reads-from
     choice; only ppo, and so which combinations survive, differs.  The
-    configurations and resolutions are filled in on first use, with
-    entries that are the same whoever fills them, so calls on other
-    threads may share them.  Callers must not mutate what they return.
+    configurations, resolutions and allowed sets (keyed by the ppo
+    successor bitmasks) are filled in on first use, with entries that
+    are the same whoever fills them, so calls on other threads may share
+    them.  Callers must not mutate what they return.
     """
 
     def __init__(self, program: Program) -> None:
@@ -685,6 +691,8 @@ class _Derived:
         self._replayer = _Replayer(self.table)
         #: The rf choice of every location -> :meth:`_Replayer.resolve`.
         self._resolved: Dict[tuple, Optional[Tuple[Tuple[int, ...], Tuple]]] = {}
+        #: ppo successor bitmasks -> the observables they allow.
+        self.allowed: Dict[Tuple[int, ...], FrozenSet[Observable]] = {}
 
     def location_configs(self, l: int) -> List[_LocationConfig]:
         """:func:`_location_configs` of location ``l``."""
@@ -731,7 +739,9 @@ def allowed_outcomes(
     :class:`CandidateBudgetExceeded` when the candidate space — Π over
     locations of (writes to it)! times Π over reads of (writes to the
     read's location + 1) — is larger than ``max_candidates``.  The size
-    is checked before any value is resolved.
+    is checked before any value is resolved and before the program memo
+    is asked for a set kept under the same ppo, which any model with
+    that ppo over the program then gets (the very same object).
     """
     derived = program_memo(program).fact("axiomatic", _Derived)
     table = derived.table
@@ -750,6 +760,21 @@ def allowed_outcomes(
     )
     for a, b in model.ppo(skeleton):
         ppo[index[a]] |= 1 << index[b]
+    key = tuple(ppo)
+    allowed = derived.allowed.get(key)
+    if allowed is None:
+        allowed = derived.allowed.setdefault(
+            key, _allowed(program, derived, ppo)
+        )
+    return allowed
+
+
+def _allowed(
+    program: Program, derived: _Derived, ppo: List[int]
+) -> FrozenSet[Observable]:
+    """:func:`allowed_outcomes` under the ppo successor bitmasks ``ppo``."""
+    table = derived.table
+    ops = table.ops
     sweep = [(i, 1 << i) for i in reversed(range(len(ops)))]
 
     per_location = []

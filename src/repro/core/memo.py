@@ -12,6 +12,12 @@ another program replaces the slot, so at most one program's derivations
 are ever alive, and a pass over many programs derives everything afresh
 for each.
 
+The memo also keeps the answers already given, each keyed by everything
+it depends on besides the program: an axiomatic allowed set by the ppo
+it was computed under (so a model with another's ppo gets that set), a
+DRF verdict by its synchronization model and execution budget (so the
+verdicts one walk settles for both models serve both questions).
+
 A memo may be read by several threads at once (the job service runs
 checks on worker threads), so it holds only facts that never change once
 built and caches whose entries are the same whoever fills them.  Budgets,

@@ -18,6 +18,10 @@ and pushes only the new operations, each compared with the earlier
 accesses to its own location.  The full race detector
 (:func:`repro.drf.races.find_races`) stays the oracle: it is run on the
 first racy execution and supplies the reported races.
+
+The stream of executions does not depend on the synchronization model,
+so one walk feeds one kernel per model and leaves, in the program's
+memo, every verdict it settles; see :func:`check_program`.
 """
 
 from __future__ import annotations
@@ -27,9 +31,10 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.core.execution import Execution
+from repro.core.memo import program_memo
 from repro.core.operation import Location, MemoryOp, OpKind
 from repro.core.program import Program
-from repro.drf.models import DRF0, SynchronizationModel
+from repro.drf.models import DRF0, DRF0_R, SynchronizationModel
 from repro.drf.races import Race, find_races
 from repro.hb.augment import AugmentationError, _is_reserved_location
 from repro.sc.interleaving import SearchBudgetExceeded, enumerate_executions
@@ -88,49 +93,108 @@ def check_program(
     :func:`repro.sc.interleaving.enumerate_executions`): with it on,
     every race verdict is still reachable, but clean programs need far
     fewer executions to prove it.
+
+    The pruned stream does not depend on the model, so one walk serves
+    both of Section 6's models: it feeds a race kernel for ``model``
+    and one for each of :data:`DRF0` and :data:`DRF0_R`, and stops by
+    ``model``'s rule alone.  Each verdict that is definitive under the
+    same budget — the model raced, the budget cut the walk, or the tree
+    ended — is kept in the program's
+    :func:`~repro.core.memo.program_memo` under ``(model,
+    max_executions)``, so asking the other model next reads its answer
+    there.  A DRF0 race is a DRF0-R race at the same execution or an
+    earlier one, so asking DRF0 first always leaves DRF0-R's answer.
+    An unpruned walk is the oracle and is never memoised.
+
+    The report is the caller's own: every call, served or not, runs
+    :func:`~repro.drf.races.find_races` afresh on a racy verdict's
+    witness (raising :class:`RaceKernelMismatch` if it finds nothing)
+    and hands out a fresh copy of the witness execution.
     """
+    budget = None if max_executions is None else max(max_executions, 0)
+    if not prune:
+        verdict = _walk(program, (model,), budget, prune=False)[model]
+    else:
+        answers = program_memo(program).fact("drf", lambda _: {})
+        key = (model, budget)
+        verdict = answers.get(key)
+        if verdict is None:
+            models = (model,) + tuple(m for m in (DRF0, DRF0_R) if m != model)
+            for rider, found in _walk(program, models, budget, True).items():
+                answers.setdefault((rider, budget), found)
+            verdict = answers[key]
+    checked, witness, exhaustive = verdict
+    if witness is None:
+        return DRFReport(
+            program=program,
+            model=model,
+            obeys=True,
+            executions_checked=checked,
+            exhaustive=exhaustive,
+        )
+    races = find_races(
+        witness, model=model, initial_memory=dict(program.initial_memory)
+    )
+    if not races:
+        raise RaceKernelMismatch(
+            f"the race kernel flags execution {checked} under "
+            f"{model.name}, but find_races reports no race"
+        )
+    return DRFReport(
+        program=program,
+        model=model,
+        obeys=False,
+        executions_checked=checked,
+        races=races,
+        witness=Execution(
+            ops=list(witness.ops),
+            observable=witness.observable,
+            completed=witness.completed,
+        ),
+    )
+
+
+#: ``(executions checked, racy witness or None, exhaustive)``.
+_Verdict = Tuple[int, Optional[Execution], bool]
+
+
+def _walk(
+    program: Program,
+    models: Tuple[SynchronizationModel, ...],
+    budget: Optional[int],
+    prune: bool,
+) -> Dict[SynchronizationModel, _Verdict]:
+    """The verdict of each of ``models`` that one walk of the idealized
+    executions decides, judging at most ``budget`` of them and stopping
+    once ``models[0]`` has one."""
     # One execution past the budget tells a cut-short search from one
     # whose tree fits the budget exactly.
     executions = enumerate_executions(
         program,
-        max_executions=(
-            None if max_executions is None else max(max_executions, 0) + 1
-        ),
+        max_executions=None if budget is None else budget + 1,
         prune=prune,
     )
-    kernel = _PrefixRaceChecker(model, program.num_procs)
+    undecided = {
+        model: _PrefixRaceChecker(model, program.num_procs)
+        for model in models
+    }
+    verdicts: Dict[SynchronizationModel, _Verdict] = {}
     checked = 0
     for execution in executions:
-        if max_executions is not None and checked >= max_executions:
-            return DRFReport(
-                program=program,
-                model=model,
-                obeys=True,
-                executions_checked=checked,
-                exhaustive=False,
-            )
+        if budget is not None and checked >= budget:
+            for model in undecided:
+                verdicts[model] = (checked, None, False)
+            return verdicts
         checked += 1
-        if not kernel.racy(execution):
-            continue
-        races = find_races(
-            execution, model=model, initial_memory=dict(program.initial_memory)
-        )
-        if not races:
-            raise RaceKernelMismatch(
-                f"the race kernel flags execution {checked} under "
-                f"{model.name}, but find_races reports no race"
-            )
-        return DRFReport(
-            program=program,
-            model=model,
-            obeys=False,
-            executions_checked=checked,
-            races=races,
-            witness=execution,
-        )
-    return DRFReport(
-        program=program, model=model, obeys=True, executions_checked=checked
-    )
+        for model, kernel in list(undecided.items()):
+            if kernel.racy(execution):
+                verdicts[model] = (checked, execution, True)
+                del undecided[model]
+        if models[0] in verdicts:
+            return verdicts
+    for model in undecided:
+        verdicts[model] = (checked, None, True)
+    return verdicts
 
 
 class _PrefixRaceChecker:

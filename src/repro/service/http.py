@@ -306,7 +306,9 @@ class ServiceServer:
                     json.dumps(snapshot, sort_keys=True).encode() + b"\n"
                 )
                 await writer.drain()
-            if job.state in (DONE, FAILED):
+            # The snapshot's state, not the live one: a job that ends
+            # after the snapshot was taken gets one more, terminal line.
+            if snapshot["state"] in (DONE, FAILED):
                 break
             if asyncio.get_event_loop().time() > deadline:
                 break

@@ -4,7 +4,10 @@
 ``sc-per-location`` rejects under every model.  The oracle is the
 per-execution API: every raw candidate ``enumerate_candidates`` yields,
 kept when ``AxiomaticModel.allows`` accepts it.  The two must agree on
-every model and every DRF flag, exceptions included (compared by type).
+every model and every DRF flag, exceptions included (compared by type),
+both when the kernel computes a set and when the program memo serves it
+(a set is kept under the ppo it was computed with, so models with the
+same ppo share it).
 """
 
 import random
@@ -17,6 +20,7 @@ from repro.axiomatic import (
     model_by_name,
 )
 from repro.axiomatic.crosscheck import allowed_outcomes
+from repro.core import memo
 from repro.core.instructions import MemInstruction
 from repro.core.operation import OpKind
 from repro.core.program import Program, ThreadBuilder
@@ -51,12 +55,18 @@ def _kernel(program, model, flag):
 
 
 def _assert_agree(program):
-    for flag in FLAGS:
-        expected = _oracle(program, flag)
-        for model in MODELS:
-            assert _kernel(program, model, flag) == expected[model.name], (
-                f"{program.name}: {model.name} with drf flags {flag}"
-            )
+    """Fresh answers, then memo-served ones: the slot starts empty, every
+    model in one order either computes the set of its ppo or reads it
+    from the program memo, and a second pass in the reverse order reads
+    every answer from there."""
+    expected = {flag: _oracle(program, flag) for flag in FLAGS}
+    memo._SLOT.clear()
+    for models in (MODELS, MODELS[::-1]):
+        for flag in FLAGS:
+            for model in models:
+                assert (
+                    _kernel(program, model, flag) == expected[flag][model.name]
+                ), f"{program.name}: {model.name} with drf flags {flag}"
 
 
 def rmw_program(seed, num_procs=2, ops_per_proc=3):

@@ -185,6 +185,45 @@ class TestJobRoutes:
         assert lines[-1]["state"] in ("done", "failed")
         assert all(snap["id"] == job_id for snap in lines)
 
+    def test_stream_ends_on_a_terminal_snapshot(self):
+        """A job that finishes between its snapshot and the stream's
+        terminality test still gets a terminal line."""
+
+        class FinishingJob:
+            #: Already done by the time the stream looks at it ...
+            state = "done"
+
+            def __init__(self):
+                self.snapshots = 0
+
+            def to_public(self):
+                # ... though its first snapshot was taken while running.
+                self.snapshots += 1
+                state = "running" if self.snapshots == 1 else "done"
+                return {"id": "j", "state": state}
+
+        class StubEngine:
+            job = FinishingJob()
+
+            def get(self, job_id):
+                return self.job
+
+        class Writer:
+            def __init__(self):
+                self.data = b""
+
+            def write(self, data):
+                self.data += data
+
+            async def drain(self):
+                pass
+
+        writer = Writer()
+        asyncio.run(ServiceServer(StubEngine())._stream(writer, "j"))
+        _headers, body = writer.data.split(b"\r\n\r\n", 1)
+        states = [json.loads(line)["state"] for line in body.splitlines()]
+        assert states == ["running", "done"]
+
 
 class TestBackpressureHTTP:
     def test_saturation_sheds_with_429_and_bounded_memory(

@@ -2,19 +2,25 @@
 
 The model-independent derivations of a program — the axiomatic kernel's
 table, coherent configurations, thread replays and rf-pick resolutions,
-the idealized machine's thread states and persistent sets — live in one
-program memo (:mod:`repro.core.memo`), shared by every check of that
-program until another program is checked.  Everything else (the race
+the idealized machine's thread states and persistent sets — and the
+answers already given — each allowed set under its ppo, each DRF verdict
+under its model and budget — live in one program memo
+(:mod:`repro.core.memo`), shared by every check of that program until
+another program is checked.  Everything else (the race
 kernel's sync joins, search state, scratch buffers) still dies with its
 call.  So:
 
-* running A, then B, then A again gives A's answers twice, leaves at
-  most one program's memo alive (B's is gone once A is checked again),
-  and leaves every other module-level container of the checker modules
-  as it was;
+* running A, then B, then A again gives A's answers twice (both DRF
+  models and all seven axiomatic models, whose answers the memo also
+  keeps), leaves at most one program's memo alive (B's is gone once A
+  is checked again), and leaves every other module-level container of
+  the checker modules as it was;
 * two passes over the same programs derive the same amount, so a
   benchmark that passes over them again measures the checkers, not a
-  cache.
+  cache;
+* a kept answer reaches each caller as its own: threads asking the DRF
+  models in opposite orders agree with a serial run, and mutating a
+  served report changes nothing for the next caller.
 """
 
 import gc
@@ -55,17 +61,32 @@ def _sizes():
     return sizes
 
 
-def _answers(program):
-    reports = [api.check_drf0(program, model=model) for model in (DRF0, DRF0_R)]
+def _drf(report):
+    """What a DRF report says, its witness's ops named by what they did."""
+    witness = None if report.witness is None else [
+        (op.proc, op.kind, op.location, op.value_read, op.value_written)
+        for op in report.witness.ops
+    ]
+    return (report.obeys, report.executions_checked, report.exhaustive,
+            report.describe(), witness)
+
+
+def _answers(program, drf_models=(DRF0, DRF0_R)):
+    """Every answer of ``program``, the DRF models asked in the order
+    given and reported in a fixed one."""
+    reports = {
+        model.name: api.check_drf0(program, model=model)
+        for model in drf_models
+    }
+    drf0, drf0_r = reports[DRF0.name], reports[DRF0_R.name]
     allowed = {
         name: api.allowed_outcomes(
             program, model_by_name(name),
-            drf0=reports[0].obeys, drf0_r=reports[1].obeys,
+            drf0=drf0.obeys, drf0_r=drf0_r.obeys,
         )
         for name in axiomatic_model_names()
     }
-    drf = [(r.obeys, r.executions_checked, r.describe()) for r in reports]
-    return api.verify_sc(program), drf, allowed
+    return api.verify_sc(program), [_drf(drf0), _drf(drf0_r)], allowed
 
 
 def _live_memos():
@@ -154,7 +175,8 @@ def test_threads_checking_interleaved_programs_match_a_serial_run(
     order, frequent_switches,
 ):
     """The service runs checks on worker threads: four threads checking
-    two programs in turn get exactly the answers of a serial run."""
+    two programs in turn, asking the two DRF models in opposite orders,
+    get exactly the answers of a serial run."""
     programs = [fig1_dekker().program, iriw().program]
     serial = [_answers(p) for p in programs]
     pick = ORDERS[order]
@@ -162,9 +184,13 @@ def test_threads_checking_interleaved_programs_match_a_serial_run(
     found = {}
 
     def work(worker):
+        # Odd workers ask DRF0-R before DRF0: each order leaves a
+        # different set of verdicts in the memo for the others.
+        drf_models = (DRF0, DRF0_R)[:: 1 if worker % 2 == 0 else -1]
         start.wait()
         found[worker] = [
-            _answers(programs[pick(worker, turn)]) for turn in range(4)
+            _answers(programs[pick(worker, turn)], drf_models)
+            for turn in range(4)
         ]
 
     threads = [threading.Thread(target=work, args=(w,)) for w in range(4)]
@@ -177,3 +203,20 @@ def test_threads_checking_interleaved_programs_match_a_serial_run(
         assert found[worker] == [
             serial[pick(worker, turn)] for turn in range(4)
         ]
+
+
+def test_a_memoised_drf_report_is_each_callers_own():
+    """A DRF verdict kept in the memo is served as a fresh report, so
+    one caller mutating its report cannot change another's answer."""
+    program = fig1_dekker().program
+    api.check_drf0(program)  # the walk leaves both models' verdicts
+    reports = [api.check_drf0(program, model=DRF0_R) for _ in range(2)]
+    expected = _drf(reports[1])
+    mutated = reports[0]
+    assert mutated is not reports[1]
+    assert mutated.witness is not reports[1].witness
+    mutated.races.clear()
+    mutated.witness.ops.clear()
+    mutated.witness.completed = False
+    mutated.obeys = True
+    assert _drf(api.check_drf0(program, model=DRF0_R)) == expected
