@@ -272,16 +272,21 @@ class RunSpec:
 
     def run_system(self, system) -> RunResult:
         """Run ``system`` — this spec's machine, or a fork of a sibling
-        scheduled spec's — and package the outcome."""
-        run = system.run(max_cycles=self.max_cycles)
-        if self.schedule is None:
-            return _package(run, choice_log=None)
-        oracle = system.interconnect.oracle
-        return _package(
-            run,
-            choice_log=tuple(oracle.log),
-            choice_details=tuple(oracle.detail_log),
-        )
+        scheduled spec's — package the outcome, and release the machine
+        (:meth:`~repro.memsys.system.System.release`), so the caller's
+        dropping it frees it at once."""
+        try:
+            run = system.run(max_cycles=self.max_cycles)
+            if self.schedule is None:
+                return _package(run, choice_log=None)
+            oracle = system.interconnect.oracle
+            return _package(
+                run,
+                choice_log=tuple(oracle.log),
+                choice_details=tuple(oracle.detail_log),
+            )
+        finally:
+            system.release()
 
     def digest(self) -> str:
         """A stable content hash of the spec — the result-cache key.
@@ -335,26 +340,29 @@ def _package(
     choice_details: Optional[Tuple[Tuple[Optional[str], ...], ...]] = None,
 ) -> RunResult:
     """Distill a :class:`~repro.memsys.system.HardwareRun` to a result."""
+    # One walk of the stall table, sorted by (processor, reason); both
+    # sorts key on ``_value_``, the member's plain attribute behind the
+    # ``value`` property.
+    proc_stalls = sorted(
+        run.stats.stall_breakdown().items(),
+        key=lambda kv: (kv[0][0], kv[0][1]._value_),
+    )
     by_reason: Dict[StallReason, int] = {}
-    proc_stalls: Dict[Tuple[int, StallReason], int] = {}
-    for (proc, reason), cycles in run.stats.stall_breakdown().items():
+    stall_cycles = 0
+    for (_, reason), cycles in proc_stalls:
         by_reason[reason] = by_reason.get(reason, 0) + cycles
-        key = (proc, reason)
-        proc_stalls[key] = proc_stalls.get(key, 0) + cycles
+        stall_cycles += cycles
     timings = RunMetrics(
-        stall_cycles=run.stats.stall_cycles(),
+        stall_cycles=stall_cycles,
         messages=run.stats.count("interconnect.delivered"),
         sync_nacks=run.stats.count("dir.sync_nacks"),
         stall_by_reason=tuple(
-            sorted(by_reason.items(), key=lambda kv: kv[0].value)
+            sorted(by_reason.items(), key=lambda kv: kv[0]._value_)
         ),
-        proc_stalls=tuple(
+        proc_stalls=tuple([
             (proc, reason, cycles)
-            for (proc, reason), cycles in sorted(
-                proc_stalls.items(),
-                key=lambda kv: (kv[0][0], kv[0][1].value),
-            )
-        ),
+            for (proc, reason), cycles in proc_stalls
+        ]),
         halt_times=tuple(run.halt_times),
     )
     diagnosis = run.deadlock.describe() if run.deadlock is not None else None

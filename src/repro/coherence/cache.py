@@ -93,7 +93,7 @@ class Cache(CacheController):
         new._gp_waiters = {
             loc: [fork(access) for access in waiters]
             for loc, waiters in self._gp_waiters.items()
-        }
+        } if self._gp_waiters else {}
         new._stalled_recalls = list(self._stalled_recalls)
         new._inval_while_outstanding = set(self._inval_while_outstanding)
         new.interconnect.register(cache_endpoint(new.cache_id), new._on_message)
@@ -139,11 +139,10 @@ class Cache(CacheController):
             return
         self.stats.bump("cache.read_misses")
         if access.location in self._outstanding:
-            self.sanitizer.protocol_error(
+            self.protocol_error(
                 "open-transaction",
                 f"read miss on {access.location!r} while a transaction is "
                 f"already open (processor must serialize per location)",
-                component=self.name,
                 location=access.location,
             )
         if not access.kind.is_sync:
@@ -173,11 +172,10 @@ class Cache(CacheController):
             "cache.write_upgrades" if line and line.valid else "cache.write_misses"
         )
         if access.location in self._outstanding:
-            self.sanitizer.protocol_error(
+            self.protocol_error(
                 "open-transaction",
                 f"write miss on {access.location!r} while a transaction is "
                 f"already open (processor must serialize per location)",
-                component=self.name,
                 location=access.location,
             )
         if not access.sync_protocol:
@@ -279,12 +277,11 @@ class Cache(CacheController):
         line = self._lines.get(inval.location)
         if line is not None and line.valid:
             if line.state is not LineState.SHARED:
-                self.sanitizer.protocol_error(
+                self.protocol_error(
                     "inval-state",
                     f"Inval for {inval.location!r} hit a line in state "
                     f"{line.state.name} (only shared copies are "
                     f"invalidated; an exclusive owner gets a Recall)",
-                    component=self.name,
                     location=inval.location,
                 )
             del self._lines[inval.location]
@@ -316,14 +313,13 @@ class Cache(CacheController):
                     self._stalled_recalls.append(recall)
                 return
             if line.state is not LineState.EXCLUSIVE or line.gp_pending:
-                self.sanitizer.protocol_error(
+                self.protocol_error(
                     "recall-state",
                     f"recall for {recall.location!r} hit a line in state "
                     f"{line.state.name}"
                     + (" with its MemAck pending" if line.gp_pending else "")
                     + " (the directory should only recall a settled "
                     "exclusive owner)",
-                    component=self.name,
                     location=recall.location,
                 )
             value = line.value
@@ -343,10 +339,9 @@ class Cache(CacheController):
                 RecallAck(recall.location, value, self.cache_id, recall.downgrade)
             )
             return
-        self.sanitizer.protocol_error(
+        self.protocol_error(
             "recall-state",
             f"recall for {recall.location!r}, but this cache holds no copy "
             f"and no write-back is in flight",
-            component=self.name,
             location=recall.location,
         )

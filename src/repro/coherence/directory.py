@@ -45,7 +45,7 @@ from repro.coherence.protocol import (
 from repro.core.operation import Location, Value
 from repro.interconnect.base import Interconnect
 from repro.sim.engine import Component, Simulator
-from repro.sim.fork import Fork, Forkable
+from repro.sim.fork import Fork, copy_leaf
 from repro.sim.stats import Stats
 
 
@@ -63,21 +63,18 @@ class EntryState(enum.Enum):
 
 
 @dataclass
-class DirectoryEntry(Forkable):
+class DirectoryEntry:
+    """A home-side line record; a fork copies it as a leaf."""
+
     state: EntryState = EntryState.UNOWNED
     sharers: Set[int] = field(default_factory=set)
     owner: Optional[int] = None
     value: Value = 0
 
-    def _fork(self, fork: Fork) -> "DirectoryEntry":
-        new = fork.shell(self)
-        new.sharers = set(self.sharers)
-        return new
-
 
 @dataclass
-class _OpenTransaction(Forkable):
-    """A per-location in-flight transaction."""
+class _OpenTransaction:
+    """A per-location in-flight transaction; a fork copies it as a leaf."""
 
     request: Union[GetS, GetX]
     pending_acks: int = 0
@@ -88,11 +85,6 @@ class _OpenTransaction(Forkable):
     #: un-acked invalidation recipients) — the wait-for edges the
     #: deadlock diagnosis walks.
     awaiting: Set[int] = field(default_factory=set)
-
-    def _fork(self, fork: Fork) -> "_OpenTransaction":
-        new = fork.shell(self)
-        new.awaiting = set(self.awaiting)
-        return new
 
 
 class Directory(Component):
@@ -120,12 +112,19 @@ class Directory(Component):
 
     def _fork(self, fork: Fork) -> "Directory":
         new = super()._fork(fork)
-        new.interconnect = fork(self.interconnect)
-        new.stats = fork(self.stats)
-        new._entries = {
-            loc: fork(entry) for loc, entry in self._entries.items()
-        }
-        new._open = {loc: fork(txn) for loc, txn in self._open.items()}
+        memo = fork.memo
+        new.interconnect = (
+            memo.get(id(self.interconnect)) or self.interconnect._fork(fork)
+        )
+        new.stats = memo.get(id(self.stats)) or self.stats._fork(fork)
+        new._entries = entries = {}
+        for loc, entry in self._entries.items():
+            copy = entries[loc] = copy_leaf(entry)
+            copy.sharers = set(entry.sharers)
+        new._open = opened = {}
+        for loc, txn in self._open.items():
+            copy = opened[loc] = copy_leaf(txn)
+            copy.awaiting = set(txn.awaiting)
         new._queues = {loc: deque(q) for loc, q in self._queues.items()}
         new.interconnect.register(DIRECTORY_ENDPOINT, new._on_message)
         return new
@@ -229,12 +228,11 @@ class Directory(Component):
         self.stats.bump("dir.getx")
         if entry.state is EntryState.EXCLUSIVE:
             if entry.owner == request.requester:
-                self.sim.sanitizer.protocol_error(
+                self.protocol_error(
                     "dir-agreement",
                     f"cache {request.requester} sent a GetX for "
                     f"{request.location!r}, a line the directory already "
                     f"records it as owning exclusively",
-                    component=self.name,
                     location=request.location,
                 )
             self._open[request.location] = _OpenTransaction(
@@ -299,11 +297,10 @@ class Directory(Component):
     def _on_inval_ack(self, ack: InvalAck) -> None:
         txn = self._open.get(ack.location)
         if txn is None or not isinstance(txn.request, GetX):
-            self.sim.sanitizer.protocol_error(
+            self.protocol_error(
                 "msg-conservation",
                 f"InvalAck from cache {ack.from_cache} for "
                 f"{ack.location!r} matches no open write transaction",
-                component=self.name,
                 location=ack.location,
             )
         txn.awaiting.discard(ack.from_cache)
@@ -315,11 +312,10 @@ class Directory(Component):
     def _on_recall_ack(self, ack: RecallAck) -> None:
         txn = self._open.get(ack.location)
         if txn is None:
-            self.sim.sanitizer.protocol_error(
+            self.protocol_error(
                 "msg-conservation",
                 f"RecallAck from cache {ack.from_cache} for "
                 f"{ack.location!r} matches no open transaction",
-                component=self.name,
                 location=ack.location,
             )
         entry = self.entry(ack.location)
@@ -348,11 +344,10 @@ class Directory(Component):
         # or a GetS (data read of a reserved line); both retry.
         txn = self._open.get(nack.location)
         if txn is None:
-            self.sim.sanitizer.protocol_error(
+            self.protocol_error(
                 "msg-conservation",
                 f"RecallNack from cache {nack.from_cache} for "
                 f"{nack.location!r} matches no open transaction",
-                component=self.name,
                 location=nack.location,
             )
         self.stats.bump("dir.sync_nacks")

@@ -24,7 +24,7 @@ from repro.cpu.access import MemoryAccess
 from repro.cpu.counter import OutstandingCounter
 from repro.interconnect.base import Interconnect
 from repro.sim.engine import Component, Simulator
-from repro.sim.fork import Fork, Forkable
+from repro.sim.fork import Fork, copy_leaf
 from repro.sim.stats import Stats
 
 
@@ -37,8 +37,9 @@ class LineState(enum.Enum):
 
 
 @dataclass
-class CacheLine(Forkable):
-    """A resident line and its bookkeeping bits."""
+class CacheLine:
+    """A resident line and its bookkeeping bits; only its cache holds
+    it, so a fork copies it as a leaf."""
 
     location: Location
     state: LineState
@@ -59,9 +60,6 @@ class CacheLine(Forkable):
     @property
     def exclusive(self) -> bool:
         return self.state is LineState.EXCLUSIVE
-
-    def _fork(self, fork: Fork) -> "CacheLine":
-        return fork.shell(self)
 
 
 class CacheController(Component):
@@ -108,7 +106,6 @@ class CacheController(Component):
         self.reserve_enabled = reserve_enabled
 
         self.counter = OutstandingCounter(owner=name, clock=self._now)
-        self.sanitizer = sim.sanitizer
         self._lines: Dict[Location, CacheLine] = {}
         #: One outstanding transaction per location (processor enforces
         #: this; asserted by the miss paths).
@@ -139,15 +136,21 @@ class CacheController(Component):
         """Copy lines, counter and transaction maps; register the copy's
         handler on the forked interconnect (subclasses name it)."""
         new = super()._fork(fork)
-        new.interconnect = fork(self.interconnect)
-        new.stats = fork(self.stats)
+        memo = fork.memo
+        new.interconnect = (
+            memo.get(id(self.interconnect)) or self.interconnect._fork(fork)
+        )
+        new.stats = memo.get(id(self.stats)) or self.stats._fork(fork)
         new.tracer = new.sim.tracer
-        new.sanitizer = new.sim.sanitizer
-        new.counter = fork(self.counter)
-        new._lines = {loc: fork(line) for loc, line in self._lines.items()}
+        new.counter = self.counter._fork(fork)
+        # Empty maps skip their comprehension (a frame each).
+        new._lines = {
+            loc: copy_leaf(line) for loc, line in self._lines.items()
+        } if self._lines else {}
         new._outstanding = {
-            loc: fork(access) for loc, access in self._outstanding.items()
-        }
+            loc: memo.get(id(access)) or access._fork(fork)
+            for loc, access in self._outstanding.items()
+        } if self._outstanding else {}
         new._victims = dict(self._victims)
         new.on_sync_nack = [fork.method(fn) for fn in self.on_sync_nack]
         return new

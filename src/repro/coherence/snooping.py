@@ -357,11 +357,10 @@ class SnoopingCache(CacheController):
             return
         self.stats.bump("snoopcache.misses")
         if access.location in self._outstanding:
-            self.sanitizer.protocol_error(
+            self.protocol_error(
                 "open-transaction",
                 f"second miss on {access.location!r} while one is already "
                 f"outstanding (processor must serialize per location)",
-                component=self.name,
                 location=access.location,
             )
         self.counter.increment()

@@ -22,7 +22,9 @@ Use :class:`ThreadBuilder` for a fluent construction style::
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import (
+    Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Set, Tuple,
+)
 
 from repro.core.instructions import (
     Arith,
@@ -107,8 +109,9 @@ class Program:
     migration is out of scope; the paper only sketches the drain rule a
     migration would need).
 
-    Immutable after construction; fingerprints are memoised (see
-    :func:`repro.campaign.spec.program_fingerprint`).
+    Immutable after construction; its fingerprint (see
+    :func:`repro.campaign.spec.program_fingerprint`) and its
+    :meth:`locations` are memoised on it.
     """
 
     threads: Tuple[Thread, ...]
@@ -134,11 +137,17 @@ class Program:
     def num_procs(self) -> int:
         return len(self.threads)
 
-    def locations(self) -> Set[Location]:
-        """Every shared location the program can touch (incl. initial memory)."""
-        locs: Set[Location] = set(self.initial_memory)
-        for thread in self.threads:
-            locs |= thread.memory_locations()
+    def locations(self) -> FrozenSet[Location]:
+        """Every shared location the program can touch (incl. initial
+        memory); computed once per program (it is immutable) and
+        memoised on it, like its campaign fingerprint."""
+        locs = self.__dict__.get("_locations")
+        if locs is None:
+            found: Set[Location] = set(self.initial_memory)
+            for thread in self.threads:
+                found |= thread.memory_locations()
+            locs = frozenset(found)
+            object.__setattr__(self, "_locations", locs)
         return locs
 
     def initial_value(self, location: Location) -> Value:

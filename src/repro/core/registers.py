@@ -50,11 +50,6 @@ class RegisterFile:
     def copy(self) -> "RegisterFile":
         return RegisterFile(self._regs)
 
-    def _fork(self, fork) -> "RegisterFile":
-        """Copy for a :class:`~repro.sim.fork.Fork` of the machine
-        (forkable by protocol: this module sits below ``repro.sim``)."""
-        return fork.adopt(self, RegisterFile(self._regs))
-
     def __iter__(self) -> Iterator[Register]:
         return iter(self._regs)
 

@@ -143,9 +143,10 @@ class MemoryAccess(Forkable):
 
     def _fork(self, fork: Fork) -> "MemoryAccess":
         new = fork.shell(self)
-        new._on_value = fork.calls(self._on_value)
-        new._on_commit = fork.calls(self._on_commit)
-        new._on_gp = fork.calls(self._on_gp)
+        calls = fork.calls
+        new._on_value = calls(self._on_value) if self._on_value else []
+        new._on_commit = calls(self._on_commit) if self._on_commit else []
+        new._on_gp = calls(self._on_gp) if self._on_gp else []
         return new
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

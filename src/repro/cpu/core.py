@@ -178,15 +178,21 @@ class ProcessorCore(Component):
 
     def _fork(self, fork: Fork) -> "ProcessorCore":
         """Copy the architectural and pipeline state; the thread, the
-        policy and committed trace operations are shared."""
+        policy and committed trace operations are shared, and the
+        register file, which only this core holds, is copied as a
+        leaf."""
         new = super()._fork(fork)
-        new.stats = fork(self.stats)
+        memo = fork.memo
+        new.stats = memo.get(id(self.stats)) or self.stats._fork(fork)
         new.tracer = new.sim.tracer
-        new.port = fork(self.port)
+        new.port = memo.get(id(self.port)) or self.port._fork(fork)
         if self.cache is not None:
-            new.cache = fork(self.cache)
-        new.regs = fork(self.regs)
-        new.pending_accesses = [fork(a) for a in self.pending_accesses]
+            new.cache = new.port if self.cache is self.port else fork(self.cache)
+        new.regs = self.regs.copy()
+        new.pending_accesses = [
+            memo.get(id(access)) or access._fork(fork)
+            for access in self.pending_accesses
+        ]
         new.trace = list(self.trace)
         new._occurrences = dict(self._occurrences)
         if self.blocked_access is not None:

@@ -88,11 +88,15 @@ class OutstandingCounter(Forkable):
 
     def _fork(self, fork: Fork) -> "OutstandingCounter":
         new = fork.shell(self)
+        method = fork.method
         if self._clock is not None:
-            new._clock = fork.method(self._clock)
-        new._on_zero = [fork.method(callback) for callback in self._on_zero]
+            new._clock = method(self._clock)
+        new._on_zero = (
+            [method(callback) for callback in self._on_zero]
+            if self._on_zero else []
+        )
         if self.observer is not None:
-            new.observer = fork.method(self.observer)
+            new.observer = method(self.observer)
         return new
 
     @property

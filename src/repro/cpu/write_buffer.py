@@ -236,11 +236,10 @@ class WriteBufferPort(Component):
                     if self._buffer
                     else "the write buffer is empty"
                 )
-                self.sanitizer.protocol_error(
+                self.protocol_error(
                     "wbuf-fifo",
                     f"MemWriteAck for {access.location!r} does not match "
                     f"the FIFO drain order: {head}",
-                    component=self.name,
                     location=access.location,
                 )
             if self.sanitizer.enabled:

@@ -345,14 +345,24 @@ def _wave_order(prefix: Tuple[int, ...]):
 
 class _ForkingOracle(ReplayOracle):
     """A replay oracle that hands the walk every choice point past its
-    prefix before deciding, so the walk can fork the machine there."""
+    prefix before deciding, so the walk can fork the machine there.
 
-    def __init__(self, walk: "_Walk", decisions: Tuple[int, ...] = ()) -> None:
+    ``budget`` is the delays the schedule has left: a schedule that
+    spent them all has no children, so its choice points skip the walk.
+    """
+
+    def __init__(
+        self, walk: "_Walk", decisions: Tuple[int, ...], budget: int
+    ) -> None:
         super().__init__(decisions)
         self.walk = walk
+        self.budget = budget
 
     def choose(self, pending, details=None) -> int:
-        if pending > 1 and len(self.log) >= len(self.decisions):
+        if (
+            pending > 1 and self.budget > 0
+            and len(self.log) >= len(self.decisions)
+        ):
             self.walk.branch(self, pending, details)
         return super().choose(pending, details)
 
@@ -417,8 +427,8 @@ class _Walk:
         #: Children the max_runs rule refused, in breadth-first order
         #: through a campaign; non-empty means the search is truncated.
         self.dropped: List[Tuple[int, ...]] = frontier[keep:]
-        #: ``[system, prefix, delays left]`` per running schedule,
-        #: innermost last (in-process only).
+        #: ``[system, prefix]`` per running schedule, innermost last
+        #: (in-process only).
         self._running: List[list] = []
 
     def explore(
@@ -545,16 +555,18 @@ class _Walk:
             len(self.folded), len(self.queued), len(self.dropped),
             self.pruned, self.started,
         )
-        frame = [system, prefix, self.max_delays - sum(prefix)]
+        budget = self.max_delays - sum(prefix)
+        frame = [system, prefix]
         self._running.append(frame)
         error = result = None
         try:
             if system is None:
                 system = frame[0] = self.spec.build_system(
-                    _ForkingOracle(self, prefix)
+                    _ForkingOracle(self, prefix, budget)
                 )
             else:
-                system.interconnect.oracle.decisions = prefix
+                oracle = system.interconnect.oracle
+                oracle.decisions, oracle.budget = prefix, budget
             result = self.spec.run_system(system)
         except Exception as exc:
             # Drop the subtree; a campaign never sees children of a
@@ -581,13 +593,12 @@ class _Walk:
             self.reporter.tick(result)
 
     def branch(self, oracle: _ForkingOracle, pending: int, details) -> None:
-        """A choice point of the innermost running schedule, before its
-        delivery: run each child schedule that deviates here."""
-        system, prefix, budget = self._running[-1]
-        if budget <= 0:
-            return
+        """A choice point of the innermost running schedule, with delays
+        left, before its delivery: run each child schedule that deviates
+        here."""
+        system, prefix = self._running[-1]
         for child in self._children(
-            prefix, budget, len(oracle.log), pending, details
+            prefix, oracle.budget, len(oracle.log), pending, details
         ):
             if self._stop_requested():
                 continue

@@ -16,7 +16,8 @@ messages ahead of it — the unit the delay bound counts.
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Sequence, Tuple
+from bisect import insort
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.interconnect.base import Interconnect, channel_key
 from repro.sim.engine import Simulator
@@ -97,13 +98,24 @@ class ScheduledInterconnect(Interconnect):
         super().__init__(sim, stats, name)
         self.oracle = oracle
         self.inval_virtual_channel = inval_virtual_channel
-        #: ``(src, dst, payload, flow id)`` per message in flight.
-        self._pending: List[Tuple[str, str, Any, Optional[int]]] = []
+        # A message in flight is ``(send number, src, dst, payload, flow
+        # id, channel, location)``: its channel
+        # (:func:`~repro.interconnect.base.channel_key`) and target
+        # location are taken once, at send.
+        self._sent = 0
+        #: The eligible messages — the oldest of each channel — in
+        #: send order.
+        self._heads: List[tuple] = []
+        #: Channel -> the messages queued behind its head, oldest first;
+        #: a channel is a key exactly while it has a head.  Tuples, so
+        #: a fork copies the map shallowly.
+        self._behind: Dict[Tuple, Tuple[tuple, ...]] = {}
 
     def _fork(self, fork: Fork) -> "ScheduledInterconnect":
         new = super()._fork(fork)
-        new.oracle = fork(self.oracle)
-        new._pending = list(self._pending)
+        new.oracle = fork.memo.get(id(self.oracle)) or self.oracle._fork(fork)
+        new._heads = list(self._heads)
+        new._behind = dict(self._behind)
         return new
 
     def send(self, src: str, dst: str, payload: Any) -> None:
@@ -112,30 +124,34 @@ class ScheduledInterconnect(Interconnect):
             self._trace_send(src, dst, payload)
             if self.sim.tracer.enabled else None
         )
-        self._pending.append((src, dst, payload, flow_id))
+        channel = channel_key(
+            src, dst, payload,
+            inval_virtual_channel=self.inval_virtual_channel,
+        )
+        entry = (
+            self._sent, src, dst, payload, flow_id, channel,
+            getattr(payload, "location", None),
+        )
+        self._sent += 1
+        behind = self._behind.get(channel)
+        if behind is None:
+            self._behind[channel] = ()
+            self._heads.append(entry)
+        else:
+            self._behind[channel] = behind + (entry,)
         self.sim.schedule(1, self._deliver_slot)
-
-    def _eligible_indices(self) -> List[int]:
-        """Index of the oldest pending message per channel."""
-        seen = set()
-        eligible = []
-        for idx, (src, dst, payload, _) in enumerate(self._pending):
-            channel = channel_key(
-                src, dst, payload,
-                inval_virtual_channel=self.inval_virtual_channel,
-            )
-            if channel not in seen:
-                seen.add(channel)
-                eligible.append(idx)
-        return eligible
 
     def _deliver_slot(self) -> None:
         # Nothing changes before the oracle decides: a machine forked
         # inside ``choose`` replays this slot from its start.
-        eligible = self._eligible_indices()
-        details = [
-            getattr(self._pending[idx][2], "location", None) for idx in eligible
-        ]
-        pick = self.oracle.choose(len(eligible), details)
-        src, dst, payload, flow_id = self._pending.pop(eligible[pick])
+        heads = self._heads
+        pick = self.oracle.choose(len(heads), [entry[6] for entry in heads])
+        _, src, dst, payload, flow_id, channel, _ = heads.pop(pick)
+        behind = self._behind[channel]
+        if behind:
+            # The channel's next message becomes eligible, in send order.
+            insort(heads, behind[0])
+            self._behind[channel] = behind[1:]
+        else:
+            del self._behind[channel]
         self._deliver(src, dst, payload, flow_id=flow_id)

@@ -52,7 +52,7 @@ class Interconnect(Component):
         """Copy the transport with no handlers: each forked component
         registers its own on the copy through :meth:`register`."""
         new = super()._fork(fork)
-        new.stats = fork(self.stats)
+        new.stats = fork.memo.get(id(self.stats)) or self.stats._fork(fork)
         new._handlers = {}
         return new
 

@@ -356,19 +356,56 @@ class System(Forkable):
 
     def _fork(self, fork: Fork) -> "System":
         new = fork.shell(self)
-        new.sim = fork(self.sim)
-        new.stats = fork(self.stats)
-        new.rng = fork(self.rng)
-        new.interconnect = fork(self.interconnect)
-        new.caches = [fork(cache) for cache in self.caches]
+        memo = fork.memo
+        new.sim = memo.get(id(self.sim)) or self.sim._fork(fork)
+        new.stats = memo.get(id(self.stats)) or self.stats._fork(fork)
+        new.rng = memo.get(id(self.rng)) or self.rng._fork(fork)
+        new.interconnect = (
+            memo.get(id(self.interconnect)) or self.interconnect._fork(fork)
+        )
+        new.caches = [
+            memo.get(id(cache)) or cache._fork(fork) for cache in self.caches
+        ]
         if self.directory is not None:
             new.directory = fork(self.directory)
         if self.snoop_coordinator is not None:
             new.snoop_coordinator = fork(self.snoop_coordinator)
         if self.memory is not None:
             new.memory = fork(self.memory)
-        new.processors = [fork(p) for p in self.processors]
+        new.processors = [
+            memo.get(id(p)) or p._fork(fork) for p in self.processors
+        ]
         return new
+
+    def release(self) -> None:
+        """Break the machine's reference cycles, so that dropping its
+        last reference frees it at once, with no cyclic-collector pass.
+
+        Called once a run is packaged (:meth:`RunSpec.run_system
+        <repro.campaign.spec.RunSpec.run_system>`); the machine cannot
+        run on afterwards.  Its stats, its oracle and the packaged
+        outcome stay readable.  What forks share (program, policy,
+        config, frozen messages, a disabled tracer or sanitizer) is
+        left as it is, so a released parent's held forks still run.
+        """
+        self.sim.release()
+        # The handler table holds a bound method of every component;
+        # a fault-injecting transport keeps it on the inner one.
+        transport = self.interconnect
+        if isinstance(transport, FaultyInterconnect):
+            transport = transport.inner
+        transport._handlers = {}
+        for cache in self.caches:
+            counter = cache.counter
+            counter._clock = counter.observer = None
+            counter._on_zero = []
+            cache.on_sync_nack = []
+        if self.snoop_coordinator is not None:
+            self.snoop_coordinator.caches = []
+        for processor in self.processors:
+            # Only accesses still in flight hold listeners: the core's.
+            for access in processor.pending_accesses:
+                access._on_value, access._on_commit, access._on_gp = [], [], []
 
     # ------------------------------------------------------------------
     # Execution
@@ -436,20 +473,15 @@ class System(Forkable):
     # ------------------------------------------------------------------
     def final_memory(self) -> Dict[Location, Value]:
         """Memory contents with dirty cache lines folded in."""
-        memory: Dict[Location, Value] = {}
-        for loc in self.program.locations():
-            memory[loc] = self.program.initial_value(loc)
-        if self.directory is not None:
-            for loc in self.program.locations():
-                memory[loc] = self.directory.memory_value(loc)
+        locations = self.program.locations()
+        home = self.directory or self.snoop_coordinator
+        if home is not None:
+            memory = {loc: home.memory_value(loc) for loc in locations}
             for cache in self.caches:
                 memory.update(cache.dirty_lines())
-        elif self.snoop_coordinator is not None:
-            for loc in self.program.locations():
-                memory[loc] = self.snoop_coordinator.memory_value(loc)
-            for cache in self.caches:
-                memory.update(cache.dirty_lines())
-        elif self.memory is not None:
+            return memory
+        memory = {loc: self.program.initial_value(loc) for loc in locations}
+        if self.memory is not None:
             memory.update(self.memory.contents())
         return memory
 
@@ -483,4 +515,7 @@ def run_program(
         program, policy, config, seed=seed, fault_plan=fault_plan,
         trace=trace, sanitize=sanitize,
     )
-    return system.run(max_cycles=max_cycles)
+    try:
+        return system.run(max_cycles=max_cycles)
+    finally:
+        system.release()

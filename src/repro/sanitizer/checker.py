@@ -160,10 +160,11 @@ class Sanitizer:
         message: str,
         component: str = "",
         location: Optional[object] = None,
+        cycle: Optional[int] = None,
     ) -> Violation:
         return Violation(
             rule=rule,
-            cycle=self.sim.now,
+            cycle=self.sim.now if cycle is None else cycle,
             message=message,
             component=component,
             location=None if location is None else str(location),
@@ -190,14 +191,19 @@ class Sanitizer:
         message: str,
         component: str = "",
         location: Optional[object] = None,
+        cycle: Optional[int] = None,
     ) -> "ProtocolError":
         """Raise a :class:`ProtocolError` for a load-bearing check.
 
         Always raises, whatever the mode — these replace asserts whose
         failure means the machine state is corrupt.  Recorded on the
-        violation list too when the sanitizer is enabled.
+        violation list too when the sanitizer is enabled.  ``cycle``
+        defaults to this sanitizer's simulator's clock; machine
+        components pass their own (see
+        :meth:`Component.protocol_error
+        <repro.sim.engine.Component.protocol_error>`).
         """
-        violation = self._violation(rule, message, component, location)
+        violation = self._violation(rule, message, component, location, cycle)
         if self.enabled:
             self.violations.append(violation)
         raise ProtocolError(violation)

@@ -13,6 +13,7 @@ because no event is a closure a running machine can be forked (see
 from __future__ import annotations
 
 import heapq
+from types import MethodType
 from typing import Any, Callable, List, Optional, Tuple
 
 from repro.obs import METRICS
@@ -172,23 +173,47 @@ class Simulator(Forkable):
 
         Forked from inside an event handler, the copy re-queues the
         firing event, so it replays that event from its start: fork only
-        before the handler has changed any state.
+        before the handler has changed any state.  A disabled tracer or
+        sanitizer is shared with the copy; an enabled one is copied.
         """
         new = fork.shell(self)
-        new.tracer = fork(self.tracer)
-        new.sanitizer = fork(self.sanitizer)
-        method, args = fork.method, fork.args
-        new._queue = [
-            (time, seq, method(callback), args(event_args))
-            for time, seq, callback, event_args in self._queue
-        ]
+        if self.tracer.enabled:
+            new.tracer = fork(self.tracer)
+        if self.sanitizer.enabled:
+            new.sanitizer = fork(self.sanitizer)
+        memo, rebind, args = fork.memo, fork.method, fork.args
+        queue = []
+        for time, seq, callback, event_args in self._queue:
+            owner = memo.get(id(getattr(callback, "__self__", None)))
+            queue.append((
+                time, seq,
+                rebind(callback) if owner is None
+                else MethodType(callback.__func__, owner),
+                args(event_args) if event_args else event_args,
+            ))
+        new._queue = queue
         new._firing = None
         if self._firing is not None:
             time, seq, callback, event_args = self._firing
             heapq.heappush(
-                new._queue, (time, seq, method(callback), args(event_args))
+                queue, (time, seq, rebind(callback), args(event_args))
             )
         return new
+
+    def release(self) -> None:
+        """Drop what ties this simulator into a reference cycle: queued
+        events (a run cut off by its watchdog leaves some) and the
+        back-pointers of the tracer and sanitizer it created.  A
+        disabled one that forks share keeps pointing at the simulator
+        that created it until that simulator is released; it reads no
+        clock while disabled."""
+        self._queue = []
+        self._firing = None
+        if self.tracer.sim is self:
+            self.tracer.sim = None
+        if self.sanitizer.sim is self:
+            self.sanitizer.sim = None
+            self.sanitizer.attach(None)
 
 
 class Component(Forkable):
@@ -234,12 +259,26 @@ class Component(Forkable):
     def on_wake(self) -> None:
         """The component's re-evaluation; default is a no-op."""
 
+    def protocol_error(
+        self, rule: str, message: str, location: Optional[Any] = None
+    ) -> None:
+        """Fail a load-bearing protocol check of this component (see
+        :meth:`Sanitizer.protocol_error
+        <repro.sanitizer.checker.Sanitizer.protocol_error>`), stamped
+        with this component's cycle: forks share a disabled sanitizer,
+        so the sanitizer's own simulator may be another machine's."""
+        sim = self.sim
+        sim.sanitizer.protocol_error(
+            rule, message, component=self.name, location=location,
+            cycle=sim.now,
+        )
+
     # -- forking ---------------------------------------------------------
     def _fork(self, fork: Fork) -> "Component":
         """The shared part of every component's fork: a shallow copy on
         the forked simulator.  Subclasses copy their own mutable state."""
         new = fork.shell(self)
-        new.sim = fork(self.sim)
+        new.sim = fork.memo.get(id(self.sim)) or self.sim._fork(fork)
         return new
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
