@@ -19,13 +19,11 @@ from repro.workloads.barrier import barrier_program
 from repro.workloads.locks import critical_section_program
 
 
-def test_explore_finds_violation(benchmark, verifier, executor):
+def test_explore_finds_violation(benchmark, verifier):
     program = fig1_dekker(warm=True).executable_program()
     sc_set = verifier.sc_result_set(program)
     report = benchmark.pedantic(
-        lambda: explore_program(
-            program, RelaxedPolicy, max_delays=2, executor=executor
-        ),
+        lambda: explore_program(program, RelaxedPolicy, max_delays=2),
         rounds=1,
         iterations=1,
     )
@@ -34,14 +32,13 @@ def test_explore_finds_violation(benchmark, verifier, executor):
     assert report.exhausted
 
 
-def test_explore_certifies_def2_on_drf0(benchmark, verifier, executor):
+def test_explore_certifies_def2_on_drf0(benchmark, verifier):
     program = fig1_dekker_all_sync(warm=True).executable_program()
     sc_set = verifier.sc_result_set(program)
 
     def check():
         return verify_weak_ordering(
             program, Def2Policy, sc_set, max_delays=3, max_runs=30_000,
-            executor=executor,
         )
 
     holds, report = benchmark.pedantic(check, rounds=1, iterations=1)
@@ -52,14 +49,13 @@ def test_explore_certifies_def2_on_drf0(benchmark, verifier, executor):
     assert holds and report.exhausted
 
 
-def test_explore_lock_program(benchmark, verifier, executor):
+def test_explore_lock_program(benchmark, verifier):
     program = critical_section_program(2, 1)
     sc_set = verifier.sc_result_set(program)
 
     def check():
         return verify_weak_ordering(
             program, Def2Policy, sc_set, max_delays=2, max_runs=30_000,
-            executor=executor,
         )
 
     holds, report = benchmark.pedantic(check, rounds=1, iterations=1)

@@ -278,8 +278,6 @@ def explore(
     core: Optional[str] = None,
     max_runs: int = 20_000,
     max_cycles: int = 200_000,
-    executor: Optional[Executor] = None,
-    jobs: int = 1,
     trace: Optional[TraceSpec] = None,
     sanitize: Optional[str] = None,
     journal: Union[CampaignJournal, str, Path, None] = None,
@@ -290,10 +288,12 @@ def explore(
 
     See :func:`repro.explore.explorer.explore_program` for the search
     itself; ``prune`` skips delay decisions that provably commute
-    (counted on the report, never changing the outcome set).  With
-    ``journal`` the search checkpoints its decision frontier durably;
-    ``resume=True`` continues a killed exploration from that journal;
-    ``progress`` prints a live heartbeat spanning every search wave.
+    (counted on the report, never changing the outcome set).  Every
+    schedule runs in-process, forking the machine where a child
+    deviates.  With ``journal`` each schedule's result is appended
+    durably as it finishes; ``resume=True`` walks a killed exploration
+    again from that journal, running only the schedules it lacks;
+    ``progress`` prints a live heartbeat.
     ``model`` is the model-centric alias of ``policy``.  A (policy,
     machine) pair that cannot be built raises ``ConfigurationError``.
     """
@@ -304,8 +304,6 @@ def explore(
         config=_coerce_machine(machine),
         max_runs=max_runs,
         max_cycles=max_cycles,
-        executor=executor,
-        jobs=jobs,
         trace=trace,
         sanitize=sanitize,
         prune=prune,

@@ -38,7 +38,13 @@ from typing import (
     Union,
 )
 
-from repro.campaign import Executor, PolicySpec, ResultCache, RunSpec
+from repro.campaign import (
+    Executor,
+    PolicySpec,
+    ResultCache,
+    RunSpec,
+    program_fingerprint,
+)
 from repro.core.execution import Observable
 from repro.litmus.catalog import standard_catalog
 from repro.litmus.runner import LitmusRunner
@@ -147,17 +153,19 @@ def _drf_flags(test: LitmusTest, cache: Dict[str, Tuple[bool, bool]]):
 
     Judged on the unwarmed program, matching the conformance grid: the
     Definition-2 contract is about the software as written; warm-up
-    loads are harness scaffolding.
+    loads are harness scaffolding.  Cached by the program's content,
+    not the test's name: two tests may share a name but not a program.
     """
-    if test.name not in cache:
+    key = program_fingerprint(test.program)
+    if key not in cache:
         from repro.drf.drf0 import contract_obeys
         from repro.drf.models import DRF0, DRF0_R
 
-        cache[test.name] = (
+        cache[key] = (
             contract_obeys(test.name, test.program, DRF0),
             contract_obeys(test.name, test.program, DRF0_R),
         )
-    return cache[test.name]
+    return cache[key]
 
 
 def crosscheck_models(

@@ -132,8 +132,8 @@ def run_campaign(
             ``cache``: only deterministic outcomes are journaled.
         progress: live heartbeat on stderr.  ``True`` builds a
             :class:`~repro.obs.ProgressReporter` for this campaign; an
-            existing reporter is shared (the explorer reuses one across
-            waves) and left for its owner to ``finish``.  Progress
+            existing reporter is shared (so several campaigns can count
+            on one) and left for its owner to ``finish``.  Progress
             rides the same ``result_callback`` hook the journal uses.
     """
     spec_list = list(specs)

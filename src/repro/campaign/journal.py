@@ -7,7 +7,7 @@ the spec batch, batch size), one ``result`` record per completed
 :class:`~repro.campaign.spec.RunSpec` (keyed by the spec's digest, the
 same content hash the :class:`~repro.campaign.cache.ResultCache` uses),
 periodic ``checkpoint`` markers, and arbitrary consumer checkpoints
-(the delay-bounded explorer snapshots its decision frontier here).
+(the delay-bounded explorer records its search identity here).
 
 Durability model:
 
@@ -293,7 +293,7 @@ class CampaignJournal:
             return True
 
     def checkpoint(self, kind: str, payload: Dict[str, Any]) -> None:
-        """Append a consumer checkpoint (e.g. an explorer frontier)."""
+        """Append a consumer checkpoint (e.g. an explorer's identity)."""
         record = {
             "type": "checkpoint",
             "kind": kind,

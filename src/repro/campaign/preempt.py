@@ -74,7 +74,7 @@ def graceful_preemption(
     """Install stop-requesting handlers for the duration of a campaign.
 
     Nested contexts share the outermost token, so a campaign inside a
-    campaign (the explorer's waves) sees one coherent stop request.
+    campaign sees one coherent stop request.
     """
     if _ACTIVE:
         # Already inside a graceful region: reuse its token, install

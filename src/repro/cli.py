@@ -35,7 +35,8 @@ its own default.  ``litmus``, ``explore`` and ``conformance`` take
 like ``trace`` and ``fuzz``, ``--sanitize {off,log,strict}``;
 ``litmus``, ``explore``, ``conformance`` and ``fuzz`` take
 ``--journal PATH``/``--resume PATH``; every campaign command takes
-``--jobs`` and ``--metrics-json``, and most take ``--progress`` and
+``--metrics-json`` and all but ``explore`` (which runs in-process)
+take ``--jobs``; most take ``--progress`` and
 ``--metrics-out DIR``/``--metrics-port N``; ``litmus``,
 ``conformance``, ``crosscheck`` and ``fuzz`` take ``--cache DIR`` with
 ``--cache-max-bytes N``.  ``-v``/``-q`` raise/lower progress logging
@@ -323,8 +324,7 @@ class _Session:
             )
         # Commands with --run-timeout/--retries hand their verb an
         # executor when they run in parallel (serially the verb keeps
-        # its default: explore then forks machines instead of replaying
-        # schedules); soak passes a bare jobs count.
+        # its default); soak passes a bare jobs count.
         if "retries" in flags and "jobs" in flags:
             if args.jobs > 1:
                 kwargs["executor"] = self._stack.enter_context(
@@ -1143,7 +1143,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     explore = command(
         "explore", _cmd_explore, "systematic schedule exploration",
-        _TEST, _POLICY(default="DEF2"), _WARM, *_EXECUTOR, *_OBS,
+        _TEST, _POLICY(default="DEF2"), _WARM, _METRICS_JSON, *_OBS,
         *_JOURNALING, *_TRACING, _SANITIZE, _CORE,
     )
     explore.add_argument("--delays", type=int, default=2)

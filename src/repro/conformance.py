@@ -30,6 +30,7 @@ from repro.campaign import (
     PolicySpec,
     ResultCache,
     RunSpec,
+    program_fingerprint,
 )
 from repro.faults import FaultPlan
 from repro.litmus.catalog import standard_catalog
@@ -153,10 +154,14 @@ DEFAULT_POLICIES: Tuple[Callable[[], OrderingPolicy], ...] = (
 
 
 def _conforms(test: LitmusTest, model, cache: Dict[tuple, bool]) -> bool:
-    """Does the program obey the policy's synchronization model?"""
+    """Does the program obey the policy's synchronization model?
+
+    Cached by the program's content, not the test's name: two tests
+    may share a name but not a program.
+    """
     from repro.drf.drf0 import contract_obeys
 
-    key = (model.name, test.name)
+    key = (model.name, program_fingerprint(test.program))
     if key not in cache:
         cache[key] = contract_obeys(test.name, test.program, model)
     return cache[key]

@@ -225,7 +225,7 @@ class _PrefixRaceChecker:
     def __init__(self, model: SynchronizationModel, num_procs: int) -> None:
         #: Sync kind label -> the labels of the earlier sync kinds the
         #: model orders before it.
-        self._sources = _sync_sources(model)
+        self._sources = sources = _sync_sources(model)
         self._is_exempt = model.is_exempt
         self._zero = (0,) * num_procs
         self._ops: List[MemoryOp] = []
@@ -236,9 +236,11 @@ class _PrefixRaceChecker:
         #: Per location: ``(proc, epoch, writes, op)`` of each access.
         self._accesses: Dict[Location, List[tuple]] = {}
         #: Per location and sync kind: the join of the clocks of that
-        #: kind's syncs on the stack, one entry per such sync.
+        #: kind's syncs on the stack, one entry per such sync.  The
+        #: factory closes over ``sources``, not ``self``, so a checker is
+        #: no reference cycle and is freed when dropped.
         self._joins: Dict[Location, Dict[str, List[tuple]]] = defaultdict(
-            lambda: {kind: [] for kind in self._sources}
+            lambda: {kind: [] for kind in sources}
         )
 
     def racy(self, execution: Execution) -> bool:

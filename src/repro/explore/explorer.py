@@ -14,21 +14,13 @@ timing randomness and processors start unskewed), so the search is a
 pure tree walk: run a prefix, see where later choice points had more
 than one eligible message, and branch there.  Branching always happens
 at the *first deviation after the prefix*, so no schedule is executed
-twice.  The walk holds one queue of decision prefixes and has two ways
-to run a queued prefix, with the same schedule set:
-
-* **in-process** (the default): build the machine and run the prefix;
-  at every choice point where a child schedule deviates, the running
-  machine is forked (:meth:`~repro.memsys.system.System.fork`) and the
-  child runs from the fork — the FIFO spine up to the deviation is
-  simulated once, not once per schedule;
-* **through a campaign** (parallel or journaled searches): the queue
-  runs in breadth-first waves, each a campaign of
-  :class:`~repro.campaign.spec.RunSpec` replays from cycle 0, and
-  branching reads each run's oracle log.
-  Snapshots do not cross processes and a durable frontier is a list of
-  prefixes, so these searches replay; they are also the in-process
-  mode's differential oracle.
+twice.  Every schedule runs in-process: at every choice point where a
+child schedule deviates, the running machine is forked
+(:meth:`~repro.memsys.system.System.fork`) and the child runs from the
+fork, so the FIFO spine up to the deviation is simulated once, not once
+per schedule.  A journaled search records each schedule's result as it
+is folded; resumed, it walks again from the root and folds every
+schedule the journal holds without running it.
 
 Within the budget, :func:`explore_program` returns the exact set of
 reachable observables — for small programs and ample budgets, a proof
@@ -38,10 +30,7 @@ program.
 
 from __future__ import annotations
 
-import base64
 import dataclasses
-import functools
-import pickle
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -50,7 +39,6 @@ from typing import Callable, Dict, List, Optional, Set, Tuple, Union
 from repro.campaign import (
     CampaignJournal,
     CampaignMetrics,
-    Executor,
     JournalError,
     PolicySpec,
     RunResult,
@@ -60,6 +48,7 @@ from repro.campaign import (
     open_journal,
     program_fingerprint,
 )
+from repro.campaign.api import _journalable
 from repro.campaign.preempt import graceful_preemption
 from repro.core.execution import Observable
 from repro.core.program import Program
@@ -138,40 +127,10 @@ class ExplorationReport:
         return "\n".join(lines)
 
 
-#: Checkpoint kind under which the explorer snapshots its state.
-FRONTIER_CHECKPOINT = "explore-frontier"
-
-
-def _snapshot_frontier(
-    report: ExplorationReport, frontier: List[Tuple[int, ...]]
-) -> str:
-    """Serialize the pending frontier + accumulated report state.
-
-    Pickled (observables are value objects, not JSON) and base64'd so
-    the whole snapshot rides inside one JSONL checkpoint record.
-    """
-    state = {
-        "frontier": list(frontier),
-        "runs": report.runs,
-        "outcomes": report.outcomes,
-        "incomplete_runs": report.incomplete_runs,
-        "pruned_decisions": report.pruned_decisions,
-        "run_traces": report.run_traces,
-    }
-    return base64.b64encode(pickle.dumps(state)).decode("ascii")
-
-
-def _restore_frontier(
-    blob: str, report: ExplorationReport
-) -> List[Tuple[int, ...]]:
-    """Inverse of :func:`_snapshot_frontier`; mutates ``report``."""
-    state = pickle.loads(base64.b64decode(blob.encode("ascii")))
-    report.runs = state["runs"]
-    report.outcomes = state["outcomes"]
-    report.incomplete_runs = state["incomplete_runs"]
-    report.pruned_decisions = state["pruned_decisions"]
-    report.run_traces = state["run_traces"]
-    return [tuple(prefix) for prefix in state["frontier"]]
+#: Checkpoint kind under which a journaled search records its identity.
+#: It keeps the name it had when it held a frontier snapshot, so older
+#: journals resume too.
+SEARCH_CHECKPOINT = "explore-frontier"
 
 
 def explore_program(
@@ -182,8 +141,6 @@ def explore_program(
     config: Optional[MachineConfig] = None,
     max_runs: int = 20_000,
     max_cycles: int = 200_000,
-    executor: Optional[Executor] = None,
-    jobs: int = 1,
     trace: Optional[TraceSpec] = None,
     sanitize: Optional[str] = None,
     prune: bool = True,
@@ -193,20 +150,13 @@ def explore_program(
 ) -> ExplorationReport:
     """Enumerate all delay-bounded schedules of ``program``.
 
-    An in-process search (no ``executor``, ``jobs == 1``, no
-    ``journal``) runs every schedule once, and each child schedule runs
-    on a fork of its parent's machine taken at the choice point where
-    it deviates.  At most ``max_delays + 1`` machines are alive at
-    once.  A parallel or journaled search runs the walk's queue through
-    :mod:`repro.campaign` instead: each wave of pending schedule
-    prefixes becomes a campaign of :class:`~repro.campaign.spec.RunSpec`
-    (with ``schedule`` set) run from cycle 0, so the frontier executes
-    in parallel under a parallel executor while branching stays a pure
-    function of each run's own oracle log.  Both visit the identical
-    schedule set, produce byte-identical per-schedule results and list
-    ``run_traces`` in the same (breadth-first) order; only a search cut
-    short by ``max_runs`` differs — the in-process truncated set is a
-    depth-first prefix of the tree, the campaign's a breadth-first one.
+    Every schedule runs once, and each child schedule runs on a fork of
+    its parent's machine taken at the choice point where it deviates.
+    At most ``max_delays + 1`` machines are alive at once.  Each
+    schedule's ``RunResult`` is byte-identical to a fresh replay of its
+    decision string, and ``run_traces`` lists the schedules
+    breadth-first.  A search cut short by ``max_runs`` keeps a
+    depth-first prefix of the tree.
 
     Args:
         policy_factory: zero-argument policy constructor.
@@ -220,7 +170,6 @@ def explore_program(
             schedule runs or any journal opens.
         max_runs: safety bound on executed schedules (no schedule is
             started or queued once started + queued ones reach it).
-        executor/jobs: campaign execution strategy for each wave.
         trace: record each schedule's event stream onto the report's
             ``run_traces`` (labelled by decision string).
         sanitize: run every schedule under the protocol sanitizer
@@ -233,23 +182,22 @@ def explore_program(
             and skipped subtrees are counted on the report.  Pruning is
             automatically disabled on machines where message
             independence does not hold (bounded cache capacity).
-        journal: optional durable campaign journal.  Per-schedule
-            results append as they complete, and the pending decision
-            frontier plus accumulated report state snapshot into a
-            checkpoint at every wave boundary, so a killed exploration
-            resumes *mid-wave*: completed schedules replay from the
-            journal, only the remainder re-execute.
-        resume: continue from ``journal``'s latest frontier checkpoint
-            (the journal must exist and must describe the same
-            program/policy/budget — anything else raises
+        journal: optional durable campaign journal.  The search's
+            identity is checkpointed once at the start, and each
+            schedule's deterministic result is appended (keyed by its
+            spec digest) as it is folded.  A schedule the journal
+            already holds is not run: its result is folded and its
+            children are derived from the result's choice log, so a
+            killed search walked again over its journal re-executes only
+            the schedules it had not finished.
+        resume: continue a search from ``journal`` (the journal must
+            exist, and a journal that describes another
+            program/policy/budget/machine raises
             :class:`~repro.campaign.journal.JournalError`).
         progress: live heartbeat on stderr (``True`` or a
-            :class:`~repro.obs.ProgressReporter`).  One reporter spans
-            every wave, so rate and counts reflect the whole
-            exploration rather than a single campaign.
+            :class:`~repro.obs.ProgressReporter`); journaled schedules
+            count as replayed.
     """
-    from repro.api import campaign as run_campaign
-
     config = (config or NET_CACHE).with_overrides(start_skew=0)
     policy_spec = PolicySpec.of(policy_factory)
     # An unbuildable pair has no schedules to search; refusing it here
@@ -267,37 +215,7 @@ def explore_program(
         runs=0,
     )
 
-    # Durable resume: the identity ties a journal to one search, so a
-    # frontier snapshot can never silently continue a different one.
     journal_obj = open_journal(journal, resume=resume)
-    identity = {
-        "program": program_fingerprint(program),
-        "policy": policy_spec.name,
-        "params": repr(policy_spec.params),
-        "core": policy_spec.core,
-        "config": repr(config),
-        "max_delays": max_delays,
-        "max_cycles": max_cycles,
-        "sanitize": sanitize,
-        "prune": bool(message_pruning),
-    }
-
-    # Work list of decision prefixes; each prefix's last entry is its
-    # deviation point, so extending only *after* the prefix guarantees
-    # each schedule runs exactly once.
-    frontier: List[Tuple[int, ...]] = [()]
-    if journal_obj is not None and resume:
-        checkpoint = journal_obj.last_checkpoint(FRONTIER_CHECKPOINT)
-        if checkpoint is not None:
-            payload = checkpoint["payload"]
-            if payload.get("identity") != identity:
-                raise JournalError(
-                    "cannot resume: the journal's frontier checkpoint "
-                    "belongs to a different exploration (program, "
-                    "policy, budget, or machine changed)"
-                )
-            frontier = _restore_frontier(payload["state"], report)
-
     label = f"explore:{program.name}:{policy_spec.name}"
     reporter, own_reporter = coerce_progress(progress, label)
     walk = _Walk(
@@ -311,34 +229,54 @@ def explore_program(
             trace=trace,
             sanitize=sanitize,
         ),
-        report, frontier, max_delays, max_runs, message_pruning,
-        conflict_free, reporter,
+        report, max_delays, max_runs, message_pruning, conflict_free,
+        reporter, journal_obj,
     )
     try:
-        if executor is None and jobs == 1 and journal is None:
-            walk.explore(label)
-        else:
-            walk.explore(label, functools.partial(
-                run_campaign, executor=executor, jobs=jobs, label=label,
-                journal=journal_obj, progress=reporter,
-            ), journal_obj, identity)
+        if journal_obj is not None:
+            # The identity ties a journal to one search, so a resumed
+            # walk can never fold another search's results.
+            identity = {
+                "program": program_fingerprint(program),
+                "policy": policy_spec.name,
+                "params": repr(policy_spec.params),
+                "core": policy_spec.core,
+                "config": repr(config),
+                "max_delays": max_delays,
+                "max_cycles": max_cycles,
+                "sanitize": sanitize,
+                "prune": bool(message_pruning),
+            }
+            checkpoint = journal_obj.last_checkpoint(SEARCH_CHECKPOINT) or {}
+            recorded = checkpoint.get("payload", {}).get("identity")
+            if recorded != identity:
+                if resume and recorded is not None:
+                    raise JournalError(
+                        "cannot resume: the journal belongs to a different "
+                        "exploration (program, policy, budget, or machine "
+                        "changed)"
+                    )
+                journal_obj.checkpoint(
+                    SEARCH_CHECKPOINT, {"identity": identity}
+                )
+        walk.explore(label)
     finally:
         if reporter is not None and own_reporter:
             reporter.finish()
-        if journal_obj is not None and not isinstance(
-            journal, CampaignJournal
-        ):
-            # We opened it from a path; close it even when a wave is
-            # unwound by an exception (the fsync'd records and the
-            # wave-top checkpoint are already durable).
-            journal_obj.close()
+        if journal_obj is not None:
+            if isinstance(journal, CampaignJournal):
+                journal_obj.sync()
+            else:
+                # We opened it from a path; close it even when the walk
+                # is unwound by an exception (its records are durable).
+                journal_obj.close()
     report.exhausted = not walk.dropped and not report.preempted
     return report
 
 
-def _wave_order(prefix: Tuple[int, ...]):
-    """Breadth-first rank of a schedule: its number of deviations, then
-    its ``(point, decision)`` deviations — the order a campaign folds."""
+def _breadth_first(prefix: Tuple[int, ...]):
+    """The rank of a schedule in ``run_traces``: its number of
+    deviations, then its ``(point, decision)`` deviations."""
     deviations = [(point, d) for point, d in enumerate(prefix) if d]
     return len(deviations), deviations
 
@@ -377,36 +315,39 @@ _MAX_NESTING = 48
 class _Walk:
     """The schedule walk of :func:`explore_program`.
 
-    The walk holds one queue of decision prefixes.  Each schedule's
-    result is folded once (:meth:`_fold`), and each choice point past a
-    schedule's prefix yields its children through one rule
-    (:meth:`_children`).  Only the way a queued prefix runs differs:
+    The walk holds a queue of decision prefixes: the root, and children
+    past :data:`_MAX_NESTING`.  Each schedule's result is folded once
+    (:meth:`_fold`), and each choice point past a schedule's prefix
+    yields its children through one rule (:meth:`_children`).
 
-    * **in-process** (:meth:`_run`): at each choice point past its
-      prefix (a :class:`_ForkingOracle` reports it), every child runs at
-      once on a fork of the running machine taken before the delivery,
-      so the live machines are one per nesting level; a child deeper
-      than :data:`_MAX_NESTING` is queued instead.  A schedule's subtree
-      is committed only when the schedule itself finishes without
-      raising.  A schedule that raises folds the result of
-      :func:`~repro.campaign.spec.execute_spec_guarded` for its spec and
-      has no children, exactly as through a campaign; if that replay
-      does not raise too, the fault was the walk's own and is raised.
-    * **through a campaign** (:meth:`_run_waves`): the whole queue runs
-      as one wave of replays from cycle 0, and each result's
-      ``choice_log`` yields the next wave.
+    A schedule runs in :meth:`_run`: at each choice point past its
+    prefix (a :class:`_ForkingOracle` reports it), every child runs at
+    once on a fork of the running machine taken before the delivery, so
+    the live machines are one per nesting level; a child deeper than
+    :data:`_MAX_NESTING` is queued and later replayed from cycle 0.  A
+    schedule's subtree is committed only when the schedule itself
+    finishes without raising.  A schedule that raises folds the result
+    of :func:`~repro.campaign.spec.execute_spec_guarded` for its spec
+    and has no children; if that replay does not raise too, the fault
+    was the walk's own and is raised.
+
+    With a journal, a schedule whose spec digest the journal holds is
+    neither forked nor run (:meth:`_replay`): its journaled result is
+    folded, and its children, read off the result's choice log through
+    the same rule, run in the walk's order from cycle 0, each forking
+    its own subtree.
     """
 
     def __init__(
         self,
         spec: RunSpec,
         report: ExplorationReport,
-        frontier: List[Tuple[int, ...]],
         max_delays: int,
         max_runs: int,
         message_pruning: bool,
         conflict_free,
         reporter,
+        journal: Optional[CampaignJournal],
     ) -> None:
         self.spec = spec
         self.report = report
@@ -415,45 +356,61 @@ class _Walk:
         self.message_pruning = message_pruning
         self.conflict_free = conflict_free
         self.reporter = reporter
+        self.journal = journal
+        self.journal_replayed = self.journal_appends = 0
         self.token = None
         #: ``(prefix, observable or None, failure, trace events)`` per
         #: schedule folded but not yet committed to the report.
         self.folded: List[tuple] = []
         self.pruned = 0
-        self.started = report.runs
-        # A resumed frontier goes through the same max_runs rule.
-        keep = max(max_runs - self.started, 0)
-        self.queued: List[Tuple[int, ...]] = frontier[:keep]
-        #: Children the max_runs rule refused, in breadth-first order
-        #: through a campaign; non-empty means the search is truncated.
-        self.dropped: List[Tuple[int, ...]] = frontier[keep:]
-        #: ``[system, prefix]`` per running schedule, innermost last
-        #: (in-process only).
+        self.started = 0
+        # Each prefix's last entry is its deviation point, so extending
+        # only *after* the prefix runs each schedule exactly once.
+        self.queued: List[Tuple[int, ...]] = [()] if max_runs > 0 else []
+        #: Schedules the max_runs rule refused; non-zero means the search
+        #: is truncated.
+        self.dropped = 1 - len(self.queued)
+        #: ``[system or None, prefix]`` per running schedule, innermost
+        #: last (None for a schedule folded from the journal).
         self._running: List[list] = []
 
-    def explore(
-        self,
-        label: str,
-        run_campaign: Optional[Callable] = None,
-        journal: Optional[CampaignJournal] = None,
-        identity: Optional[dict] = None,
-    ) -> None:
-        """Walk the tree into the report: in-process, or through
-        ``run_campaign`` (called with a wave's specs) when given."""
+    def explore(self, label: str) -> None:
+        """Walk the tree into the report and, like a campaign, emit one
+        :class:`~repro.campaign.metrics.CampaignMetrics` record."""
         report = self.report
-        runs, pruned = report.runs, report.pruned_decisions
+        started = time.perf_counter()
         with graceful_preemption() as token:
             self.token = token
-            if run_campaign is None:
-                self._run_in_process(label)
-            else:
-                self._run_waves(run_campaign, journal, identity)
+            while self.queued and not self._stop_requested():
+                self._run(None, self.queued.pop())
+        self.folded.sort(key=lambda record: _breadth_first(record[0]))
+        runs = len(self.folded)
+        completed = sum(record[1] is not None for record in self.folded)
+        failures = [
+            record[2].kind for record in self.folded if record[2] is not None
+        ]
+        self._commit()
+        wall = time.perf_counter() - started
+        emit_metrics(CampaignMetrics(
+            label=label,
+            runs=runs,
+            completed_runs=completed,
+            wall_clock_seconds=wall,
+            runs_per_second=runs / wall if wall > 0 else 0.0,
+            completion_rate=completed / runs if runs else 1.0,
+            jobs=1,
+            failed_runs=len(failures),
+            timed_out_runs=failures.count("sim-timeout"),
+            journal_replayed=self.journal_replayed,
+            journal_appends=self.journal_appends,
+            preempted=report.preempted,
+        ))
         if METRICS.enabled:
-            METRICS.inc("repro_explore_schedules_total", report.runs - runs,
+            METRICS.inc("repro_explore_schedules_total", report.runs,
                         help="Delay-bounded schedules executed")
-            if report.pruned_decisions > pruned:
+            if report.pruned_decisions:
                 METRICS.inc("repro_explore_pruned_decisions_total",
-                            report.pruned_decisions - pruned,
+                            report.pruned_decisions,
                             help="Delay decisions skipped as redundant")
 
     def _stop_requested(self) -> bool:
@@ -510,49 +467,37 @@ class _Walk:
                 continue
             child = prefix + (0,) * (point - len(prefix)) + (decision,)
             if self.started + len(self.queued) >= self.max_runs:
-                self.dropped.append(child)
+                self.dropped += 1
             else:
                 yield child
 
-    # -- in-process -----------------------------------------------------------
+    def _spawn(self, system, prefix, budget, point, pending, details) -> None:
+        """Run the children of ``prefix`` that deviate at ``point``: each
+        on a fork of ``system``, or from cycle 0 when ``system`` is None,
+        or queued past the nesting bound."""
+        for child in self._children(prefix, budget, point, pending, details):
+            if self._stop_requested():
+                continue
+            if len(self._running) >= _MAX_NESTING:
+                self.queued.append(child)
+            else:
+                self._run(system, child)
 
-    def _run_in_process(self, label: str) -> None:
-        """Run the queue (the root, and children past the nesting bound)
-        in-process; like a campaign, emit one
-        :class:`~repro.campaign.metrics.CampaignMetrics` record."""
-        started = time.perf_counter()
-        while self.queued and not self._stop_requested():
-            self._run(None, self.queued.pop())
-        # Fold in a campaign's order, so both modes list ``run_traces``
-        # alike.
-        self.folded.sort(key=lambda record: _wave_order(record[0]))
-        runs = len(self.folded)
-        completed = sum(record[1] is not None for record in self.folded)
-        failures = [
-            record[2].kind for record in self.folded if record[2] is not None
-        ]
-        self._commit()
-        wall = time.perf_counter() - started
-        emit_metrics(CampaignMetrics(
-            label=label,
-            runs=runs,
-            completed_runs=completed,
-            wall_clock_seconds=wall,
-            runs_per_second=runs / wall if wall > 0 else 0.0,
-            completion_rate=completed / runs if runs else 1.0,
-            jobs=1,
-            failed_runs=len(failures),
-            timed_out_runs=failures.count("sim-timeout"),
-            preempted=self.report.preempted,
-        ))
-
-    def _run(self, system, prefix: Tuple[int, ...]) -> None:
-        """Run one schedule on ``system`` — a fork taken where ``prefix``
-        deviates — and fold its result; with ``system`` None, build the
-        machine and replay ``prefix`` from cycle 0."""
+    def _run(self, parent, prefix: Tuple[int, ...]) -> None:
+        """Run one schedule on a fork of ``parent`` taken where
+        ``prefix`` deviates — with ``parent`` None, on a machine built to
+        replay ``prefix`` from cycle 0 — and fold its result."""
         self.started += 1
+        digest = None
+        if self.journal is not None:
+            digest = dataclasses.replace(self.spec, schedule=prefix).digest()
+            journaled = self.journal.replayed.get(digest)
+            if journaled is not None:
+                self._replay(prefix, journaled)
+                return
+        system = parent.fork() if parent is not None else None
         marks = (
-            len(self.folded), len(self.queued), len(self.dropped),
+            len(self.folded), len(self.queued), self.dropped,
             self.pruned, self.started,
         )
         budget = self.max_delays - sum(prefix)
@@ -569,13 +514,11 @@ class _Walk:
                 oracle.decisions, oracle.budget = prefix, budget
             result = self.spec.run_system(system)
         except Exception as exc:
-            # Drop the subtree; a campaign never sees children of a
-            # schedule that raised.
+            # Drop the subtree: a schedule that raised has no children.
             error = exc
             del self.folded[marks[0]:]
             del self.queued[marks[1]:]
-            del self.dropped[marks[2]:]
-            self.pruned, self.started = marks[3:]
+            self.dropped, self.pruned, self.started = marks[2:]
         finally:
             self._running.pop()
         if error is not None:
@@ -589,81 +532,43 @@ class _Walk:
             ):
                 raise error
         self._fold(prefix, result)
+        if digest is not None and _journalable(result):
+            if self.journal.record(digest, result):
+                self.journal_appends += 1
         if self.reporter is not None:
             self.reporter.tick(result)
+
+    def _replay(self, prefix: Tuple[int, ...], result: RunResult) -> None:
+        """Fold a journaled schedule and run its children from its
+        choice log, as its own run would have forked them."""
+        self.journal_replayed += 1
+        self._fold(prefix, result)
+        if self.reporter is not None:
+            self.reporter.note_skipped(1)
+        budget = self.max_delays - sum(prefix)
+        if budget <= 0:
+            return
+        choice_log = result.choice_log or ()
+        choice_details = result.choice_details or ()
+        self._running.append([None, prefix])
+        try:
+            for point in range(len(prefix), len(choice_log)):
+                self._spawn(
+                    None, prefix, budget, point, choice_log[point],
+                    choice_details[point]
+                    if point < len(choice_details) else None,
+                )
+        finally:
+            self._running.pop()
 
     def branch(self, oracle: _ForkingOracle, pending: int, details) -> None:
         """A choice point of the innermost running schedule, with delays
         left, before its delivery: run each child schedule that deviates
         here."""
         system, prefix = self._running[-1]
-        for child in self._children(
-            prefix, oracle.budget, len(oracle.log), pending, details
-        ):
-            if self._stop_requested():
-                continue
-            if len(self._running) >= _MAX_NESTING:
-                self.queued.append(child)
-            else:
-                self._run(system.fork(), child)
-
-    # -- through a campaign ---------------------------------------------------
-
-    def _run_waves(self, run_campaign, journal, identity) -> None:
-        """Run the queue through ``run_campaign``, one wave at a time."""
-        while self.queued and not self._stop_requested():
-            self._checkpoint(journal, identity)
-            wave, self.queued = self.queued, []
-            if METRICS.enabled:
-                METRICS.inc("repro_explore_waves_total",
-                            help="Explorer waves executed")
-                METRICS.set_gauge(
-                    "repro_explore_frontier_size",
-                    len(wave) + len(self.dropped),
-                    help="Pending schedule prefixes at wave start",
-                )
-            campaign = run_campaign([
-                dataclasses.replace(self.spec, schedule=prefix)
-                for prefix in wave
-            ])
-            if campaign.preempted:
-                # Put the wave back: completed schedules are journaled
-                # (and will replay on resume); preempted slots carry no
-                # choice log and must re-execute, so none of this
-                # wave's results can be folded into the report yet.
-                self.queued = wave
-                self.report.preempted = True
-                break
-            self.started += len(wave)
-            for prefix, result in zip(wave, campaign.results):
-                self._fold(prefix, result)
-                budget = self.max_delays - sum(prefix)
-                choice_log = result.choice_log or ()
-                choice_details = result.choice_details or ()
-                for point in range(len(prefix), len(choice_log)):
-                    for child in self._children(
-                        prefix, budget, point, choice_log[point],
-                        choice_details[point]
-                        if point < len(choice_details) else None,
-                    ):
-                        self.queued.append(child)
-            self._commit()
-        # Final checkpoint: an empty frontier marks the walk complete (a
-        # preempted or truncated walk checkpoints what it left).
-        self._checkpoint(journal, identity)
-
-    def _checkpoint(self, journal, identity) -> None:
-        """Snapshot the pending frontier (queued, then dropped) and the
-        report, *before* a wave runs: the checkpoint plus the
-        per-result journal records reconstruct any point inside it
-        (completed schedules replay by digest)."""
-        if journal is not None:
-            journal.checkpoint(FRONTIER_CHECKPOINT, {
-                "identity": identity,
-                "state": _snapshot_frontier(
-                    self.report, self.queued + self.dropped
-                ),
-            })
+        self._spawn(
+            system, prefix, oracle.budget, len(oracle.log), pending, details
+        )
 
 
 def explore_to_fixpoint(
@@ -674,8 +579,6 @@ def explore_to_fixpoint(
     stable_rounds: int = 2,
     config: Optional[MachineConfig] = None,
     max_runs_per_budget: int = 20_000,
-    executor: Optional[Executor] = None,
-    jobs: int = 1,
 ) -> ExplorationReport:
     """Escalate the delay budget until the outcome set stops growing.
 
@@ -696,8 +599,6 @@ def explore_to_fixpoint(
             max_delays=budget,
             config=config,
             max_runs=max_runs_per_budget,
-            executor=executor,
-            jobs=jobs,
         )
         last_report = report
         if report.observables <= seen:
@@ -718,8 +619,6 @@ def verify_weak_ordering(
     max_delays: int = 2,
     config: Optional[MachineConfig] = None,
     max_runs: int = 20_000,
-    executor: Optional[Executor] = None,
-    jobs: int = 1,
 ) -> Tuple[bool, ExplorationReport]:
     """Definition 2 as a bounded model-checking query.
 
@@ -731,7 +630,7 @@ def verify_weak_ordering(
     """
     report = explore_program(
         program, policy_factory, max_delays=max_delays, config=config,
-        max_runs=max_runs, executor=executor, jobs=jobs,
+        max_runs=max_runs,
     )
     holds = all(outcome in sc_results for outcome in report.outcomes)
     return holds, report

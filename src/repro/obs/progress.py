@@ -7,11 +7,11 @@ the campaign layer growing a second notification path.  Lines are
 throttled to one per ``interval`` seconds and always end with a final
 summary from :meth:`finish`.
 
-A reporter is reusable across several campaigns (the delay-bounded
-explorer runs one campaign per wave and shares a single reporter so
-rate/ETA reflect the whole exploration): each ``run_campaign`` call
-adds its spec count via :meth:`add_total` and reports cache/journal
-skips via :meth:`note_skipped`.
+A reporter is reusable across several campaigns (one shared reporter
+makes rate/ETA reflect the whole job): each ``run_campaign`` call adds
+its spec count via :meth:`add_total` and reports cache/journal skips
+via :meth:`note_skipped`.  The delay-bounded explorer ticks one too,
+counting each schedule folded from its journal as skipped.
 """
 
 from __future__ import annotations

@@ -1,14 +1,17 @@
 """The operational-vs-axiomatic cross-checker, end to end (small)."""
 
+import dataclasses
+
 import pytest
 
 from repro.axiomatic import CrosscheckCell, CrosscheckReport, crosscheck_models
 from repro.litmus.catalog import (
     critical_section,
     fig1_dekker,
+    fig1_dekker_all_sync,
     load_buffering,
 )
-from repro.memsys.config import NET_NOCACHE
+from repro.memsys.config import NET_CACHE, NET_NOCACHE
 
 
 @pytest.fixture(scope="module")
@@ -52,6 +55,19 @@ class TestAgreement:
         text = small_report.describe()
         assert "AGREE" in text
         assert "skipped critical_section" in text
+
+
+    def test_drf_flags_are_the_programs_not_the_names(self):
+        """A racy program named like a DRF0 test listed before it is
+        judged racy: DEF2 may show it non-SC outcomes."""
+        sync = dataclasses.replace(
+            fig1_dekker_all_sync(warm=True), name="fig1_dekker_warm"
+        )
+        report = crosscheck_models(
+            tests=[sync, fig1_dekker(warm=True)], policies=["DEF2"],
+            configs=(NET_CACHE,), runs_per_test=40, base_seed=1,
+        )
+        assert report.ok, report.describe()
 
 
 class TestReportShape:

@@ -85,18 +85,3 @@ class TestConformanceEquivalence:
             assert s_cell.violations == p_cell.violations
             assert s_cell.incomplete == p_cell.incomplete
 
-
-class TestExplorerEquivalence:
-    def test_explore_serial_vs_parallel(self, parallel):
-        from repro.explore.explorer import explore_program
-
-        program = fig1_dekker(warm=True).executable_program()
-        serial_report = explore_program(
-            program, RelaxedPolicy, max_delays=2, executor=SerialExecutor()
-        )
-        parallel_report = explore_program(
-            program, RelaxedPolicy, max_delays=2, executor=parallel
-        )
-        assert serial_report.outcomes == parallel_report.outcomes
-        assert serial_report.runs == parallel_report.runs
-        assert serial_report.exhausted == parallel_report.exhausted

@@ -1,9 +1,13 @@
 """Unit tests for the program-level DRF0 checker (Definition 3)."""
 
+import gc
+import weakref
+
 import pytest
 
 from repro.axiomatic.crosscheck import _drf_flags
 from repro.conformance import _conforms
+from repro.core import memo
 from repro.core.program import Program, ThreadBuilder
 from repro.drf import drf0
 from repro.drf.drf0 import (
@@ -150,3 +154,38 @@ class TestContractBudget:
         monkeypatch.setattr(drf0, "CONTRACT_MAX_EXECUTIONS", 8)
         test = catalog_critical_section()
         assert contract_obeys(test.name, test.program, DRF0)
+
+
+class TestCheckerLifetime:
+    @pytest.mark.parametrize("model", (DRF0, DRF0_R), ids=lambda m: m.name)
+    @pytest.mark.parametrize(
+        "program", (dekker, all_sync_dekker), ids=("racy", "clean")
+    )
+    def test_a_dropped_report_leaves_no_checker_alive(
+        self, monkeypatch, program, model
+    ):
+        """A race checker holds no reference cycle: with the collector
+        off, every checker a check built is gone once the report and the
+        memo slot are dropped."""
+        checkers = []
+        init = drf0._PrefixRaceChecker.__init__
+
+        def tracked(self, *args):
+            init(self, *args)
+            checkers.append(weakref.ref(self))
+
+        monkeypatch.setattr(drf0._PrefixRaceChecker, "__init__", tracked)
+        gc.collect()
+        was_enabled = gc.isenabled()
+        gc.disable()
+        try:
+            memo._SLOT.clear()
+            report = check_program(program(), model)
+            assert report.executions_checked > 0
+            del report
+            memo._SLOT.clear()
+            assert checkers, "the check built no race checker"
+            assert [ref() for ref in checkers] == [None] * len(checkers)
+        finally:
+            if was_enabled:
+                gc.enable()

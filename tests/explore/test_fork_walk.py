@@ -1,17 +1,18 @@
-"""The in-process forking walk against campaign replays and fresh runs.
+"""The forking walk against breadth-first replays and fresh runs.
 
-``explore_program`` runs an in-process search as a depth-first walk that
-forks the running machine at each choice point where a child schedule
-deviates (:meth:`repro.memsys.system.System.fork`), instead of replaying
-every schedule from cycle 0 as a campaign-backed search does.  These
-tests hold the two to the same answers:
+``explore_program`` runs its search as a depth-first walk that forks
+the running machine at each choice point where a child schedule
+deviates (:meth:`repro.memsys.system.System.fork`).  The reference
+(:func:`tests.explore.replay_reference.replay_search`) replays every
+schedule from cycle 0 instead, breadth-first.  These tests hold the two
+to the same answers:
 
 * every schedule's ``RunResult`` pickles byte-identically to a fresh
   ``execute_spec_guarded`` replay of its decision string, traced and
   sanitized too, and the report (``run_traces`` included) equals the
-  campaign's;
+  reference's;
 * a forked machine and its parent evolve independently;
-* a schedule that raises is folded exactly as a campaign folds it;
+* a schedule that raises is folded as its guarded replay;
 * no closure hides in machine state (so a fork can rebind everything);
 * at most ``max_delays + 1`` machines are alive during a walk.
 """
@@ -28,12 +29,7 @@ from collections import deque
 
 import pytest
 
-from repro.campaign import (
-    PolicySpec,
-    RunSpec,
-    SerialExecutor,
-    execute_spec_guarded,
-)
+from repro.campaign import PolicySpec, RunSpec, execute_spec_guarded
 from repro.explore import explorer
 from repro.explore.explorer import (
     explore_program,
@@ -56,6 +52,7 @@ from repro.memsys.system import System, ensure_compatible
 from repro.models.policies import policy_by_name
 from repro.sim.engine import Component
 from repro.trace.tracer import TraceSpec
+from tests.explore.replay_reference import replay_search, report_key
 
 CATALOG = catalog_by_name()
 MACHINES = (BUS_CACHE, BUS_CACHE_SNOOP, BUS_NOCACHE, NET_CACHE,
@@ -113,14 +110,6 @@ def _walk_results(monkeypatch, program, policy, config, core, delays=2,
     return report, folded
 
 
-def _report_key(report):
-    return (
-        report.runs, report.outcomes, report.pruned_decisions,
-        report.incomplete_runs, report.exhausted, report.describe(),
-        report.run_traces,
-    )
-
-
 def _assert_walk_matches_replays(monkeypatch, program, policy, config, core,
                                  **options):
     report, folded = _walk_results(
@@ -135,11 +124,11 @@ def _assert_walk_matches_replays(monkeypatch, program, policy, config, core,
         # Per result, never the list: see the verify notes on pickle
         # memoization of strings shared across one program's results.
         assert pickle.dumps(result) == pickle.dumps(fresh), prefix
-    replayed = explore_program(
+    replayed = replay_search(
         program, PolicySpec(policy, core=core), max_delays=2, config=config,
-        executor=SerialExecutor(), **options,
+        **options,
     )
-    assert _report_key(report) == _report_key(replayed)
+    assert report_key(report) == report_key(replayed)
     traced = [prefix for prefix, result in folded if result.trace_events]
     assert len(report.run_traces) == len(traced)
     assert bool(traced) <= ("trace" in options)
@@ -161,14 +150,13 @@ def test_walk_matches_fresh_replays(monkeypatch, config, policy, mode):
                 monkeypatch, program, policy, config, "simple", **MODES[mode]
             )
             continue
-        # An unbuildable pair has nothing to compare: the walk and the
-        # campaign replay both refuse it, in every search mode.
-        for executor in ({}, {"executor": SerialExecutor()}):
-            with pytest.raises(ConfigurationError, match="requires caches"):
-                explore_program(
-                    program, PolicySpec(policy), max_delays=2, config=config,
-                    **executor, **MODES[mode],
-                )
+        # An unbuildable pair has nothing to compare: the walk refuses
+        # it, in every search mode.
+        with pytest.raises(ConfigurationError, match="requires caches"):
+            explore_program(
+                program, PolicySpec(policy), max_delays=2, config=config,
+                **MODES[mode],
+            )
 
 
 @pytest.mark.parametrize("config", (NET_CACHE, NET_NOCACHE),
@@ -195,14 +183,18 @@ def test_walk_matches_fresh_replays_full_sweep(monkeypatch, config, core):
 
 
 @pytest.mark.parametrize(
-    "options", ({}, {"executor": SerialExecutor()}), ids=("walk", "campaign")
+    "options", ({}, {"journal": "j.jsonl"}), ids=("walk", "journaled")
 )
-def test_unbuildable_machine_raises(options):
+def test_unbuildable_machine_raises(tmp_path, options):
     program = CATALOG["fig1_dekker"].executable_program()
+    options = {
+        key: tmp_path / value for key, value in options.items()
+    }
     with pytest.raises(ConfigurationError, match="requires caches"):
         explore_program(
             program, PolicySpec("DEF2"), config=NET_NOCACHE, **options
         )
+    assert not (tmp_path / "j.jsonl").exists()
 
 
 def test_unbuildable_machine_is_no_proof():
@@ -265,7 +257,7 @@ def test_forks_and_parent_run_independently(config, core):
 
 def test_raising_schedule_folds_like_the_wave_loop(monkeypatch):
     """A delivery that raises on some schedules only: the walk folds each
-    raising schedule's guarded replay, exactly as a campaign does."""
+    raising schedule's guarded replay, exactly as the reference does."""
     deliver = Interconnect._deliver
     raised = []
 
@@ -281,13 +273,10 @@ def test_raising_schedule_folds_like_the_wave_loop(monkeypatch):
     monkeypatch.setattr(Interconnect, "_deliver", flaky)
     program = CATALOG["fig1_dekker_sync_warm"].executable_program()
     walk = explore_program(program, PolicySpec("DEF2"), max_delays=2)
-    replayed = explore_program(
-        program, PolicySpec("DEF2"), max_delays=2,
-        executor=SerialExecutor(),
-    )
+    replayed = replay_search(program, PolicySpec("DEF2"), max_delays=2)
     assert raised, "the injected fault never fired"
     assert 0 < walk.incomplete_runs < walk.runs
-    assert _report_key(walk) == _report_key(replayed)
+    assert report_key(walk) == report_key(replayed)
 
 
 def test_raising_schedule_discards_forked_children(monkeypatch):
@@ -314,14 +303,11 @@ def test_raising_schedule_discards_forked_children(monkeypatch):
     )
     walk = explore_program(program, PolicySpec("DEF2"), max_delays=2)
     assert forks, "the FIFO schedule raised before forking any child"
-    replayed = explore_program(
-        program, PolicySpec("DEF2"), max_delays=2,
-        executor=SerialExecutor(),
-    )
+    replayed = replay_search(program, PolicySpec("DEF2"), max_delays=2)
     assert calls["n"] > 0
     # The FIFO root raised: it is the only schedule, and it failed.
     assert walk.runs == replayed.runs == 1
-    assert _report_key(walk) == _report_key(replayed)
+    assert report_key(walk) == report_key(replayed)
 
 
 def test_a_fault_of_the_walk_itself_is_raised(monkeypatch):
@@ -358,7 +344,7 @@ def test_children_past_the_nesting_bound_are_replayed(
     monkeypatch, collector_off, nesting
 ):
     """Past the nesting bound a child is queued and replayed from cycle
-    0; the walk still visits the campaign's schedules, byte for byte."""
+    0; the walk still visits the reference's schedules, byte for byte."""
     monkeypatch.setattr(explorer, "_MAX_NESTING", nesting)
     live = weakref.WeakSet()
     fork = System._fork

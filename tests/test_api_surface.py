@@ -60,8 +60,6 @@ FACADE_SHAPES = {
         ("core", "KEYWORD_ONLY", True),
         ("max_runs", "KEYWORD_ONLY", True),
         ("max_cycles", "KEYWORD_ONLY", True),
-        ("executor", "KEYWORD_ONLY", True),
-        ("jobs", "KEYWORD_ONLY", True),
         ("trace", "KEYWORD_ONLY", True),
         ("sanitize", "KEYWORD_ONLY", True),
         ("journal", "KEYWORD_ONLY", True),

@@ -369,12 +369,13 @@ class TestObservabilityOptions:
     def test_serial_and_parallel_explore_publish_equal_campaign_totals(
         self, tmp_path, capsys
     ):
-        """The in-process walk's record reaches the registry the way a
-        campaign's does, so both searches count the same runs."""
+        """The walk's record reaches the registry the way a campaign's
+        does, and a journaled search counts the same runs as a plain
+        one."""
         from repro.obs import METRICS, load_snapshot
 
         totals = []
-        for extra in ([], ["--jobs", "2"]):
+        for extra in ([], ["--journal", str(tmp_path / "j.jsonl")]):
             out_dir = tmp_path / f"obs{len(totals)}"
             METRICS.reset()
             assert main(
@@ -495,7 +496,7 @@ class TestFlagChecks:
             ["litmus", "fig1_dekker", "--jobs", "0"],
             ["conformance", "--jobs", "-3"],
             ["figure1", "--runs", "0"],
-            ["explore", "fig1_dekker", "--jobs", "0"],
+            ["fuzz", "--jobs", "0"],
             ["soak", "--runs", "0"],
         ],
         ids=" ".join,

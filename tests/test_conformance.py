@@ -1,5 +1,7 @@
 """Tests for the conformance grid."""
 
+import dataclasses
+
 import pytest
 
 from repro.conformance import (
@@ -60,6 +62,24 @@ class TestVerdicts:
     def test_no_incomplete_runs(self, small_report):
         for cell in small_report.cells:
             assert cell.incomplete == [], (cell.config_name, cell.policy_name)
+
+
+class TestContractVerdictKey:
+    def test_a_drf0_program_under_a_racy_tests_name_is_still_judged(self):
+        """The contract verdict is the program's, not the name's: a DRF0
+        program named like a racy test listed before it still breaks
+        RELAXED's contract."""
+        sync = dataclasses.replace(
+            fig1_dekker_all_sync(warm=True), name="fig1_dekker_warm"
+        )
+        verdicts = [
+            run_conformance(
+                configs=[NET_CACHE], policies=[RelaxedPolicy], tests=tests,
+                runs_per_test=40, base_seed=1,
+            ).cell("net_cache", "RELAXED").verdict
+            for tests in ([sync], [fig1_dekker(warm=True), sync])
+        ]
+        assert verdicts == [VERDICT_BROKEN, VERDICT_BROKEN]
 
 
 class TestReportStructure:
