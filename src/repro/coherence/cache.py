@@ -124,10 +124,10 @@ class Cache(CacheController):
 
     def _service_read(self, access: MemoryAccess, line: Optional[CacheLine]) -> None:
         if line is not None and line.valid:
-            self.stats.bump("cache.read_hits")
+            self.stats.counters["cache.read_hits"] += 1
             self._touch(line)
-            access.deliver_value(line.value, self.sim.now)
-            access.mark_committed(self.sim.now)
+            access.deliver_value(line.value, self.sim._time)
+            access.mark_committed(self.sim._time)
             if line.gp_pending:
                 # The hit returned a locally-committed value whose write
                 # has not globally performed; the read's own global
@@ -135,9 +135,9 @@ class Cache(CacheController):
                 # definition of a globally performed read).
                 self._gp_waiters.setdefault(access.location, []).append(access)
             else:
-                access.mark_globally_performed(self.sim.now)
+                access.mark_globally_performed(self.sim._time)
             return
-        self.stats.bump("cache.read_misses")
+        self.stats.counters["cache.read_misses"] += 1
         if access.location in self._outstanding:
             self.protocol_error(
                 "open-transaction",
@@ -159,7 +159,7 @@ class Cache(CacheController):
 
     def _service_exclusive(self, access: MemoryAccess, line: Optional[CacheLine]) -> None:
         if line is not None and line.state is LineState.EXCLUSIVE:
-            self.stats.bump("cache.write_hits")
+            self.stats.counters["cache.write_hits"] += 1
             self._touch(line)
             self._perform_on_line(access, line, gp_now=not line.gp_pending)
             if line.gp_pending:
@@ -168,9 +168,9 @@ class Cache(CacheController):
                 self._gp_waiters.setdefault(access.location, []).append(access)
             self._after_sync_commit(access, line)
             return
-        self.stats.bump(
+        self.stats.counters[
             "cache.write_upgrades" if line and line.valid else "cache.write_misses"
-        )
+        ] += 1
         if access.location in self._outstanding:
             self.protocol_error(
                 "open-transaction",
@@ -208,19 +208,21 @@ class Cache(CacheController):
         )
 
     def _on_message(self, payload: Any, src: str) -> None:
-        if isinstance(payload, DataS):
+        # Dispatch on the exact type: no message class has subclasses.
+        kind = type(payload)
+        if kind is DataS:
             self._on_data_s(payload)
-        elif isinstance(payload, DataX):
+        elif kind is DataX:
             self._on_data_x(payload)
-        elif isinstance(payload, MemAck):
+        elif kind is MemAck:
             self._on_mem_ack(payload)
-        elif isinstance(payload, Inval):
+        elif kind is Inval:
             self._on_inval(payload)
-        elif isinstance(payload, Recall):
+        elif kind is Recall:
             self._handle_recall(payload)
-        elif isinstance(payload, SyncNack):
+        elif kind is SyncNack:
             self._on_sync_nack(payload.location)
-        elif isinstance(payload, WriteBackAck):
+        elif kind is WriteBackAck:
             self._victims.pop(payload.location, None)
         else:  # pragma: no cover - defensive
             raise TypeError(f"cache cannot handle {payload!r}")
@@ -228,9 +230,9 @@ class Cache(CacheController):
     def _on_data_s(self, data: DataS) -> None:
         access = self._outstanding.pop(data.location)
         line = self._install(data.location, LineState.SHARED, data.value)
-        access.deliver_value(data.value, self.sim.now)
-        access.mark_committed(self.sim.now)
-        access.mark_globally_performed(self.sim.now)
+        access.deliver_value(data.value, self.sim._time)
+        access.mark_committed(self.sim._time)
+        access.mark_globally_performed(self.sim._time)
         if data.location in self._inval_while_outstanding:
             # Use-once fill: an invalidation already consumed this copy.
             self._inval_while_outstanding.discard(data.location)
@@ -268,9 +270,9 @@ class Cache(CacheController):
         line = self._lines.get(ack.location)
         if line is not None:
             line.gp_pending = False
-        access.mark_globally_performed(self.sim.now)
+        access.mark_globally_performed(self.sim._time)
         for waiter in self._gp_waiters.pop(ack.location, []):
-            waiter.mark_globally_performed(self.sim.now)
+            waiter.mark_globally_performed(self.sim._time)
         self.counter.decrement(context=access)
 
     def _on_inval(self, inval: Inval) -> None:

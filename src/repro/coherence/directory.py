@@ -142,17 +142,15 @@ class Directory(Component):
         self.interconnect.send(DIRECTORY_ENDPOINT, cache_endpoint(cache_id), payload)
 
     def _on_message(self, payload: Any, src: str) -> None:
-        if isinstance(payload, GetS):
+        # Dispatch on the exact type: no message class has subclasses.
+        kind = type(payload)
+        if kind is GetS or kind is GetX or kind is WriteBack:
             self._admit(payload.location, payload)
-        elif isinstance(payload, GetX):
-            self._admit(payload.location, payload)
-        elif isinstance(payload, WriteBack):
-            self._admit(payload.location, payload)
-        elif isinstance(payload, InvalAck):
+        elif kind is InvalAck:
             self._on_inval_ack(payload)
-        elif isinstance(payload, RecallAck):
+        elif kind is RecallAck:
             self._on_recall_ack(payload)
-        elif isinstance(payload, RecallNack):
+        elif kind is RecallNack:
             self._on_recall_nack(payload)
         else:  # pragma: no cover - defensive
             raise TypeError(f"directory cannot handle {payload!r}")
@@ -178,9 +176,10 @@ class Directory(Component):
         self._dispatch(location, request)
 
     def _dispatch(self, location: Location, request) -> None:
-        if isinstance(request, GetS):
+        kind = type(request)
+        if kind is GetS:
             self._handle_gets(request)
-        elif isinstance(request, GetX):
+        elif kind is GetX:
             self._handle_getx(request)
         else:
             self._handle_writeback(request)
@@ -207,7 +206,7 @@ class Directory(Component):
     # -- request handling ------------------------------------------------------
     def _handle_gets(self, request: GetS) -> None:
         entry = self.entry(request.location)
-        self.stats.bump("dir.gets")
+        self.stats.counters["dir.gets"] += 1
         if entry.state is EntryState.EXCLUSIVE:
             # Recall-to-shared: the owner supplies the value and keeps a
             # shared copy.
@@ -225,7 +224,7 @@ class Directory(Component):
 
     def _handle_getx(self, request: GetX) -> None:
         entry = self.entry(request.location)
-        self.stats.bump("dir.getx")
+        self.stats.counters["dir.getx"] += 1
         if entry.state is EntryState.EXCLUSIVE:
             if entry.owner == request.requester:
                 self.protocol_error(
@@ -275,7 +274,7 @@ class Directory(Component):
             DataX(request.location, entry.value, pending_acks=len(other_sharers)),
         )
         for sharer in other_sharers:
-            self.stats.bump("dir.invalidations")
+            self.stats.counters["dir.invalidations"] += 1
             self._send(sharer, Inval(request.location))
         entry.state = EntryState.EXCLUSIVE
         entry.owner = request.requester
@@ -296,7 +295,7 @@ class Directory(Component):
     # -- transaction completion --------------------------------------------------
     def _on_inval_ack(self, ack: InvalAck) -> None:
         txn = self._open.get(ack.location)
-        if txn is None or not isinstance(txn.request, GetX):
+        if txn is None or type(txn.request) is not GetX:
             self.protocol_error(
                 "msg-conservation",
                 f"InvalAck from cache {ack.from_cache} for "
@@ -321,7 +320,7 @@ class Directory(Component):
         entry = self.entry(ack.location)
         entry.value = ack.value
         request = txn.request
-        if isinstance(request, GetS):
+        if type(request) is GetS:
             entry.state = EntryState.SHARED
             entry.sharers = {ack.from_cache, request.requester} if ack.downgraded else {
                 request.requester

@@ -124,7 +124,7 @@ class CacheController(Component):
             self.counter.observer = self._observe_counter
 
     def _now(self) -> int:
-        return self.sim.now
+        return self.sim._time
 
     def _observe_counter(self, value: int) -> None:
         self.tracer.emit(
@@ -201,15 +201,15 @@ class CacheController(Component):
         """Commit ``access`` against the local copy."""
         old = line.value
         if access.kind.reads_memory:
-            access.deliver_value(old, self.sim.now)
+            access.deliver_value(old, self.sim._time)
         if access.kind.writes_memory:
             assert access.compute_write is not None
             new = access.compute_write(old)
             line.value = new
             access.value_written = new
-        access.mark_committed(self.sim.now)
+        access.mark_committed(self.sim._time)
         if gp_now:
-            access.mark_globally_performed(self.sim.now)
+            access.mark_globally_performed(self.sim._time)
 
     def _after_sync_commit(self, access: MemoryAccess, line: CacheLine) -> None:
         """Section 5.3: set the reserve bit if accesses are outstanding."""

@@ -149,13 +149,15 @@ class SnoopCoordinator(Component):
         )
 
     def _on_message(self, payload: Any, src: str) -> None:
-        if isinstance(payload, SnoopDone):
+        # Dispatch on the exact type: no message class has subclasses.
+        kind = type(payload)
+        if kind is SnoopDone:
             self._busy = False
             self._drain()
             return
-        if self._busy and isinstance(payload, (BusRd, BusRdX, BusWB)):
+        if self._busy and (kind is BusRd or kind is BusRdX or kind is BusWB):
             self._waiting.append(payload)
-            self.stats.bump("snoop.queued")
+            self.stats.counters["snoop.queued"] += 1
             tracer = self.sim.tracer
             if tracer.enabled:
                 tracer.emit(
@@ -174,12 +176,13 @@ class SnoopCoordinator(Component):
             self._dispatch(self._waiting.pop(0))
 
     def _dispatch(self, payload: Any) -> None:
-        if isinstance(payload, BusRd):
+        kind = type(payload)
+        if kind is BusRd:
             self._busy = True
             self._handle_rd(payload)
-        elif isinstance(payload, BusRdX):
+        elif kind is BusRdX:
             self._handle_rdx(payload)
-        elif isinstance(payload, BusWB):
+        elif kind is BusWB:
             # Snoop our own transaction at the grant instant: if another
             # transaction took the line from the write-back buffer in the
             # meantime, the write-back was cancelled and must not clobber
@@ -197,7 +200,7 @@ class SnoopCoordinator(Component):
             raise TypeError(f"snoop coordinator cannot handle {payload!r}")
 
     def _handle_rd(self, txn: BusRd) -> None:
-        self.stats.bump("snoop.busrd")
+        self.stats.counters["snoop.busrd"] += 1
         value = self.memory_value(txn.location)
         for cache in self.caches:
             if cache.cache_id == txn.requester:
@@ -209,7 +212,7 @@ class SnoopCoordinator(Component):
         self._respond(txn.requester, SnoopData(txn.location, value, exclusive=False))
 
     def _handle_rdx(self, txn: BusRdX) -> None:
-        self.stats.bump("snoop.busrdx")
+        self.stats.counters["snoop.busrdx"] += 1
         # First pass: the reserve check.  A reserved line refuses the
         # sync transaction before anyone is invalidated.
         for cache in self.caches:
@@ -324,7 +327,7 @@ class SnoopingCache(CacheController):
         if line is not None and line.valid:
             value = line.value if line.state is LineState.EXCLUSIVE else None
             del self._lines[location]
-            self.stats.bump("snoop.invalidated")
+            self.stats.counters["snoop.invalidated"] += 1
             return value
         if self._victims.get(location) is not None:
             # Hand the dirty data over and cancel our pending write-back:
@@ -349,13 +352,13 @@ class SnoopingCache(CacheController):
             line.state is LineState.EXCLUSIVE or not needs_exclusive
         ):
             self._touch(line)
-            self.stats.bump("snoopcache.hits")
+            self.stats.counters["snoopcache.hits"] += 1
             # On this substrate a hit on an exclusive line (or any read
             # hit) is globally performed at once.
             self._perform_on_line(access, line, gp_now=True)
             self._after_sync_commit(access, line)
             return
-        self.stats.bump("snoopcache.misses")
+        self.stats.counters["snoopcache.misses"] += 1
         if access.location in self._outstanding:
             self.protocol_error(
                 "open-transaction",
@@ -382,7 +385,9 @@ class SnoopingCache(CacheController):
         )
 
     def _on_message(self, payload: Any, src: str) -> None:
-        if isinstance(payload, SnoopData):
+        # Dispatch on the exact type: no message class has subclasses.
+        kind = type(payload)
+        if kind is SnoopData:
             access = self._outstanding.pop(payload.location)
             state = (
                 LineState.EXCLUSIVE if payload.exclusive else LineState.SHARED
@@ -393,7 +398,7 @@ class SnoopingCache(CacheController):
             self._after_sync_commit(access, line)
             # Release the atomic bus: the transfer is complete.
             self._send(SnoopDone(payload.location))
-        elif isinstance(payload, SnoopNack):
+        elif kind is SnoopNack:
             self._on_sync_nack(payload.location)
             # The coordinator re-issues the transaction after its retry
             # delay; nothing to do here.

@@ -50,6 +50,12 @@ class OpKind(enum.Enum):
     #: hashes, and ``.value`` reads, through Python code).
     label: str
 
+    #: Members are singletons and compare by identity, so they hash by
+    #: identity too: in C, where ``Enum.__hash__`` hashes the name in
+    #: Python.  Nothing may depend on the hash value (no digest hashes a
+    #: member, and no output iterates a set of members unsorted).
+    __hash__ = object.__hash__
+
     def __init__(self, value: str) -> None:
         # Plain attributes rather than properties: the searches and the
         # simulator ask these tens of thousands of times per check.

@@ -168,7 +168,7 @@ class PipelinedCore(ProcessorCore):
             thread_pos=pos,
             occurrence=occurrence,
         )
-        access.generate_time = self.sim.now
+        access.generate_time = self.sim._time
         access.issue_index = self._issue_counter
         self._issue_counter += 1
         self.stats.bump(f"proc.{instr.kind.value}")
@@ -206,9 +206,9 @@ class PipelinedCore(ProcessorCore):
         if dest is not None:
             access.on_value(self._write_dest, dest)
         access.on_commit(self._record_trace)
-        access.deliver_value(value, self.sim.now)
-        access.mark_committed(self.sim.now)
-        access.mark_globally_performed(self.sim.now)
+        access.deliver_value(value, self.sim._time)
+        access.mark_committed(self.sim._time)
+        access.mark_globally_performed(self.sim._time)
 
         self.pc += 1
         self._after_delay(self.local_cycles)

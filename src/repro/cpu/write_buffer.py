@@ -124,12 +124,12 @@ class WriteBufferPort(Component):
     def _submit_write(self, access: MemoryAccess) -> None:
         assert access.compute_write is not None
         access.value_written = access.compute_write(0)
-        access.mark_committed(self.sim.now)
+        access.mark_committed(self.sim._time)
         self._buffer.append(access)
         if self.sanitizer.enabled:
             self._enqueue_seq += 1
             access.wbuf_seq = self._enqueue_seq
-        self.stats.bump("wbuf.enqueued")
+        self.stats.counters["wbuf.enqueued"] += 1
         tracer = self.sim.tracer
         if tracer.enabled:
             tracer.emit(
@@ -193,9 +193,9 @@ class WriteBufferPort(Component):
                             ("value", buffered.value_written),
                         ),
                     )
-                access.deliver_value(buffered.value_written, self.sim.now)
-                access.mark_committed(self.sim.now)
-                access.mark_globally_performed(self.sim.now)
+                access.deliver_value(buffered.value_written, self.sim._time)
+                access.mark_committed(self.sim._time)
+                access.mark_globally_performed(self.sim._time)
                 return True
         return False
 
@@ -216,7 +216,13 @@ class WriteBufferPort(Component):
     # Responses
     # ------------------------------------------------------------------
     def _on_message(self, payload: Any, src: str) -> None:
-        if not isinstance(payload, (MemReadResp, MemWriteAck, MemRMWResp)):
+        # Dispatch on the exact type: no message class has subclasses.
+        kind = type(payload)
+        if (
+            kind is not MemReadResp
+            and kind is not MemWriteAck
+            and kind is not MemRMWResp
+        ):
             raise TypeError(f"port cannot handle {payload!r}")
         # A faulty network may deliver a response twice; tokens are
         # issued once, so an unknown token is a replay to drop.
@@ -224,11 +230,11 @@ class WriteBufferPort(Component):
         if access is None:
             self.stats.bump("wbuf.duplicate_drops")
             return
-        if isinstance(payload, MemReadResp):
-            access.deliver_value(payload.value, self.sim.now)
-            access.mark_committed(self.sim.now)
-            access.mark_globally_performed(self.sim.now)
-        elif isinstance(payload, MemWriteAck):
+        if kind is MemReadResp:
+            access.deliver_value(payload.value, self.sim._time)
+            access.mark_committed(self.sim._time)
+            access.mark_globally_performed(self.sim._time)
+        elif kind is MemWriteAck:
             if not self._buffer or self._buffer[0] is not access:
                 head = (
                     f"the buffer head is a write to "
@@ -256,10 +262,10 @@ class WriteBufferPort(Component):
                 self._drained_seq[access.location] = seq
             self._buffer.popleft()
             self._head_issued = False
-            access.mark_globally_performed(self.sim.now)
+            access.mark_globally_performed(self.sim._time)
             self._try_drain()
         else:
             access.value_written = access.compute_write(payload.old_value)
-            access.deliver_value(payload.old_value, self.sim.now)
-            access.mark_committed(self.sim.now)
-            access.mark_globally_performed(self.sim.now)
+            access.deliver_value(payload.old_value, self.sim._time)
+            access.mark_committed(self.sim._time)
+            access.mark_globally_performed(self.sim._time)

@@ -48,7 +48,7 @@ class Bus(Interconnect):
         return new
 
     def send(self, src: str, dst: str, payload: Any) -> None:
-        self.stats.bump("bus.sent")
+        self.stats.counters["bus.sent"] += 1
         flow_id = (
             self._trace_send(src, dst, payload)
             if self.sim.tracer.enabled else None

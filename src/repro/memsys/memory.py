@@ -114,28 +114,30 @@ class MemoryModule(Component):
 
     def _on_message(self, payload: Any, src: str) -> None:
         # The serialization point is message arrival; the response leaves
-        # after the service latency.
-        if isinstance(payload, (MemRead, MemWrite, MemRMW)):
-            request_id = (payload.reply_to, payload.token)
-            if request_id in self._serviced:
-                self.stats.bump("mem.duplicate_drops")
-                return
-            self._serviced.add(request_id)
-        if isinstance(payload, MemRead):
-            self.stats.bump("mem.reads")
+        # after the service latency.  Dispatch on the exact type: no
+        # message class has subclasses.
+        kind = type(payload)
+        if kind is not MemRead and kind is not MemWrite and kind is not MemRMW:
+            raise TypeError(f"memory cannot handle {payload!r}")
+        request_id = (payload.reply_to, payload.token)
+        if request_id in self._serviced:
+            self.stats.bump("mem.duplicate_drops")
+            return
+        self._serviced.add(request_id)
+        counters = self.stats.counters
+        if kind is MemRead:
+            counters["mem.reads"] += 1
             value = self.value(payload.location)
             self._respond(payload.reply_to, MemReadResp(payload.location, value, payload.token))
-        elif isinstance(payload, MemWrite):
-            self.stats.bump("mem.writes")
+        elif kind is MemWrite:
+            counters["mem.writes"] += 1
             self._memory[payload.location] = payload.value
             self._respond(payload.reply_to, MemWriteAck(payload.location, payload.token))
-        elif isinstance(payload, MemRMW):
-            self.stats.bump("mem.rmws")
+        else:
+            counters["mem.rmws"] += 1
             old = self.value(payload.location)
             self._memory[payload.location] = payload.compute(old)
             self._respond(payload.reply_to, MemRMWResp(payload.location, old, payload.token))
-        else:  # pragma: no cover - defensive
-            raise TypeError(f"memory cannot handle {payload!r}")
 
     def _respond(self, reply_to: str, response: Any) -> None:
         self.sim.schedule(

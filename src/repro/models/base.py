@@ -40,6 +40,9 @@ class BlockKind(enum.Enum):
     COMMIT = "commit"
     GP = "gp"
 
+    #: Identity hashing, in C, as for :class:`~repro.core.operation.OpKind`.
+    __hash__ = object.__hash__
+
 
 #: Report name -> policy class, populated by ``__init_subclass__`` so the
 #: campaign layer can rebuild a policy from its picklable spec in worker

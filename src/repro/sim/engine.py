@@ -12,7 +12,7 @@ because no event is a closure a running machine can be forked (see
 
 from __future__ import annotations
 
-import heapq
+from heapq import heappop, heappush
 from types import MethodType
 from typing import Any, Callable, List, Optional, Tuple
 
@@ -76,14 +76,13 @@ class Simulator(Forkable):
         """
         if delay < 0:
             raise ValueError(f"negative delay {delay}")
-        heapq.heappush(
-            self._queue, (self._time + delay, self._seq, callback, args)
-        )
+        heappush(self._queue, (self._time + delay, self._seq, callback, args))
         self._seq += 1
 
     def call_soon(self, callback: Callable[..., None], *args: Any) -> None:
         """Run ``callback(*args)`` now, after pending same-time events."""
-        self.schedule(0, callback, *args)
+        heappush(self._queue, (self._time, self._seq, callback, args))
+        self._seq += 1
 
     def run(
         self,
@@ -102,25 +101,27 @@ class Simulator(Forkable):
         or policy bug (or a livelocked program).
         """
         sanitizer = self.sanitizer
-        entry_time, entry_seq = self._time, self._seq
+        queue = self._queue
+        now = entry_time = self._time
+        entry_seq = self._seq
         try:
-            while self._queue:
+            while queue:
                 if until is not None and until():
                     break
-                event = heapq.heappop(self._queue)
+                event = heappop(queue)
                 time, _seq, callback, args = event
                 if time > max_cycles:
                     raise SimulationTimeout(
                         f"simulation passed {max_cycles} cycles without quiescing",
-                        cycles=self._time,
+                        cycles=now,
                         budget=max_cycles,
                     )
-                if time != self._time:
+                if time != now:
                     # Cycle boundary: sweep invariants over the settled
                     # cycle before the clock advances.
                     if sanitizer.enabled:
                         sanitizer.on_cycle()
-                    self._time = time
+                    self._time = now = time
                 self._firing = event
                 callback(*args)
         except SimulationTimeout:
@@ -158,7 +159,7 @@ class Simulator(Forkable):
         """
         deadline = self._time + cycles
         while self._queue and self._queue[0][0] <= deadline:
-            time, _seq, callback, args = heapq.heappop(self._queue)
+            time, _seq, callback, args = heappop(self._queue)
             self._time = time
             callback(*args)
         self._time = deadline
@@ -195,9 +196,7 @@ class Simulator(Forkable):
         new._firing = None
         if self._firing is not None:
             time, seq, callback, event_args = self._firing
-            heapq.heappush(
-                queue, (time, seq, rebind(callback), args(event_args))
-            )
+            heappush(queue, (time, seq, rebind(callback), args(event_args)))
         return new
 
     def release(self) -> None:
@@ -237,7 +236,7 @@ class Component(Forkable):
 
     def wake(self) -> None:
         """Re-evaluate state after the current event cascade settles."""
-        if self.wake_suppressed() or self._wake_scheduled:
+        if self._wake_scheduled or self.wake_suppressed():
             return
         self._wake_scheduled = True
         self.sim.call_soon(self._run_wake)

@@ -34,7 +34,12 @@ class TimingRng(Forkable):
         """A latency in ``[base, base + jitter]`` cycles."""
         if jitter <= 0:
             return base
-        return base + self._rng.randint(0, jitter)
+        rng = self._random
+        if rng is None:
+            rng = self._rng
+        # Exactly the draw ``randint(0, jitter)`` makes, minus its two
+        # Python-level calls.
+        return base + rng._randbelow(jitter + 1)
 
     def choice(self, items):
         return self._rng.choice(items)

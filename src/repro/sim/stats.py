@@ -66,6 +66,10 @@ class StallReason(enum.Enum):
     #: access that has not yet globally performed).
     CORE_WINDOW_FULL = "core_window_full"
 
+    #: Identity hashing, in C, as for :class:`~repro.core.operation.OpKind`:
+    #: the stall table's ``(proc, reason)`` keys hash without a Python call.
+    __hash__ = object.__hash__
+
 
 class Stats(Forkable):
     """Counters, totals, and stall attribution for one hardware run."""
