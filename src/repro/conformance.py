@@ -201,9 +201,21 @@ def plan_conformance(
     block of seed specs; each block's slice is remembered so
     :func:`judge_conformance` can classify cells from the flat result
     list.
+
+    Raises :class:`ValueError` when two tests share a name: a cell's
+    violations and incomplete tests, and the run traces, are keyed by
+    test name.
     """
     runner = runner or LitmusRunner()
     tests = list(tests) if tests is not None else standard_catalog()
+    names: set = set()
+    for test in tests:
+        if test.name in names:
+            raise ValueError(
+                f"two conformance tests are named {test.name!r}; cells "
+                f"report violations by test name, so names must be unique"
+            )
+        names.add(test.name)
     specs: List[RunSpec] = []
     cell_plans: List[dict] = []
     for config in configs:

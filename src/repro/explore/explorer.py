@@ -23,9 +23,14 @@ is folded; resumed, it walks again from the root and folds every
 schedule the journal holds without running it.
 
 Within the budget, :func:`explore_program` returns the exact set of
-reachable observables — for small programs and ample budgets, a proof
-(not a sample) that, say, DEF2 admits no SC violation for a DRF0
-program.
+observables reachable from a lock-step start — for small programs and
+ample budgets, a proof (not a sample) that, say, DEF2 admits no SC
+violation for a DRF0 program *when every processor starts at cycle 0*.
+Only message delivery branches: processor start skew, which seed
+campaigns draw, is not explored, so an exhausted walk says nothing of
+the outcomes that need one processor to start ahead of another.
+``load_buffering`` on ``net_nocache`` is the standing example: its walk
+exhausts and reaches one of the three SC outcomes.
 """
 
 from __future__ import annotations

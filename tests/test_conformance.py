@@ -10,6 +10,7 @@ from repro.conformance import (
     VERDICT_NA,
     VERDICT_SC,
     VERDICT_WEAK,
+    plan_conformance,
     run_conformance,
 )
 from repro.litmus.catalog import (
@@ -67,19 +68,45 @@ class TestVerdicts:
 class TestContractVerdictKey:
     def test_a_drf0_program_under_a_racy_tests_name_is_still_judged(self):
         """The contract verdict is the program's, not the name's: a DRF0
-        program named like a racy test listed before it still breaks
-        RELAXED's contract."""
+        program under a racy test's name still breaks RELAXED's
+        contract (listing both is refused, see TestUniqueTestNames)."""
         sync = dataclasses.replace(
             fig1_dekker_all_sync(warm=True), name="fig1_dekker_warm"
         )
-        verdicts = [
-            run_conformance(
-                configs=[NET_CACHE], policies=[RelaxedPolicy], tests=tests,
-                runs_per_test=40, base_seed=1,
-            ).cell("net_cache", "RELAXED").verdict
-            for tests in ([sync], [fig1_dekker(warm=True), sync])
-        ]
-        assert verdicts == [VERDICT_BROKEN, VERDICT_BROKEN]
+        report = run_conformance(
+            configs=[NET_CACHE], policies=[RelaxedPolicy], tests=[sync],
+            runs_per_test=40, base_seed=1,
+        )
+        assert report.cell("net_cache", "RELAXED").verdict == VERDICT_BROKEN
+
+
+class TestUniqueTestNames:
+    """A cell keys its violations and incomplete tests, and the report
+    its run traces, by test name: two tests of one name would share an
+    entry, so the plan refuses them."""
+
+    @staticmethod
+    def _same_name_pair():
+        sync = dataclasses.replace(
+            fig1_dekker_all_sync(warm=True), name="fig1_dekker_warm"
+        )
+        return [fig1_dekker(warm=True), sync]
+
+    @pytest.mark.parametrize("entry", [plan_conformance, run_conformance])
+    def test_two_tests_of_one_name_are_refused(self, entry):
+        with pytest.raises(ValueError, match="'fig1_dekker_warm'"):
+            entry(
+                configs=[NET_CACHE], policies=[RelaxedPolicy],
+                tests=self._same_name_pair(), runs_per_test=40, base_seed=1,
+            )
+
+    def test_distinct_names_are_planned(self):
+        plan = plan_conformance(
+            configs=[NET_CACHE], policies=[RelaxedPolicy],
+            tests=[fig1_dekker(warm=True), fig1_dekker_all_sync(warm=True)],
+            runs_per_test=2, base_seed=1,
+        )
+        assert len(plan.specs) == 4
 
 
 class TestReportStructure:
