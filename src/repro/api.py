@@ -683,50 +683,4 @@ __all__ = [
     "serve_metrics",
     "to_prometheus",
     "write_prometheus",
-    # Service tier (resolved lazily; see __getattr__ below).
-    "AdmissionQueue",
-    "CircuitBreaker",
-    "JobError",
-    "Rejected",
-    "ServiceClient",
-    "ServiceError",
-    "ServiceServer",
-    "Unavailable",
-    "VerificationService",
-    "build_job",
-    "read_endpoint",
-    "serve_blocking",
 ]
-
-#: Facade names owned by :mod:`repro.service`.  The service tier
-#: imports ``repro.api`` for its job builders, so the facade must not
-#: import it eagerly — these resolve on first attribute access
-#: (PEP 562) instead.
-_SERVICE_EXPORTS = frozenset({
-    "AdmissionQueue",
-    "CircuitBreaker",
-    "JobError",
-    "Rejected",
-    "ServiceClient",
-    "ServiceError",
-    "ServiceServer",
-    "Unavailable",
-    "VerificationService",
-    "build_job",
-    "read_endpoint",
-    "serve_blocking",
-})
-
-
-def __getattr__(name: str):
-    if name in _SERVICE_EXPORTS:
-        import repro.service as _service
-
-        value = getattr(_service, name)
-        globals()[name] = value  # cache: next access skips __getattr__
-        return value
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def __dir__() -> List[str]:
-    return sorted(set(globals()) | _SERVICE_EXPORTS)

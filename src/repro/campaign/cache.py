@@ -28,7 +28,7 @@ concurrent campaign may re-create an entry the moment it is evicted,
 which merely costs one re-run.
 
 Concurrent writers sharing one cache directory are expected (parallel
-campaigns, the service tier).  The sweep itself is guarded by a
+campaigns, on one host or several).  The sweep itself is guarded by a
 non-blocking ``.evict.lock`` file: whichever process creates it runs
 the sweep, everyone else skips theirs (the holder is already shrinking
 the directory), so two processes can never both act on the same stale

@@ -93,21 +93,15 @@ def exit_with_parent(parent: int) -> None:
     watcher.start()
 
 
-def worker_pool(jobs: int, mp_context: Optional[str] = None):
+def worker_pool(jobs: int):
     """The ``ProcessPoolExecutor`` of ``jobs`` workers that
     :class:`ParallelExecutor` runs on, the one process pool the library
     starts; its workers exit with this process (see
-    :func:`exit_with_parent`).  ``mp_context`` names the start method;
-    ``None`` takes the platform default."""
+    :func:`exit_with_parent`)."""
     from concurrent.futures import ProcessPoolExecutor
 
-    context = None
-    if mp_context is not None:
-        import multiprocessing
-
-        context = multiprocessing.get_context(mp_context)
     return ProcessPoolExecutor(
-        max_workers=jobs, mp_context=context,
+        max_workers=jobs,
         initializer=exit_with_parent, initargs=(os.getpid(),),
     )
 
@@ -281,8 +275,8 @@ class ParallelExecutor(Executor):
     exponential backoff (uniform over ``[0, backoff_base *
     2**(failures-1)]`` seconds) and unfinished specs are resubmitted
     (counted in ``retried_runs``).  The jitter desynchronises
-    simultaneous rebuilds — many executors sharing a machine (the
-    service tier) would otherwise stampede the freshly rebuilt pools in
+    simultaneous rebuilds — several executors on one host (concurrent
+    campaigns) would otherwise stampede the freshly rebuilt pools in
     lock-step — while ``backoff_seed`` pins the draw sequence for
     reproducible tests; ``backoff_jitter=False`` restores the
     deterministic ceiling-valued sleep.  After
@@ -291,14 +285,6 @@ class ParallelExecutor(Executor):
     always completes.  ``RunFailure.attempts`` on environment-caused
     failures reflects every launch the spec consumed, across both the
     timeout-retry and pool-rebuild paths.
-
-    ``mp_context`` names the :mod:`multiprocessing` start method for
-    pool workers (``None`` = platform default).  Multi-threaded hosts
-    (the service tier) must pass ``"spawn"``: a worker forked from a
-    process with live threads can inherit a lock some other thread held
-    at fork time and deadlock — harmless to the batch (its runs are
-    retried elsewhere) but fatal at shutdown, where joining the wedged
-    worker hangs interpreter exit.
     """
 
     def __init__(
@@ -312,7 +298,6 @@ class ParallelExecutor(Executor):
         preempt_drain: float = 5.0,
         backoff_jitter: bool = True,
         backoff_seed: Optional[int] = None,
-        mp_context: Optional[str] = None,
     ) -> None:
         self.jobs = jobs if jobs and jobs > 0 else (os.cpu_count() or 1)
         self.run_timeout = run_timeout
@@ -323,7 +308,6 @@ class ParallelExecutor(Executor):
         self.preempt_drain = preempt_drain
         self.backoff_jitter = backoff_jitter
         self._backoff_rng = random.Random(backoff_seed)
-        self.mp_context = mp_context
         self._pool = None
         self._pool_failures = 0
 
@@ -332,7 +316,7 @@ class ParallelExecutor(Executor):
     # ------------------------------------------------------------------
     def _ensure_pool(self):
         if self._pool is None:
-            self._pool = worker_pool(self.jobs, self.mp_context)
+            self._pool = worker_pool(self.jobs)
         return self._pool
 
     def _discard_pool(self) -> None:

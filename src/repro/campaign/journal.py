@@ -40,10 +40,10 @@ Durability model:
   have died mid-write, or may even still be flushing) starts its own
   appends on a fresh line, so the torn fragment stays confined to one
   unparseable line instead of fusing with the first new record.
-* **Writes are thread-safe.**  The service tier runs several campaigns
-  against one shared journal from concurrent worker threads; every
-  mutating method takes the journal's lock, so records never interleave
-  mid-line and the idempotence check is atomic with the append.
+* **Writes are thread-safe.**  Several campaigns may share one journal
+  from concurrent threads; every mutating method takes the journal's
+  lock, so records never interleave mid-line and the idempotence check
+  is atomic with the append.
 
 Only results that are pure functions of their spec are worth
 journaling; environment-dependent failures (wall-clock timeouts, lost
@@ -250,8 +250,8 @@ class CampaignJournal:
         Returns True when the record was appended, False when the digest
         was already journaled (replayed or recorded earlier).  The
         membership check and the append happen under the journal lock,
-        so concurrent campaigns sharing one journal (the service tier)
-        still record each digest at most once.  A due ``checkpoint``
+        so concurrent campaigns sharing one journal still record each
+        digest at most once.  A due ``checkpoint``
         marker is appended before the sync, so both share one fsync.
         """
         with self._lock:

@@ -21,12 +21,7 @@ Subcommands:
 ``soak``      chaos-test crash safety: kill a journaled campaign at
               seeded points, resume it, and prove exactly-once results;
 ``metrics``   pretty-print, export, or diff runtime-metrics snapshots
-              (``.prom`` files, flight-recorder JSONL, snapshot JSON);
-``serve``     run the verification job service over HTTP (durable
-              state dir, graceful drain on SIGTERM, exit 0);
-``submit``    submit a job to a running service (429 shed → exit 75);
-``status``    list service jobs or long-poll one;
-``result``    fetch a finished service job's result document.
+              (``.prom`` files, flight-recorder JSONL, snapshot JSON).
 
 A flag that means the same thing on several subcommands is declared
 once, as a module-level :class:`_Flag`; each subcommand adds it with
@@ -78,11 +73,11 @@ import json
 import sys
 import time
 from pathlib import Path
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 # The CLI is a consumer of the stable facade: the library comes through
-# repro.api, apart from ensure_compatible and the lazy imports of
-# repro.service (the service commands) and repro.testing.chaos (soak).
+# repro.api, apart from ensure_compatible and the lazy import of
+# repro.testing.chaos (soak).
 import repro.api as api
 from repro.api import (
     EXIT_PREEMPTED,
@@ -325,7 +320,7 @@ class _Session:
         # Commands with --run-timeout/--retries hand their verb an
         # executor when they run in parallel (serially the verb keeps
         # its default); soak passes a bare jobs count.
-        if "retries" in flags and "jobs" in flags:
+        if "retries" in flags:
             if args.jobs > 1:
                 kwargs["executor"] = self._stack.enter_context(
                     default_executor(
@@ -784,172 +779,6 @@ def _cmd_metrics_diff(args: argparse.Namespace) -> int:
     return 0
 
 
-def _service_client(args: argparse.Namespace):
-    """Build a ServiceClient from --state (endpoint file) or host/port."""
-    from repro.service import ServiceClient
-
-    if getattr(args, "state", None):
-        try:
-            return ServiceClient.from_state_dir(args.state)
-        except (OSError, ValueError) as exc:
-            raise SystemExit(
-                f"repro: no serving endpoint under {args.state}: {exc}"
-            )
-    return ServiceClient(host=args.host, port=args.port)
-
-
-def _parse_job_params(pairs: Optional[Sequence[str]]) -> dict:
-    """``-p key=value`` pairs; values parse as JSON, else stay strings."""
-    params = {}
-    for pair in pairs or []:
-        key, sep, value = pair.partition("=")
-        if not sep:
-            raise SystemExit(
-                f"repro: bad --param {pair!r} (expected key=value)"
-            )
-        try:
-            params[key] = json.loads(value)
-        except ValueError:
-            params[key] = value
-    return params
-
-
-@_in_session
-def _cmd_serve(args: argparse.Namespace, session: _Session) -> int:
-    from repro.service import VerificationService, serve_blocking
-
-    # The service always runs with the registry on: its own counters
-    # (queue depth, breaker state, dedup hits) back /metrics and
-    # /readyz, and campaign workers inherit the flag.
-    enable_metrics()
-    engine = VerificationService(
-        args.state,
-        capacity=args.capacity,
-        per_client=args.per_client,
-        workers=args.workers,
-        campaign_jobs=args.campaign_jobs,
-        run_timeout=args.run_timeout,
-        retries=args.retries,
-        breaker_threshold=args.breaker_threshold,
-        breaker_reset=args.breaker_reset,
-        max_done=args.max_done,
-        cache_max_bytes=args.cache_max_bytes,
-    )
-
-    def ready(host: str, port: int) -> None:
-        print(
-            f"repro serve: http://{host}:{port} (state: {args.state})",
-            file=sys.stderr,
-            flush=True,
-        )
-
-    code = serve_blocking(
-        engine, host=args.host, port=args.port, ready_message=ready
-    )
-    if code == 0:
-        print("repro serve: drained cleanly", file=sys.stderr)
-    return code
-
-
-def _cmd_submit(args: argparse.Namespace) -> int:
-    from repro.service import Rejected, ServiceError, Unavailable
-
-    client = _service_client(args)
-    params = _parse_job_params(args.param)
-    try:
-        doc = client.submit(
-            args.kind, params,
-            client=args.client_id, deadline_s=args.deadline,
-        )
-    except Rejected as exc:
-        print(
-            f"repro submit: shed (429): {exc}; "
-            f"retry after {exc.retry_after:.3g}s",
-            file=sys.stderr,
-        )
-        return EXIT_PREEMPTED
-    except Unavailable as exc:
-        print(f"repro submit: draining (503): {exc}", file=sys.stderr)
-        return EXIT_PREEMPTED
-    except ServiceError as exc:
-        print(f"repro submit: {exc}", file=sys.stderr)
-        return 1
-    job = doc["job"]
-    print(
-        f"job {job['id']}: {doc.get('verdict')} (state {job['state']})",
-        file=sys.stderr,
-    )
-    if not args.wait:
-        print(job["id"])
-        return 0
-    try:
-        job = client.wait_done(job["id"], timeout=args.wait)
-    except ServiceError as exc:
-        print(f"repro submit: {exc}", file=sys.stderr)
-        return 1
-    if job["state"] != "done":
-        print(
-            f"repro submit: job {job['id']} {job['state']}: "
-            f"{job.get('error')}",
-            file=sys.stderr,
-        )
-        return 1
-    print(json.dumps(client.result(job["id"])["result"], indent=2,
-                     sort_keys=True))
-    return 0
-
-
-def _cmd_status(args: argparse.Namespace) -> int:
-    from repro.service import ServiceError
-
-    client = _service_client(args)
-    try:
-        if args.job_id:
-            job = client.status(args.job_id, wait=args.wait)
-            print(json.dumps(job, indent=2, sort_keys=True))
-        else:
-            jobs = client.jobs()
-            for job in jobs:
-                flags = []
-                if job.get("degraded"):
-                    flags.append("degraded")
-                if job.get("recovered"):
-                    flags.append("recovered")
-                suffix = f" [{', '.join(flags)}]" if flags else ""
-                print(f"{job['id']}  {job['kind']:<12} {job['state']}"
-                      f"{suffix}")
-            if not jobs:
-                print("(no jobs)")
-    except ServiceError as exc:
-        print(f"repro status: {exc}", file=sys.stderr)
-        return 1
-    return 0
-
-
-def _cmd_result(args: argparse.Namespace) -> int:
-    from repro.service import ServiceError
-
-    client = _service_client(args)
-    try:
-        doc = client.result(args.job_id)
-    except ServiceError as exc:
-        if exc.status == 409:
-            print(f"repro result: {exc}", file=sys.stderr)
-            return 2
-        print(f"repro result: {exc}", file=sys.stderr)
-        return 1
-    job = doc["job"]
-    if job["state"] != "done":
-        print(
-            f"repro result: job {job['id']} {job['state']}: "
-            f"{job.get('error')}",
-            file=sys.stderr,
-        )
-        return 1
-    print(json.dumps(doc["result"], indent=2, sort_keys=True))
-    return 0
-
-
 def positive_int(text: str) -> int:
     """An argparse type for a count: an integer of at least 1."""
     value = int(text)
@@ -1082,17 +911,6 @@ _SANITIZE = _Flag(
     help="check protocol invariants every cycle: log records violations "
     "on the result, strict fails the run on the first one (default off)",
 )
-_STATE = _Flag("--state", metavar="DIR", default=None,
-               help="server state dir; connect via its endpoint file")
-_HOST = _Flag("--host", default="127.0.0.1")
-_PORT = _Flag("--port", type=int, default=8787)
-_WAIT = _Flag(
-    "--wait", type=float, default=None, metavar="SECONDS", nargs="?",
-    const=600.0,
-    help="block until the job is terminal (default budget 600s)",
-)
-
-_JOB_ID = _Flag("job_id")
 
 #: Flag groups, in the order a subcommand's help lists them.
 _EXECUTOR = (_JOBS, _METRICS_JSON, _RUN_TIMEOUT, _RETRIES)
@@ -1273,66 +1091,6 @@ def build_parser() -> argparse.ArgumentParser:
     soak.add_argument("--attempt-timeout", type=float, default=300.0,
                       metavar="SECONDS",
                       help="wall-clock budget per supervised attempt")
-
-    serve = command(
-        "serve", _cmd_serve,
-        "run the verification job service over HTTP (drain on SIGTERM, "
-        "exit 0)",
-        _STATE(required=True, help="durable state directory: job log, "
-               "campaign journal, result cache, endpoint file"),
-        _HOST, _PORT(default=0, help="listen port (0 = ephemeral; the "
-                     "bound port lands in DIR/endpoint)"),
-        _RUN_TIMEOUT, _RETRIES, _CACHE_MAX_BYTES, *_OBS,
-    )
-    serve.add_argument("--capacity", type=int, default=32,
-                       help="admission queue bound; beyond it submissions "
-                       "shed with 429")
-    serve.add_argument("--per-client", type=int, default=None, metavar="N",
-                       help="fairness cap: at most N queued/running jobs "
-                       "per client id")
-    serve.add_argument("--workers", type=int, default=2,
-                       help="concurrent jobs (engine worker threads)")
-    serve.add_argument("--campaign-jobs", type=int, default=2, metavar="N",
-                       help="worker processes per campaign (1 = serial)")
-    serve.add_argument("--breaker-threshold", type=int, default=3,
-                       help="consecutive pool failures before the circuit "
-                       "breaker opens (degraded serial execution)")
-    serve.add_argument("--breaker-reset", type=float, default=30.0,
-                       metavar="SECONDS",
-                       help="open-state dwell before a half-open probe")
-    serve.add_argument("--max-done", type=int, default=256,
-                       help="terminal jobs kept in memory (LRU; results "
-                       "stay durable in the job log)")
-
-    submit = command(
-        "submit", _cmd_submit,
-        "submit a job to a running verification service",
-        _STATE, _HOST, _PORT, _WAIT,
-    )
-    submit.add_argument("kind",
-                        help="job kind: litmus, explore, verify, "
-                        "or conformance")
-    submit.add_argument(
-        "-p", "--param", action="append", metavar="KEY=VALUE",
-        help="job parameter; VALUE parses as JSON when it can "
-        "(repeatable), e.g. -p test=fig1_dekker -p runs=50",
-    )
-    submit.add_argument("--client", dest="client_id", default="",
-                        metavar="ID",
-                        help="client id for per-client fairness caps")
-    submit.add_argument("--deadline", type=float, default=None,
-                        metavar="SECONDS",
-                        help="end-to-end budget; queue wait counts "
-                        "against it")
-
-    command("status", _cmd_status,
-            "show service job status (all jobs, or one)",
-            _STATE, _HOST, _PORT, _WAIT,
-            _JOB_ID(nargs="?", default="",
-                    help="job id; omit to list every known job"))
-    command("result", _cmd_result,
-            "fetch a finished service job's result document",
-            _STATE, _HOST, _PORT, _JOB_ID)
 
     msub = sub.add_parser(
         "metrics",

@@ -173,9 +173,9 @@ class ConformancePlan:
 
     Splitting planning from judging lets a consumer know the complete
     :class:`RunSpec` list — and therefore the campaign's content digest
-    — *before* running anything: the service tier dedups and journals
-    conformance jobs by exactly this layout, so a planned-then-run grid
-    and :func:`run_conformance` produce byte-identical campaigns.
+    — *before* running anything.  :func:`run_conformance` is exactly
+    plan, run, judge, so a planned-then-run grid and
+    :func:`run_conformance` produce byte-identical campaigns.
     """
 
     specs: List[RunSpec]

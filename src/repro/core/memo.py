@@ -18,9 +18,10 @@ it was computed under (so a model with another's ppo gets that set), a
 DRF verdict by its synchronization model and execution budget (so the
 verdicts one walk settles for both models serve both questions).
 
-A memo may be read by several threads at once (the job service runs
-checks on worker threads), so it holds only facts that never change once
-built and caches whose entries are the same whoever fills them.  Budgets,
+A memo may be read by several threads at once (any library caller may
+run checks on threads of its own), so it holds only facts that never
+change once built and caches whose entries are the same whoever fills
+them.  Budgets,
 scratch buffers and per-search state stay with each call.
 """
 

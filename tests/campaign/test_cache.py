@@ -156,18 +156,14 @@ class TestResultCache:
 
     def test_long_lived_caches_sweep_orphans_on_open(self, tmp_path):
         from repro.cli import _Session
-        from repro.service.engine import VerificationService
 
-        cli_dir, state = tmp_path / "cli", tmp_path / "state"
-        for directory in (cli_dir, state / "cache"):
-            directory.mkdir(parents=True)
-            (directory / "orphan.tmp").write_bytes(b"partial")
-            _age(directory / "orphan.tmp", 2 * EVICT_LOCK_TTL)
+        cli_dir = tmp_path / "cli"
+        cli_dir.mkdir()
+        (cli_dir / "orphan.tmp").write_bytes(b"partial")
+        _age(cli_dir / "orphan.tmp", 2 * EVICT_LOCK_TTL)
         with _Session(argparse.Namespace(cache=str(cli_dir), cache_max_bytes=None)):
             pass
-        VerificationService(state).stop(timeout=1)
         assert list(cli_dir.glob("*.tmp")) == []
-        assert list((state / "cache").glob("*.tmp")) == []
 
     def test_len_counts_entries(self, tmp_path):
         cache = ResultCache(tmp_path)

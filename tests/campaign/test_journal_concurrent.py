@@ -1,8 +1,8 @@
 """Journal replay and append under contention.
 
-The contract (ISSUE 9 satellite): the service tier opens a journal the
-previous instance may still be flushing, and runs several campaigns
-against one shared journal from concurrent threads.  Replay over a
+The contract: a journal may be opened while the previous owner is still
+flushing it, and several concurrent campaigns may share one journal
+from their own threads.  Replay over a
 concurrently-appending writer must never error; a torn tail must stay
 confined to one tolerated line even when the *successor* appends; and
 ``record`` must stay exactly-once per digest when hammered from many

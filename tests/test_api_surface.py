@@ -171,11 +171,6 @@ EXPORTED_NAMES = frozenset(
         "FlightRecorder", "enable_metrics", "disable_metrics",
         "load_snapshot", "serve_metrics", "to_prometheus",
         "write_prometheus",
-        # Service tier (lazy, PEP 562).
-        "AdmissionQueue", "CircuitBreaker", "JobError", "Rejected",
-        "ServiceClient", "ServiceError", "ServiceServer", "Unavailable",
-        "VerificationService", "build_job", "read_endpoint",
-        "serve_blocking",
     }
 )
 

@@ -174,7 +174,7 @@ ORDERS = {
 def test_threads_checking_interleaved_programs_match_a_serial_run(
     order, frequent_switches,
 ):
-    """The service runs checks on worker threads: four threads checking
+    """Library callers may run checks on threads: four threads checking
     two programs in turn, asking the two DRF models in opposite orders,
     get exactly the answers of a serial run."""
     programs = [fig1_dekker().program, iriw().program]
