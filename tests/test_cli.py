@@ -441,6 +441,28 @@ class TestMetricsSubcommand:
         with pytest.raises(SystemExit, match="cannot read"):
             main(["metrics", "show", "/no/such/file.prom"])
 
+    def test_show_renders_journal_counters(self, tmp_path, capsys):
+        # The durable path's counters survive the snapshot file and
+        # render next to the campaign's own.
+        out_dir = tmp_path / "obs"
+        assert main(
+            ["litmus", "fig1_dekker", "--policy", "SC",
+             "--machine", "net_nocache", "--runs", "4",
+             "--journal", str(tmp_path / "j.jsonl"),
+             "--metrics-out", str(out_dir)]
+        ) == 0
+        from repro.obs import load_snapshot
+
+        snapshot = load_snapshot(out_dir / "metrics.prom")
+        assert snapshot.value("repro_journal_appends_total") >= 4
+        assert snapshot.value("repro_journal_fsyncs_total") >= 1
+        capsys.readouterr()
+        assert main(["metrics", "show", str(out_dir / "metrics.prom")]) == 0
+        out = capsys.readouterr().out
+        assert "repro_journal_appends_total" in out
+        assert "repro_journal_fsyncs_total" in out
+        assert "repro_campaign_runs_total" in out
+
 
 class TestSoakUniformOptions:
     def test_soak_parser_accepts_jobs_and_metrics(self, tmp_path, capsys):
