@@ -59,7 +59,6 @@ def compare_policies(
     base_seed: int = 99,
     max_cycles: int = 2_000_000,
     executor: Optional[Executor] = None,
-    jobs: int = 1,
 ) -> List[PolicyComparison]:
     """Run the workload under each policy over the same seed stream.
 
@@ -80,7 +79,7 @@ def compare_policies(
         for seed in seeds
     ]
     campaign = run_campaign(
-        specs, executor=executor, jobs=jobs, label="compare_policies"
+        specs, executor=executor, label="compare_policies"
     )
 
     results: List[PolicyComparison] = []
@@ -141,12 +140,13 @@ def sweep(
     base_seed: int = 99,
     max_cycles: int = 2_000_000,
     executor: Optional[Executor] = None,
-    jobs: int = 1,
 ) -> List[SweepPoint]:
     """Compare policies at each parameter value.
 
     ``program_for(v)`` returns a program factory for axis value ``v``;
     ``config_for(v)`` the machine configuration (either may ignore ``v``).
+    Every axis value runs on the one ``executor``, so a pool is started
+    once for the whole sweep.
     """
     points: List[SweepPoint] = []
     for value in parameter_values:
@@ -158,7 +158,6 @@ def sweep(
             base_seed=base_seed,
             max_cycles=max_cycles,
             executor=executor,
-            jobs=jobs,
         )
         points.append(SweepPoint(parameter=value, comparisons=comparisons))
     return points

@@ -110,14 +110,13 @@ def figure3_sweep(
     post_release_work: int = 30,
     seeds: List[int] = (1, 2, 3, 4, 5),
     executor: Optional[Executor] = None,
-    jobs: int = 1,
 ) -> List[Figure3Row]:
     """DEF1 vs DEF2 release behaviour as write latency grows.
 
     The whole sweep is one flat campaign — every
     (latency, seed, policy) triple is an independent
-    :class:`~repro.campaign.spec.RunSpec`, so ``jobs > 1`` parallelises
-    across the entire grid.  Per-row aggregation reads the release-side
+    :class:`~repro.campaign.spec.RunSpec`, so a parallel ``executor``
+    spreads the entire grid.  Per-row aggregation reads the release-side
     stall attribution straight off each result's
     :attr:`~repro.campaign.spec.RunMetrics.proc_stalls` and
     ``halt_times``.
@@ -141,9 +140,7 @@ def figure3_sweep(
                         seed=seed,
                     )
                 )
-    campaign = run_campaign(
-        specs, executor=executor, jobs=jobs, label="figure3"
-    )
+    campaign = run_campaign(specs, executor=executor, label="figure3")
 
     def release_stall(result) -> int:
         return sum(

@@ -11,6 +11,7 @@ keyword-only, picklable-spec-based functions:
 * :func:`check_drf0` — the DRF0 program check of Definition 3;
 * :func:`campaign` — a batch of :class:`~repro.campaign.spec.RunSpec`
   through the (serial or parallel, optionally cached) campaign layer;
+  it is :func:`~repro.campaign.run_campaign` itself;
 * :func:`models` — introspection over every registered memory model:
   summaries, supported cores, and the axiomatic counterpart;
 * :func:`crosscheck` — the operational-vs-axiomatic agreement check
@@ -385,65 +386,9 @@ def check_drf0(
     )
 
 
-def campaign(
-    specs: Iterable[RunSpec],
-    *,
-    model: Optional[PolicyLike] = None,
-    executor: Optional[Executor] = None,
-    jobs: int = 1,
-    cache: Union[ResultCache, str, None] = None,
-    metrics: Optional[Callable[[CampaignMetrics], None]] = None,
-    label: str = "campaign",
-    run_timeout: Optional[float] = None,
-    retries: int = 2,
-    triage: Optional[TriageConfig] = None,
-    journal: Union[CampaignJournal, str, Path, None] = None,
-    progress: Union[bool, "ProgressReporter", None] = None,
-) -> CampaignResult:
-    """Execute a batch of specs; results come back in spec order.
-
-    ``cache`` may be a :class:`ResultCache` or a directory path;
-    ``metrics`` is an optional callback receiving the campaign's
-    :class:`CampaignMetrics` (registered only for the duration of this
-    call); ``journal`` is a :class:`CampaignJournal` or a path to one —
-    completed runs append durably as they finish and already-journaled
-    specs replay without execution, so re-running a killed campaign
-    against its journal resumes it; ``progress`` (``True`` or a
-    :class:`~repro.obs.ProgressReporter`) prints a live heartbeat.
-    ``model`` re-targets the whole batch: every spec's policy is
-    replaced by the given model (each spec keeps its own core), so one
-    spec list can be replayed under a different memory model verbatim.
-    Everything else matches :func:`repro.campaign.run_campaign`, the
-    engine underneath.
-    """
-    if model is not None:
-        specs = [
-            replace(
-                spec,
-                policy=_coerce_policy(model=model, core=spec.policy.core),
-            )
-            for spec in specs
-        ]
-    if isinstance(cache, str):
-        cache = ResultCache(cache)
-    if metrics is not None:
-        register_metrics_hook(metrics)
-    try:
-        return run_campaign(
-            specs,
-            executor=executor,
-            jobs=jobs,
-            cache=cache,
-            label=label,
-            run_timeout=run_timeout,
-            retries=retries,
-            triage=triage,
-            journal=journal,
-            progress=progress,
-        )
-    finally:
-        if metrics is not None:
-            unregister_metrics_hook(metrics)
+#: A batch of :class:`~repro.campaign.spec.RunSpec` through the campaign
+#: layer: the facade name of :func:`repro.campaign.run_campaign`.
+campaign = run_campaign
 
 
 def models() -> List[dict]:
@@ -490,7 +435,6 @@ def crosscheck(
     base_seed: int = 2026,
     max_cycles: int = 1_000_000,
     executor: Optional[Executor] = None,
-    jobs: int = 1,
     cache: Union[ResultCache, str, None] = None,
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
     progress: Union[bool, "ProgressReporter", None] = None,
@@ -516,8 +460,6 @@ def crosscheck(
     coerced_configs = None
     if configs is not None:
         coerced_configs = [_coerce_machine(c) for c in configs]
-    if isinstance(cache, str):
-        cache = ResultCache(cache)
     kwargs = {}
     if coerced_configs is not None:
         kwargs["configs"] = coerced_configs
@@ -528,7 +470,6 @@ def crosscheck(
         base_seed=base_seed,
         max_cycles=max_cycles,
         executor=executor,
-        jobs=jobs,
         cache=cache,
         max_candidates=max_candidates,
         progress=progress,

@@ -21,7 +21,7 @@ each other over the litmus catalog, cell by (test, policy) cell:
 Programs with control flow (spin loops) have no finite candidate space;
 the checker reports them as skipped rather than silently mis-modelling
 them.  Like the conformance grid, the whole check is one flat campaign,
-so ``jobs``/``executor`` parallelise across cells, tests, and seeds.
+so a parallel ``executor`` spreads it across cells, tests, and seeds.
 """
 
 from __future__ import annotations
@@ -44,6 +44,7 @@ from repro.campaign import (
     ResultCache,
     RunSpec,
     program_fingerprint,
+    run_campaign,
 )
 from repro.core.execution import Observable
 from repro.litmus.catalog import standard_catalog
@@ -177,8 +178,7 @@ def crosscheck_models(
     max_cycles: int = 1_000_000,
     runner: Optional[LitmusRunner] = None,
     executor: Optional[Executor] = None,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
+    cache: Union[ResultCache, str, None] = None,
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
     progress=None,
 ) -> CrosscheckReport:
@@ -227,10 +227,8 @@ def crosscheck_models(
                 )
                 specs.extend(test_specs)
 
-    from repro.api import campaign as run_campaign
-
     campaign = run_campaign(
-        specs, executor=executor, jobs=jobs, cache=cache,
+        specs, executor=executor, cache=cache,
         label="crosscheck", progress=progress,
     )
 

@@ -24,7 +24,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only import
     from repro.sanitizer.triage import TriageConfig, TriageReport
 
 from repro.campaign.cache import ResultCache
-from repro.campaign.executor import Executor, default_executor
+from repro.campaign.executor import Executor, SerialExecutor
 from repro.campaign.journal import CampaignJournal, campaign_digest, open_journal
 from repro.campaign.metrics import CampaignMetrics, emit_metrics
 from repro.campaign.spec import (
@@ -90,12 +90,10 @@ def _journalable(result: RunResult) -> bool:
 
 def run_campaign(
     specs: Iterable[RunSpec],
+    *,
     executor: Optional[Executor] = None,
-    jobs: int = 1,
-    cache: Optional[ResultCache] = None,
+    cache: Union[ResultCache, str, Path, None] = None,
     label: str = "campaign",
-    run_timeout: Optional[float] = None,
-    retries: int = 2,
     triage: Optional["TriageConfig"] = None,
     journal: Union[CampaignJournal, str, Path, None] = None,
     progress: Union[bool, ProgressReporter, None] = None,
@@ -103,10 +101,13 @@ def run_campaign(
     """Execute every spec; results come back in spec order.
 
     Args:
-        executor: execution strategy; defaults to
-            ``default_executor(jobs, run_timeout, retries)`` (serial
-            unless ``jobs > 1``).
-        cache: optional on-disk result cache — hits skip execution,
+        executor: execution strategy, the one way to choose how the
+            batch runs; defaults to a :class:`SerialExecutor`.  A
+            caller-supplied executor is left open for its owner (build
+            one from a worker count with
+            :func:`~repro.campaign.executor.default_executor`).
+        cache: optional on-disk result cache (a :class:`ResultCache`
+            or a directory path) — hits skip execution,
             misses are executed and stored.  Only successes and
             *deterministic* failures (exceptions, simulation timeouts)
             are stored; environment-dependent failures (wall-clock
@@ -115,9 +116,6 @@ def run_campaign(
             record is durable and is not fsync'd again; without one,
             each entry is fsync'd on its own.
         label: tag carried on the emitted :class:`CampaignMetrics`.
-        run_timeout: per-run wall-clock budget in seconds (parallel
-            executors only; ignored when ``executor`` is supplied).
-        retries: transient-failure retry budget per run (ditto).
         triage: optional :class:`~repro.sanitizer.triage.TriageConfig`;
             when set, failing runs are deduplicated by failure
             signature, shrunk, and written as replayable repro bundles
@@ -134,13 +132,12 @@ def run_campaign(
             :class:`~repro.obs.ProgressReporter` for this campaign; an
             existing reporter is shared (so several campaigns can count
             on one) and left for its owner to ``finish``.  Progress
-            rides the same ``result_callback`` hook the journal uses.
+            rides the same ``on_result`` callback the journal uses.
     """
     spec_list = list(specs)
-    own_executor = executor is None
-    executor = executor or default_executor(
-        jobs, run_timeout=run_timeout, retries=retries
-    )
+    executor = executor or SerialExecutor()
+    if isinstance(cache, (str, Path)):
+        cache = ResultCache(cache)
     own_journal = journal is not None and not isinstance(
         journal, CampaignJournal
     )
@@ -195,6 +192,7 @@ def run_campaign(
         if reporter is not None:
             reporter.note_skipped(len(spec_list) - len(pending))
         if pending:
+            on_result = None
             if journal is not None or reporter is not None:
                 # Journal each result the moment it is final, so a kill
                 # mid-batch loses at most the in-flight runs.  The
@@ -203,16 +201,13 @@ def run_campaign(
                 # The progress heartbeat rides the same hook.
                 index_of = list(pending)
 
-                def _on_result(pos: int, result: RunResult) -> None:
+                def on_result(pos: int, result: RunResult) -> None:
                     record(index_of[pos], result)
                     if reporter is not None:
                         reporter.tick(result)
-
-                executor.result_callback = _on_result
-            try:
-                fresh = executor.map([spec_list[i] for i in pending])
-            finally:
-                executor.result_callback = None
+            fresh = executor.map(
+                [spec_list[i] for i in pending], on_result=on_result
+            )
             for i, result in zip(pending, fresh):
                 record(i, result)
                 if cache is not None and _journalable(result):
@@ -224,14 +219,10 @@ def run_campaign(
                     cache.put(spec_list[i], result, fsync=not durable)
                 results[i] = result
     finally:
-        try:
-            if journal is not None:
-                journal.sync()
-                if own_journal:
-                    journal.close()
-        finally:
-            if own_executor:
-                executor.close()
+        if journal is not None:
+            journal.sync()
+            if own_journal:
+                journal.close()
 
     wall = time.perf_counter() - started
     completed = sum(1 for r in results if r is not None and r.completed)

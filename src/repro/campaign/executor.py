@@ -1,6 +1,7 @@
 """Pluggable executors: how a batch of :class:`RunSpec` gets run.
 
-The contract is a single method — ``map(specs) -> [RunResult]`` — with
+The contract is a single method — ``map(specs, on_result=None) ->
+[RunResult]`` — with
 results in **spec order regardless of completion order**, so every
 aggregation downstream (histograms, grids, sweeps) is independent of
 scheduling.  :class:`SerialExecutor` is the reference implementation;
@@ -37,14 +38,17 @@ propagates, so an interrupted campaign never strands orphan processes.
 A parent killed outright (SIGKILL) unwinds nothing; its workers notice
 the lost parent and exit on their own (:func:`exit_with_parent`).
 
-Completed results are additionally announced one-by-one through the
-optional ``result_callback`` attribute (``callback(index, result)`` in
-the order results become final), which is how the campaign layer
-journals progress incrementally instead of only at batch end.
+Completed results are additionally announced one-by-one through
+``map``'s optional ``on_result`` argument (``on_result(index, result)``
+in the order results become final), which is how the campaign layer
+journals progress incrementally instead of only at batch end.  The
+callback belongs to the call, not the executor, so one executor can
+serve several campaigns without carrying per-call state.
 """
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import os
 import random
@@ -65,6 +69,9 @@ from repro.campaign.spec import (
 )
 from repro.obs import METRICS
 
+
+#: Called as ``on_result(index, result)`` when a spec's result is final.
+OnResult = Callable[[int, RunResult], None]
 
 #: Seconds between a pool worker's checks that its parent still lives.
 PARENT_POLL_S = 0.25
@@ -170,22 +177,69 @@ class Executor:
     preemptible: bool = True
     #: Seconds to wait for in-flight runs after a preemption request.
     preempt_drain: float = 5.0
-    #: Optional observer called as ``callback(index, result)`` the
-    #: moment a spec's result becomes final (indices are positions in
-    #: the ``map`` batch).  Exceptions propagate: the campaign journal
-    #: uses this, and a journaling failure must not be swallowed.
-    result_callback: Optional[Callable[[int, RunResult], None]] = None
 
-    def map(self, specs: Iterable[RunSpec]) -> List[RunResult]:
-        """Execute every spec, returning results in spec order."""
-        raise NotImplementedError
+    def map(
+        self, specs: Iterable[RunSpec], on_result: Optional[OnResult] = None
+    ) -> List[RunResult]:
+        """Execute every spec, returning results in spec order.
+
+        ``on_result(index, result)`` is called the moment a spec's
+        result becomes final (indices are positions in the batch).
+        Exceptions propagate: the campaign journal uses it, and a
+        journaling failure must not be swallowed.
+        """
+        batch = list(specs)
+        self.retried_runs = self.pool_rebuilds = self.preempted_runs = 0
+        self.degraded = False
+        results: List[Optional[RunResult]] = [None] * len(batch)
+        if on_result is None:
+            finish = results.__setitem__
+        else:
+            def finish(i: int, result: RunResult) -> None:
+                results[i] = result
+                on_result(i, result)
+        preemption = (
+            graceful_preemption() if self.preemptible
+            else contextlib.nullcontext()
+        )
+        with preemption as token:
+            self._execute(batch, token, finish)
+        # Every slot is filled by ``_execute``; the fallback is pure
+        # defence so a logic slip can never silently drop one.
+        for i, result in enumerate(results):
+            if result is None:
+                finish(i, _failure("worker-lost", "run produced no result"))
+        if METRICS.enabled:
+            self._publish_counters(len(batch))
+        return results
 
     def close(self) -> None:
         """Release any pooled resources (idempotent)."""
 
-    def _emit(self, index: int, result: RunResult) -> None:
-        if self.result_callback is not None:
-            self.result_callback(index, result)
+    def _execute(
+        self,
+        batch: Sequence[RunSpec],
+        token: Optional[PreemptionToken],
+        finish: OnResult,
+    ) -> None:
+        """Run ``batch``, calling ``finish(index, result)`` per spec."""
+        raise NotImplementedError
+
+    def _run_in_process(
+        self,
+        batch: Sequence[RunSpec],
+        indices: Iterable[int],
+        token: Optional[PreemptionToken],
+        finish: OnResult,
+    ) -> None:
+        """The one in-process loop: run ``batch[i]`` for each index in
+        order, or report it ``preempted`` once a stop is requested."""
+        for i in indices:
+            if token is not None and token.requested():
+                finish(i, preempted_result(token))
+                self.preempted_runs += 1
+            else:
+                finish(i, execute_spec_guarded(batch[i]))
 
     def _publish_counters(self, dispatched: int) -> None:
         """Fold one ``map`` call's operational counters into METRICS."""
@@ -226,32 +280,8 @@ class SerialExecutor(Executor):
     specs come back as ``preempted`` failures.
     """
 
-    def map(self, specs: Iterable[RunSpec]) -> List[RunResult]:
-        batch = list(specs)
-        self.preempted_runs = 0
-        results: List[RunResult] = []
-        with graceful_preemption() if self.preemptible else _noop_token() as token:
-            for i, spec in enumerate(batch):
-                if token is not None and token.requested():
-                    result = preempted_result(token)
-                    self.preempted_runs += 1
-                else:
-                    result = execute_spec_guarded(spec)
-                results.append(result)
-                self._emit(i, result)
-        if METRICS.enabled:
-            self._publish_counters(len(batch))
-        return results
-
-
-class _noop_token:
-    """Context yielding no token (preemption disabled)."""
-
-    def __enter__(self):
-        return None
-
-    def __exit__(self, *exc):
-        return False
+    def _execute(self, batch, token, finish) -> None:
+        self._run_in_process(batch, range(len(batch)), token, finish)
 
 
 class ParallelExecutor(Executor):
@@ -259,8 +289,9 @@ class ParallelExecutor(Executor):
 
     Every spec gets its own future; results are reassembled into spec
     order, so output never depends on completion order and surviving
-    results are never discarded because a sibling failed.  Batches
-    smaller than two specs short-circuit to in-process execution.
+    results are never discarded because a sibling failed.  A batch of
+    one spec, or any batch when ``jobs`` is 1, runs in-process through
+    the same preemptible loop as :class:`SerialExecutor`.
 
     ``run_timeout`` bounds the wall-clock wait per run (measured from
     the moment the batch starts waiting on that run; earlier runs in
@@ -278,8 +309,7 @@ class ParallelExecutor(Executor):
     simultaneous rebuilds — several executors on one host (concurrent
     campaigns) would otherwise stampede the freshly rebuilt pools in
     lock-step — while ``backoff_seed`` pins the draw sequence for
-    reproducible tests; ``backoff_jitter=False`` restores the
-    deterministic ceiling-valued sleep.  After
+    reproducible tests.  After
     ``max_pool_rebuilds`` pool failures the executor degrades to
     in-process serial execution for the remaining specs, so the batch
     always completes.  ``RunFailure.attempts`` on environment-caused
@@ -296,7 +326,6 @@ class ParallelExecutor(Executor):
         max_pool_rebuilds: int = 3,
         preemptible: bool = True,
         preempt_drain: float = 5.0,
-        backoff_jitter: bool = True,
         backoff_seed: Optional[int] = None,
     ) -> None:
         self.jobs = jobs if jobs and jobs > 0 else (os.cpu_count() or 1)
@@ -306,7 +335,6 @@ class ParallelExecutor(Executor):
         self.max_pool_rebuilds = max(0, max_pool_rebuilds)
         self.preemptible = preemptible
         self.preempt_drain = preempt_drain
-        self.backoff_jitter = backoff_jitter
         self._backoff_rng = random.Random(backoff_seed)
         self._pool = None
         self._pool_failures = 0
@@ -339,8 +367,6 @@ class ParallelExecutor(Executor):
         cap = self.backoff_base * (2 ** (max(1, failures) - 1))
         if cap <= 0:
             return 0.0
-        if not self.backoff_jitter:
-            return cap
         return self._backoff_rng.uniform(0.0, cap)
 
     def _rebuild_pool(self) -> None:
@@ -354,76 +380,59 @@ class ParallelExecutor(Executor):
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
-    def map(self, specs: Iterable[RunSpec]) -> List[RunResult]:
-        batch: Sequence[RunSpec] = list(specs)
-        self.retried_runs = 0
-        self.pool_rebuilds = 0
-        self.degraded = False
-        self.preempted_runs = 0
+    def _execute(self, batch, token, finish) -> None:
         self._pool_failures = 0
         if self.jobs <= 1 or len(batch) <= 1:
-            results = []
-            for i, spec in enumerate(batch):
-                result = execute_spec_guarded(spec)
-                results.append(result)
-                self._emit(i, result)
-            if METRICS.enabled:
-                self._publish_counters(len(batch))
-            return results
-        with graceful_preemption() if self.preemptible else _noop_token() as token:
+            self._run_in_process(batch, range(len(batch)), token, finish)
+            return
+        try:
+            self._map_batch(batch, token, finish)
+        except BaseException:
+            # The interrupt path (KeyboardInterrupt, SystemExit, a
+            # callback raising) must never strand orphan workers:
+            # shut the pool down — reaping children — before the
+            # exception unwinds.  Running tasks are cancelled where
+            # possible; an in-flight run finishes, then its worker
+            # exits and is collected.
             try:
-                results = self._map_batch(batch, token)
-                if METRICS.enabled:
-                    self._publish_counters(len(batch))
-                return results
-            except BaseException:
-                # The interrupt path (KeyboardInterrupt, SystemExit, a
-                # callback raising) must never strand orphan workers:
-                # shut the pool down — reaping children — before the
-                # exception unwinds.  Running tasks are cancelled where
-                # possible; an in-flight run finishes, then its worker
-                # exits and is collected.
-                try:
-                    self.close()
-                except Exception:
-                    self._discard_pool()
-                raise
+                self.close()
+            except Exception:
+                self._discard_pool()
+            raise
 
     def _map_batch(
-        self, batch: Sequence[RunSpec], token: Optional[PreemptionToken]
-    ) -> List[RunResult]:
+        self,
+        batch: Sequence[RunSpec],
+        token: Optional[PreemptionToken],
+        finish: OnResult,
+    ) -> None:
         from concurrent.futures import BrokenExecutor
         from concurrent.futures import TimeoutError as FutureTimeout
 
-        results: List[Optional[RunResult]] = [None] * len(batch)
         #: Executions launched per spec (submits + in-process fallbacks);
         #: environment-caused failures report this as their attempts.
         launches = [0] * len(batch)
         timeout_attempts = [0] * len(batch)
         pending: List[int] = list(range(len(batch)))
 
-        def finish(i: int, result: RunResult) -> None:
-            results[i] = result
-            self._emit(i, result)
-
         while pending:
             if token is not None and token.requested():
-                self._preempt(pending, {}, results, token, finish)
+                self._preempt(pending, {}, token, finish)
                 break
             if self._pool_failures > self.max_pool_rebuilds:
                 # The pool keeps dying: finish the batch in-process so
                 # partial results never strand.
                 self.degraded = True
-                for i in pending:
-                    if token is not None and token.requested():
-                        finish(i, preempted_result(token))
-                        self.preempted_runs += 1
-                        continue
-                    launches[i] += 1
-                    result = execute_spec_guarded(batch[i])
-                    if result.failure is not None and launches[i] > 1:
-                        result = _stamp_attempts(result, launches[i])
+
+                def finish_here(i: int, result: RunResult) -> None:
+                    # The in-process run is one more launch of the spec.
+                    if result.failure is not None and (
+                        result.failure.kind != "preempted"
+                    ):
+                        result = _stamp_attempts(result, launches[i] + 1)
                     finish(i, result)
+
+                self._run_in_process(batch, pending, token, finish_here)
                 pending = []
                 break
 
@@ -454,7 +463,7 @@ class ParallelExecutor(Executor):
                     # of the wave by draining what already runs and
                     # cancelling the rest, then stop retrying anything.
                     self._preempt(
-                        pending[pos:], futures, results, token, finish
+                        pending[pos:], futures, token, finish
                     )
                     retry = []
                     preempted = True
@@ -511,23 +520,12 @@ class ParallelExecutor(Executor):
                 self.pool_rebuilds += 1
             pending = retry
 
-        # Every index is filled by the loop above; the fallback is pure
-        # defence so a logic slip can never silently drop a slot.
-        final: List[RunResult] = []
-        for i, r in enumerate(results):
-            if r is None:
-                r = _failure("worker-lost", "run produced no result")
-                self._emit(i, r)
-            final.append(r)
-        return final
-
     def _preempt(
         self,
         indices: Sequence[int],
         futures: dict,
-        results: List[Optional[RunResult]],
         token: PreemptionToken,
-        finish: Callable[[int, RunResult], None],
+        finish: OnResult,
     ) -> None:
         """Resolve every remaining index under a preemption request.
 

@@ -317,17 +317,15 @@ class _Session:
             self._stack.enter_context(
                 _observability(args.metrics_out, args.metrics_port)
             )
-        # Commands with --run-timeout/--retries hand their verb an
-        # executor when they run in parallel (serially the verb keeps
-        # its default); soak passes a bare jobs count.
+        # Commands with --run-timeout/--retries hand their verb the
+        # executor --jobs asks for; soak passes a bare jobs count.
         if "retries" in flags:
-            if args.jobs > 1:
-                kwargs["executor"] = self._stack.enter_context(
-                    default_executor(
-                        args.jobs, run_timeout=args.run_timeout,
-                        retries=args.retries,
-                    )
+            kwargs["executor"] = self._stack.enter_context(
+                default_executor(
+                    args.jobs, run_timeout=args.run_timeout,
+                    retries=args.retries,
                 )
+            )
         elif "jobs" in flags:
             kwargs["jobs"] = args.jobs
 

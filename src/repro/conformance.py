@@ -31,6 +31,7 @@ from repro.campaign import (
     ResultCache,
     RunSpec,
     program_fingerprint,
+    run_campaign,
 )
 from repro.faults import FaultPlan
 from repro.litmus.catalog import standard_catalog
@@ -298,7 +299,6 @@ def run_conformance(
     base_seed: int = 2024,
     runner: Optional[LitmusRunner] = None,
     executor: Optional[Executor] = None,
-    jobs: int = 1,
     cache: Optional[ResultCache] = None,
     faults: Optional[FaultPlan] = None,
     trace: Optional[TraceSpec] = None,
@@ -309,9 +309,9 @@ def run_conformance(
     """Audit every (machine, policy) pair against the litmus battery.
 
     The whole grid is a single campaign: every run of every cell goes
-    into one flat :class:`RunSpec` list, so with ``jobs > 1`` (or a
-    parallel ``executor``) the grid parallelises across cells, tests,
-    and seeds at once — not merely within one cell.
+    into one flat :class:`RunSpec` list, so with a parallel
+    ``executor`` the grid parallelises across cells, tests, and seeds
+    at once — not merely within one cell.
 
     ``faults`` runs the entire grid under an injected
     :class:`~repro.faults.FaultPlan`: Definition 2 quantifies over all
@@ -338,11 +338,8 @@ def run_conformance(
         runs_per_test=runs_per_test, base_seed=base_seed, runner=runner,
         faults=faults, trace=trace, sanitize=sanitize,
     )
-
-    from repro.api import campaign as run_campaign
-
     campaign = run_campaign(
-        plan.specs, executor=executor, jobs=jobs, cache=cache,
+        plan.specs, executor=executor, cache=cache,
         label="conformance", journal=journal, progress=progress,
     )
     return judge_conformance(plan, campaign)

@@ -11,8 +11,8 @@ w.r.t. DRF0.
 Execution goes through :mod:`repro.campaign`: the runner turns
 ``(test, policy, config, seeds)`` into a list of
 :class:`~repro.campaign.spec.RunSpec` and classifies the returned
-results, so a campaign runs serial or parallel (``executor=``/``jobs=``)
-and optionally cached, with identical output either way.
+results, so a campaign runs serially or on whatever ``executor`` the
+caller passes, optionally cached, with identical output either way.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from repro.campaign import (
     RunResult,
     RunSpec,
     program_fingerprint,
+    run_campaign,
 )
 from repro.core.execution import Observable
 from repro.faults import FaultPlan
@@ -125,7 +126,6 @@ class LitmusRunner:
         base_seed: int = 12345,
         max_cycles: int = 1_000_000,
         executor: Optional[Executor] = None,
-        jobs: int = 1,
         cache: Optional[ResultCache] = None,
         faults: Optional[FaultPlan] = None,
         trace: Optional[TraceSpec] = None,
@@ -161,8 +161,6 @@ class LitmusRunner:
         :class:`~repro.obs.ProgressReporter`) prints a live heartbeat
         while the campaign runs.
         """
-        from repro.api import campaign as run_campaign
-
         policy_spec = PolicySpec.of(policy_factory)
         specs = self.campaign_specs(
             test, policy_spec, config, runs, base_seed, max_cycles,
@@ -171,7 +169,6 @@ class LitmusRunner:
         campaign = run_campaign(
             specs,
             executor=executor,
-            jobs=jobs,
             cache=cache,
             label=f"litmus:{test.name}:{config.name}:{policy_spec.name}",
             triage=triage,

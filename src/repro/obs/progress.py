@@ -1,7 +1,8 @@
 """Live campaign progress: a heartbeat on stderr while runs execute.
 
-:class:`ProgressReporter` rides :attr:`Executor.result_callback` — the
-same hook the campaign journal uses for incremental appends — so it
+:class:`ProgressReporter` rides the ``on_result`` callback that
+``run_campaign`` passes to :meth:`Executor.map` — the same callback the
+campaign journal uses for incremental appends — so it
 sees every run the moment it finishes, in completion order, without
 the campaign layer growing a second notification path.  Lines are
 throttled to one per ``interval`` seconds and always end with a final

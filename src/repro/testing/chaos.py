@@ -323,7 +323,12 @@ def soak(
     """
     import tempfile
 
-    from repro.campaign import CampaignJournal, PolicySpec, run_campaign
+    from repro.campaign import (
+        CampaignJournal,
+        PolicySpec,
+        default_executor,
+        run_campaign,
+    )
     from repro.litmus import load_test
     from repro.litmus.runner import LitmusRunner
     from repro.memsys.config import config_by_name
@@ -344,9 +349,11 @@ def soak(
         runs,
         base_seed,
     )
-    baseline = run_campaign(
-        specs, jobs=jobs, label="soak-baseline", progress=progress
-    )
+    with default_executor(jobs) as executor:
+        baseline = run_campaign(
+            specs, executor=executor, label="soak-baseline",
+            progress=progress,
+        )
     expected = {
         spec.digest(): result
         for spec, result in zip(specs, baseline.results)

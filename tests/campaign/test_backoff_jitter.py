@@ -19,6 +19,13 @@ def _delays(executor, failures):
     return [executor._backoff_delay(n) for n in range(1, failures + 1)]
 
 
+def _ceiling(executor):
+    """Pin the seeded draw to the top of its window: every delay is
+    then the deterministic exponential ceiling."""
+    executor._backoff_rng.uniform = lambda low, high: high
+    return executor
+
+
 class TestBackoffBounds:
     def test_delay_within_exponential_envelope(self):
         ex = ParallelExecutor(jobs=2, backoff_base=0.25, backoff_seed=1)
@@ -29,7 +36,7 @@ class TestBackoffBounds:
                 assert 0.0 <= delay <= cap
 
     def test_ceiling_grows_exponentially(self):
-        ex = ParallelExecutor(jobs=2, backoff_base=0.5, backoff_jitter=False)
+        ex = _ceiling(ParallelExecutor(jobs=2, backoff_base=0.5))
         assert _delays(ex, 4) == [0.5, 1.0, 2.0, 4.0]
 
     def test_zero_base_never_sleeps(self):
@@ -39,7 +46,7 @@ class TestBackoffBounds:
     def test_failures_floor_is_one(self):
         # Defensive: a bogus failures=0 must not shrink the window to
         # 2**-1 of the base.
-        ex = ParallelExecutor(jobs=2, backoff_base=1.0, backoff_jitter=False)
+        ex = _ceiling(ParallelExecutor(jobs=2, backoff_base=1.0))
         assert ex._backoff_delay(0) == 1.0
 
 
@@ -60,8 +67,9 @@ class TestBackoffSeeding:
         assert len(draws) > 1
 
     def test_jitter_disabled_is_deterministic_ceiling(self):
-        ex = ParallelExecutor(jobs=2, backoff_base=0.25,
-                              backoff_jitter=False, backoff_seed=9)
+        ex = _ceiling(
+            ParallelExecutor(jobs=2, backoff_base=0.25, backoff_seed=9)
+        )
         assert _delays(ex, 3) == [0.25, 0.5, 1.0]
 
 

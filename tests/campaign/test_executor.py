@@ -108,10 +108,11 @@ class TestRunCampaign:
         assert [m.label for m in seen] == ["observed"]
         assert "runs_per_second" in seen[0].to_dict()
 
-    def test_jobs_parameter_matches_serial(self):
+    def test_parallel_executor_matches_serial_default(self):
         specs = _specs(4)
         serial = run_campaign(specs).results
-        parallel = run_campaign(specs, jobs=2).results
+        with ParallelExecutor(jobs=2) as executor:
+            parallel = run_campaign(specs, executor=executor).results
         assert [pickle.dumps(r) for r in serial] == [
             pickle.dumps(r) for r in parallel
         ]

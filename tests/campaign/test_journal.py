@@ -48,9 +48,9 @@ class CountingExecutor(SerialExecutor):
         super().__init__()
         self.executed = 0
 
-    def map(self, batch):
+    def map(self, batch, on_result=None):
         self.executed += len(batch)
-        return super().map(batch)
+        return super().map(batch, on_result)
 
 
 class KillingExecutor(SerialExecutor):
@@ -60,13 +60,13 @@ class KillingExecutor(SerialExecutor):
         super().__init__()
         self.after = after
 
-    def map(self, batch):
+    def map(self, batch, on_result=None):
         out = []
         for i, spec in enumerate(batch):
             if i == self.after:
                 raise KeyboardInterrupt("simulated kill")
             result = execute_spec_guarded(spec)
-            self._emit(i, result)
+            on_result(i, result)
             out.append(result)
         return out
 
@@ -189,14 +189,14 @@ class TestJournalPolicy:
         ok = _specs(2)[1]
 
         class Mixed(SerialExecutor):
-            def map(self, batch):
+            def map(self, batch, on_result=None):
                 results = []
                 for i, s in enumerate(batch):
                     result = (
                         lost if s.digest() == spec.digest()
                         else execute_spec_guarded(s)
                     )
-                    self._emit(i, result)
+                    on_result(i, result)
                     results.append(result)
                 return results
 

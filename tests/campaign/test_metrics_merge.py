@@ -7,8 +7,7 @@ runs without a summary, and come through identically serial and
 parallel.
 """
 
-from repro.api import campaign as run_campaign
-from repro.campaign import PolicySpec
+from repro.campaign import ParallelExecutor, PolicySpec, run_campaign
 from repro.litmus.catalog import fig1_dekker
 from repro.litmus.runner import LitmusRunner
 from repro.memsys.config import NET_NOCACHE
@@ -98,7 +97,8 @@ class TestCampaignCarriesMergedSummary:
 
     def test_serial_and_parallel_summaries_agree(self):
         serial = run_campaign(_traced_specs(runs=6))
-        parallel = run_campaign(_traced_specs(runs=6), jobs=2)
+        with ParallelExecutor(jobs=2) as executor:
+            parallel = run_campaign(_traced_specs(runs=6), executor=executor)
         assert (
             serial.metrics.trace_summary == parallel.metrics.trace_summary
         )

@@ -106,7 +106,7 @@ class TestSerialPreemption:
         specs = _specs(4)
 
         class PreemptAfterFirst(SerialExecutor):
-            def map(self, batch):
+            def map(self, batch, on_result=None):
                 with graceful_preemption() as token:
                     results = []
                     for i, spec in enumerate(batch):
@@ -115,7 +115,7 @@ class TestSerialPreemption:
                             self.preempted_runs += 1
                         else:
                             result = spec.execute()
-                        self._emit(i, result)
+                        on_result(i, result)
                         results.append(result)
                     return results
 
@@ -151,14 +151,39 @@ class TestParallelPreemption:
         )
         assert executor.preempted_runs == 4
 
-    def test_small_batch_short_circuit_ignores_preemption(self):
-        # A single-spec batch runs in-process and completes.
+    def test_small_batch_short_circuit_honours_preemption(self):
+        # A single-spec batch runs in-process, through the serial loop:
+        # a stop requested before it starts preempts it too.
         specs = _specs(1)
         with graceful_preemption() as token:
             token.request()
             with ParallelExecutor(jobs=2) as executor:
                 results = executor.map(specs)
+        assert results[0].failure.kind == "preempted"
+        assert executor.preempted_runs == 1
+
+    @pytest.mark.parametrize(
+        "make",
+        [SerialExecutor, lambda: ParallelExecutor(jobs=1)],
+        ids=["serial", "parallel-jobs-1"],
+    )
+    def test_in_process_path_stops_on_a_mid_batch_request(self, make):
+        # The first result asks for a stop, as SIGTERM would: the
+        # in-process loop must see a token and skip the other three.
+        seen = []
+
+        def request_once(index, result):
+            token = current_token()
+            seen.append(token)
+            if index == 0:
+                token.request()
+
+        with make() as executor:
+            results = executor.map(_specs(4), on_result=request_once)
+        assert all(token is not None for token in seen)
         assert results[0].failure is None
+        assert [r.failure.kind for r in results[1:]] == ["preempted"] * 3
+        assert executor.preempted_runs == 3
 
     def test_mid_batch_request_drains_and_preempts_remainder(self):
         from tests.campaign.test_robustness import SleepingSpec, _spec
@@ -178,11 +203,7 @@ class TestParallelPreemption:
                     fired.append(index)
                     current_token().request()
 
-            executor.result_callback = request_once
-            try:
-                results = executor.map(specs)
-            finally:
-                executor.result_callback = None
+            results = executor.map(specs, on_result=request_once)
         preempted = [
             r for r in results
             if r.failure is not None and r.failure.kind == "preempted"

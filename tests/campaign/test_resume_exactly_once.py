@@ -63,9 +63,9 @@ class CountingExecutor(SerialExecutor):
         super().__init__()
         self.executed = 0
 
-    def map(self, batch):
+    def map(self, batch, on_result=None):
         self.executed += len(batch)
-        return super().map(batch)
+        return super().map(batch, on_result)
 
 
 class KillingExecutor(SerialExecutor):
@@ -75,13 +75,13 @@ class KillingExecutor(SerialExecutor):
         super().__init__()
         self.after = after
 
-    def map(self, batch):
+    def map(self, batch, on_result=None):
         out = []
         for i, spec in enumerate(batch):
             if i == self.after:
                 raise KeyboardInterrupt("simulated kill")
             result = execute_spec_guarded(spec)
-            self._emit(i, result)
+            on_result(i, result)
             out.append(result)
         return out
 

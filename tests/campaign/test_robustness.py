@@ -18,6 +18,7 @@ from repro.campaign import (
     PolicySpec,
     RunSpec,
     SerialExecutor,
+    default_executor,
     run_campaign,
 )
 from repro.litmus.catalog import fig1_dekker
@@ -241,7 +242,8 @@ class TestAcceptanceCriterion:
         specs = [_spec(seed=s) for s in range(6)]
         specs[1] = _spec(CrashingSpec, seed=1)
         specs[4] = _spec(seed=4, max_cycles=20)  # trips the watchdog
-        campaign = run_campaign(specs, jobs=jobs, label="mixed")
+        with default_executor(jobs) as executor:
+            campaign = run_campaign(specs, executor=executor, label="mixed")
 
         assert len(campaign) == 6
         assert not campaign.ok

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.campaign import PolicySpec
+from repro.campaign import ParallelExecutor, PolicySpec, run_campaign
 from repro.core.program import Program, ThreadBuilder
 from repro.litmus.catalog import (
     forwarding_catalog,
@@ -237,15 +237,14 @@ def test_forwarding_only_plain_writes():
 
 def test_campaign_serial_parallel_identity():
     """Pipelined campaigns stay byte-identical across executors."""
-    from repro.api import campaign as run_campaign
-
     runner = LitmusRunner()
     spec = PolicySpec.of(lambda: policy_by_name("DEF1", core="pipelined"))
     specs = runner.campaign_specs(
         store_forward_dekker(), spec, NET_CACHE, 8, 555
     )
-    serial = run_campaign(specs, jobs=1)
-    parallel = run_campaign(specs, jobs=4)
+    serial = run_campaign(specs)
+    with ParallelExecutor(jobs=4) as executor:
+        parallel = run_campaign(specs, executor=executor)
     for a, b in zip(serial.results, parallel.results):
         assert a.observable == b.observable
         assert a.cycles == b.cycles

@@ -11,8 +11,13 @@ import os
 
 import pytest
 
-from repro.api import campaign as run_campaign
-from repro.campaign import CampaignJournal, PolicySpec, ResultCache
+from repro.campaign import (
+    CampaignJournal,
+    ParallelExecutor,
+    PolicySpec,
+    ResultCache,
+    run_campaign,
+)
 from repro.faults import parse_fault_plan
 from repro.litmus.catalog import fig1_dekker
 from repro.litmus.runner import LitmusRunner
@@ -190,7 +195,8 @@ class TestParallelAggregation:
         # ones inherit the parent's enabled registry.  Either way the
         # per-run deltas must come home and merge.
         enable_metrics()
-        parallel = run_campaign(_specs(runs=6), jobs=2)
+        with ParallelExecutor(jobs=2) as executor:
+            parallel = run_campaign(_specs(runs=6), executor=executor)
         merged = metrics.snapshot()
 
         assert [r.observable for r in parallel.results] == [

@@ -82,14 +82,9 @@ FACADE_SHAPES = {
     ),
     "campaign": (
         ("specs", "POSITIONAL_OR_KEYWORD", False),
-        ("model", "KEYWORD_ONLY", True),
         ("executor", "KEYWORD_ONLY", True),
-        ("jobs", "KEYWORD_ONLY", True),
         ("cache", "KEYWORD_ONLY", True),
-        ("metrics", "KEYWORD_ONLY", True),
         ("label", "KEYWORD_ONLY", True),
-        ("run_timeout", "KEYWORD_ONLY", True),
-        ("retries", "KEYWORD_ONLY", True),
         ("triage", "KEYWORD_ONLY", True),
         ("journal", "KEYWORD_ONLY", True),
         ("progress", "KEYWORD_ONLY", True),
@@ -103,7 +98,6 @@ FACADE_SHAPES = {
         ("base_seed", "KEYWORD_ONLY", True),
         ("max_cycles", "KEYWORD_ONLY", True),
         ("executor", "KEYWORD_ONLY", True),
-        ("jobs", "KEYWORD_ONLY", True),
         ("cache", "KEYWORD_ONLY", True),
         ("max_candidates", "KEYWORD_ONLY", True),
         ("progress", "KEYWORD_ONLY", True),
@@ -118,6 +112,7 @@ ENTRY_POINT_POSITIONALS = {
         LitmusRunner.run, ("self", "test", "policy_factory", "config"),
     ),
     "explore_program": (api.explore_program, ("program", "policy_factory")),
+    "run_campaign": (api.run_campaign, ("specs",)),
 }
 
 #: Every name ``repro.api`` exports.  Additions are fine but deliberate:
@@ -248,22 +243,9 @@ class TestFacadeBehaviour:
         report = api.check_drf0(program)
         assert not report.obeys
 
-    def test_campaign_metrics_hook_scoped_to_call(self):
-        program = fig1_dekker().executable_program()
-        spec = api.RunSpec(
-            program=program,
-            policy=api.PolicySpec.of(RelaxedPolicy),
-            config=NET_NOCACHE,
-            seed=1,
-            max_cycles=100_000,
-        )
-        seen = []
-        api.campaign([spec], metrics=seen.append)
-        assert len(seen) == 1
-        assert seen[0].runs == 1
-        # The hook must be gone after the call.
-        api.campaign([spec])
-        assert len(seen) == 1
+    def test_campaign_is_run_campaign(self):
+        # One campaign function: the facade name is the engine itself.
+        assert api.campaign is api.run_campaign
 
 
 class TestModelCentricSurface:
@@ -279,20 +261,6 @@ class TestModelCentricSurface:
             api.run(program, "SC", model="TSO")
         with pytest.raises(TypeError, match="exactly one"):
             api.run(program)
-
-    def test_campaign_model_retargets_specs(self):
-        program = fig1_dekker().executable_program()
-        spec = api.RunSpec(
-            program=program,
-            policy=api.PolicySpec.of(RelaxedPolicy),
-            config=NET_NOCACHE,
-            seed=1,
-            max_cycles=100_000,
-        )
-        result = api.campaign([spec], model="SC")
-        assert result.results[0].completed
-        # The original spec list is untouched (retarget copies).
-        assert spec.policy.name == "RELAXED"
 
     def test_verify_sc_model_keyword_matches_enumeration_for_sc(self):
         program = fig1_dekker().executable_program()
