@@ -36,7 +36,9 @@ def main() -> None:
         compare_policies(
             lambda: critical_section_program(2, 2, private_writes=6),
             [SCPolicy, Def1Policy, Def2Policy],
-            NET_CACHE.with_overrides(network_base_latency=16, network_jitter=4),
+            config=NET_CACHE.with_overrides(
+                network_base_latency=16, network_jitter=4
+            ),
             runs=5,
         )
     )

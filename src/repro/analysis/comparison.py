@@ -54,6 +54,7 @@ class PolicyComparison:
 def compare_policies(
     program_factory: Callable[[], Program],
     policies: Sequence[PolicyFactory],
+    *,
     config: MachineConfig = NET_CACHE,
     runs: int = 5,
     base_seed: int = 99,
@@ -136,6 +137,7 @@ def sweep(
     program_for: Callable[[int], Callable[[], Program]],
     config_for: Callable[[int], MachineConfig],
     policies: Sequence[PolicyFactory],
+    *,
     runs: int = 5,
     base_seed: int = 99,
     max_cycles: int = 2_000_000,

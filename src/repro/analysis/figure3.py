@@ -104,6 +104,7 @@ class Figure3Row:
 
 
 def figure3_sweep(
+    *,
     latencies: List[int] = (4, 8, 16, 32, 64),
     config: MachineConfig = NET_CACHE,
     data_writes: int = 4,

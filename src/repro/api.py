@@ -117,7 +117,6 @@ from repro.obs import (
     disable_metrics,
     enable_metrics,
     load_snapshot,
-    serve_metrics,
     to_prometheus,
     write_prometheus,
 )
@@ -621,7 +620,6 @@ __all__ = [
     "enable_metrics",
     "disable_metrics",
     "load_snapshot",
-    "serve_metrics",
     "to_prometheus",
     "write_prometheus",
 ]

@@ -170,6 +170,7 @@ def _drf_flags(test: LitmusTest, cache: Dict[str, Tuple[bool, bool]]):
 
 
 def crosscheck_models(
+    *,
     tests: Optional[Sequence[LitmusTest]] = None,
     policies: Optional[Sequence[PolicyLike]] = None,
     configs: Sequence[MachineConfig] = DEFAULT_CONFIGS,

@@ -171,8 +171,6 @@ class Executor:
     retried_runs: int = 0
     pool_rebuilds: int = 0
     degraded: bool = False
-    #: Specs reported as ``preempted`` by the last ``map`` call.
-    preempted_runs: int = 0
     #: Install SIGTERM/SIGINT graceful-stop handlers around ``map``.
     preemptible: bool = True
     #: Seconds to wait for in-flight runs after a preemption request.
@@ -189,7 +187,7 @@ class Executor:
         journaling failure must not be swallowed.
         """
         batch = list(specs)
-        self.retried_runs = self.pool_rebuilds = self.preempted_runs = 0
+        self.retried_runs = self.pool_rebuilds = 0
         self.degraded = False
         results: List[Optional[RunResult]] = [None] * len(batch)
         if on_result is None:
@@ -209,8 +207,6 @@ class Executor:
         for i, result in enumerate(results):
             if result is None:
                 finish(i, _failure("worker-lost", "run produced no result"))
-        if METRICS.enabled:
-            self._publish_counters(len(batch))
         return results
 
     def close(self) -> None:
@@ -237,31 +233,8 @@ class Executor:
         for i in indices:
             if token is not None and token.requested():
                 finish(i, preempted_result(token))
-                self.preempted_runs += 1
             else:
                 finish(i, execute_spec_guarded(batch[i]))
-
-    def _publish_counters(self, dispatched: int) -> None:
-        """Fold one ``map`` call's operational counters into METRICS."""
-        kind = type(self).__name__
-        METRICS.inc("repro_executor_dispatched_total", dispatched,
-                    help="Specs dispatched for execution", executor=kind)
-        if self.retried_runs:
-            METRICS.inc("repro_executor_retries_total", self.retried_runs,
-                        help="Runs retried after transient failures",
-                        executor=kind)
-        if self.pool_rebuilds:
-            METRICS.inc("repro_executor_pool_rebuilds_total",
-                        self.pool_rebuilds,
-                        help="Worker-pool rebuilds", executor=kind)
-        if self.degraded:
-            METRICS.inc("repro_executor_degraded_total",
-                        help="Batches finished in degraded serial mode",
-                        executor=kind)
-        if self.preempted_runs:
-            METRICS.inc("repro_executor_preempted_total",
-                        self.preempted_runs,
-                        help="Specs resolved as preempted", executor=kind)
 
     def __enter__(self) -> "Executor":
         return self
@@ -541,7 +514,6 @@ class ParallelExecutor(Executor):
             future = futures.get(i)
             if future is None or future.cancel():
                 finish(i, preempted_result(token))
-                self.preempted_runs += 1
             else:
                 in_flight.append((i, future))
         if in_flight:
@@ -559,7 +531,6 @@ class ParallelExecutor(Executor):
                     pass
             if not taken:
                 finish(i, preempted_result(token))
-                self.preempted_runs += 1
                 abandoned = True
         if abandoned:
             # A worker is still grinding on an abandoned run; drop the

@@ -5,15 +5,15 @@ Every call to :func:`repro.campaign.run_campaign` produces one
 exploration), delivered through :func:`emit_metrics`.  Registered hooks
 observe every record — the benchmark suite uses this to accumulate
 per-session campaign telemetry and emit it as JSON (``BENCH_*.json``
-trajectory tracking); the CLI uses it for ``--metrics-json``.  With the
-:mod:`repro.obs` registry enabled, every record's totals also land in
-the ``repro_campaign_*`` counters.
+trajectory tracking); the CLI's ``--metrics-out DIR`` uses it to write
+``DIR/campaigns.json``.  With the :mod:`repro.obs` registry enabled,
+every record's counts also land in the registry under one name rule:
+count field ``f`` adds to ``repro_campaign_<f>_total``.
 """
 
 from __future__ import annotations
 
-import json
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Callable, List, Optional
 
 from repro.log import get_logger
@@ -80,9 +80,6 @@ class CampaignMetrics:
             self.trace_summary.to_dict() if self.trace_summary else None
         )
         return record
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
     def describe(self) -> str:
         text = (
@@ -155,30 +152,33 @@ def emit_metrics(metrics: CampaignMetrics) -> None:
 
 
 def _publish(metrics: CampaignMetrics) -> None:
-    """Fold a finished campaign's totals into the metrics registry.
+    """Fold a finished campaign's counts into the metrics registry.
 
-    This is what makes the flight recorder's final sample agree with
-    the end-of-run :class:`CampaignMetrics` summary.
+    Each count field ``f`` adds to ``repro_campaign_<f>_total`` and
+    each flag (``degraded``, ``preempted``) counts the campaigns that
+    set it, so the flight recorder's final sample holds every count of
+    the end-of-run :class:`CampaignMetrics` records.  Zero amounts are
+    not published.
     """
     METRICS.inc("repro_campaign_total", help="Campaigns executed")
-    for name, amount, help_text in (
-        ("repro_campaign_runs_total", metrics.runs,
-         "Specs submitted to campaigns"),
-        ("repro_campaign_completed_total", metrics.completed_runs,
-         "Runs that completed"),
-        ("repro_campaign_failed_total", metrics.failed_runs,
-         "Runs that came back with a failure record"),
-        ("repro_campaign_cache_hits_total", metrics.cache_hits,
-         "Runs satisfied by the result cache"),
-        ("repro_campaign_journal_replayed_total", metrics.journal_replayed,
-         "Runs replayed from a campaign journal"),
-        ("repro_campaign_preempted_total", metrics.preempted_runs,
-         "Runs skipped by graceful preemption"),
-    ):
+    for name in _PUBLISHED:
+        amount = int(getattr(metrics, name))
         if amount:
-            METRICS.inc(name, amount, help=help_text)
+            METRICS.inc(
+                f"repro_campaign_{name}_total", amount,
+                help=f"CampaignMetrics.{name}, summed over campaigns",
+            )
     METRICS.observe(
         "repro_campaign_wall_seconds", metrics.wall_clock_seconds,
         help="Campaign wall-clock durations",
         buckets=(0.01, 0.1, 1.0, 10.0, 60.0, 600.0),
     )
+
+
+#: The fields :func:`_publish` sums: every count and flag of the record
+#: but ``jobs`` and ``cache_bytes``, which are levels, not amounts.
+#: (``f.type`` is the annotation's text: this module defers annotations.)
+_PUBLISHED = tuple(
+    f.name for f in fields(CampaignMetrics)
+    if f.type in ("int", "bool") and f.name not in ("jobs", "cache_bytes")
+)

@@ -106,12 +106,6 @@ class RunMetrics:
     #: Per-thread halt times (None for threads that never halted).
     halt_times: Tuple[Optional[int], ...] = ()
 
-    def stall_of(self, reason: StallReason) -> int:
-        for r, cycles in self.stall_by_reason:
-            if r is reason:
-                return cycles
-        return 0
-
     def proc_stall_of(self, proc: int, reason: StallReason) -> int:
         total = 0
         for p, r, cycles in self.proc_stalls:

@@ -21,7 +21,7 @@ Subcommands:
 ``soak``      chaos-test crash safety: kill a journaled campaign at
               seeded points, resume it, and prove exactly-once results;
 ``metrics``   pretty-print, export, or diff runtime-metrics snapshots
-              (``.prom`` files, flight-recorder JSONL, snapshot JSON).
+              (flight-recorder JSONL or snapshot JSON).
 
 A flag that means the same thing on several subcommands is declared
 once, as a module-level :class:`_Flag`; each subcommand adds it with
@@ -30,12 +30,18 @@ its own default.  ``litmus``, ``explore`` and ``conformance`` take
 like ``trace`` and ``fuzz``, ``--sanitize {off,log,strict}``;
 ``litmus``, ``explore``, ``conformance`` and ``fuzz`` take
 ``--journal PATH``/``--resume PATH``; every campaign command takes
-``--metrics-json`` and all but ``explore`` (which runs in-process)
-take ``--jobs``; most take ``--progress`` and
-``--metrics-out DIR``/``--metrics-port N``; ``litmus``,
+``--metrics-out DIR`` and all but ``drf`` and ``explore`` (which run
+in-process) take ``--jobs``; most take ``--progress``; ``litmus``,
 ``conformance``, ``crosscheck`` and ``fuzz`` take ``--cache DIR`` with
 ``--cache-max-bytes N``.  ``-v``/``-q`` raise/lower progress logging
 on stderr.
+
+``--metrics-out DIR`` is the one way a command's metrics leave the
+process: it writes ``DIR/metrics.prom`` (Prometheus text, final
+state), ``DIR/flight.jsonl`` (periodic registry samples; the last is
+the final state) and ``DIR/campaigns.json`` (each campaign's
+:class:`CampaignMetrics` record).  ``repro metrics`` reads the JSON
+artifacts; ``.prom`` is written, never read.
 
 Every command that takes those flags runs in one :class:`_Session`: it
 checks every flag before it opens anything, then opens the result
@@ -60,8 +66,8 @@ Examples::
     python -m repro replay bundles/fuzz-spin-sim-timeout.json
     python -m repro figure1
     python -m repro conformance --jobs 4 --progress --metrics-out obs/
-    python -m repro metrics show obs/metrics.prom
-    python -m repro metrics diff before.prom obs/metrics.prom
+    python -m repro metrics show obs/flight.jsonl
+    python -m repro metrics diff before/flight.jsonl obs/flight.jsonl
 """
 
 from __future__ import annotations
@@ -112,10 +118,8 @@ from repro.api import (
     policy_by_name,
     policy_names,
     register_metrics_hook,
-    serve_metrics,
     to_prometheus,
     unregister_metrics_hook,
-    write_prometheus,
     write_trace,
 )
 from repro.memsys.system import ensure_compatible
@@ -124,73 +128,49 @@ _log = get_logger("cli")
 
 
 @contextlib.contextmanager
-def _metrics_json(path: Optional[str]):
-    """Collect campaign metrics and write them to ``path`` as JSON."""
-    records: List[dict] = []
-    hook = lambda metrics: records.append(metrics.to_dict())
-    register_metrics_hook(hook)
-    try:
-        yield
-    finally:
-        unregister_metrics_hook(hook)
-        if path:
-            try:
-                Path(path).write_text(
-                    json.dumps(records, indent=2, sort_keys=True)
-                )
-            except OSError as exc:
-                # Metrics are auxiliary telemetry; never let a bad path
-                # destroy the campaign results themselves.
-                print(
-                    f"repro: warning: cannot write metrics JSON: {exc}",
-                    file=sys.stderr,
-                )
-
-
-@contextlib.contextmanager
-def _observability(out: Optional[str], port: Optional[int]):
+def _observability(out: Optional[str]):
     """Turn the runtime metrics registry on for the command's lifetime.
 
     ``--metrics-out DIR`` enables the registry (workers inherit the
-    flag through the environment), runs a flight recorder appending
-    periodic samples to ``DIR/flight.jsonl``, and writes the final
-    Prometheus snapshot to ``DIR/metrics.prom`` on exit.
-    ``--metrics-port N`` additionally serves live ``/metrics``.
+    flag through the environment) and runs a flight recorder appending
+    periodic samples to ``DIR/flight.jsonl``.  On exit it writes the
+    final Prometheus snapshot to ``DIR/metrics.prom`` and every
+    :class:`CampaignMetrics` record the command emitted, in order, to
+    ``DIR/campaigns.json``.
     """
-    if out is None and port is None:
+    if out is None:
         yield
         return
+    out_dir = Path(out)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise SystemExit(f"error: cannot create {out}: {exc.strerror}")
     enable_metrics()
     # The artifacts describe THIS command: drop whatever an earlier
     # in-process command left in the process-wide registry.
     METRICS.reset()
-    recorder = None
-    server = None
+    records: List[dict] = []
+    hook = lambda metrics: records.append(metrics.to_dict())
+    register_metrics_hook(hook)
+    recorder = FlightRecorder(out_dir / "flight.jsonl", METRICS).start()
     try:
-        if out is not None:
-            out_dir = Path(out)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            recorder = FlightRecorder(out_dir / "flight.jsonl", METRICS)
-            recorder.start()
-        if port is not None:
-            server = serve_metrics(METRICS, port=port)
-            print(
-                f"metrics: serving "
-                f"http://127.0.0.1:{server.port}/metrics",
-                file=sys.stderr,
-            )
         yield
     finally:
-        if server is not None:
-            server.stop()
-        if recorder is not None:
-            recorder.stop()
-        if out is not None:
+        unregister_metrics_hook(hook)
+        recorder.stop()
+        artifacts = {
+            "metrics.prom": to_prometheus(METRICS),
+            "campaigns.json": json.dumps(records, indent=2, sort_keys=True),
+        }
+        for name, text in artifacts.items():
             try:
-                write_prometheus(Path(out) / "metrics.prom", METRICS)
+                (out_dir / name).write_text(text)
             except OSError as exc:
+                # Metrics are auxiliary telemetry; never let a bad path
+                # destroy the campaign results themselves.
                 print(
-                    f"repro: warning: cannot write metrics.prom: {exc}",
+                    f"repro: warning: cannot write {name}: {exc}",
                     file=sys.stderr,
                 )
 
@@ -207,10 +187,9 @@ class _Session:
     ``--journal``/``--resume`` and ``--cache``/``--cache-max-bytes`` —
     so a bad one exits with ``error: ...`` before anything exists on
     disk.  Only then does it open the result cache, the journal, the
-    ``--metrics-json`` hook, the ``--metrics-out``/``--metrics-port``
-    registry and the executor.  ``kwargs`` holds the keyword arguments
-    the library verb takes; ``test`` and ``config`` are the loaded test
-    and machine.  Exiting closes all of it, then prints the resume hint
+    ``--metrics-out`` registry and the executor.  ``kwargs`` holds the
+    keyword arguments the library verb takes; ``test`` and ``config``
+    are the loaded test and machine.  Exiting closes all of it, then prints the resume hint
     and writes the ``--trace`` file for the result :meth:`settle` saw.
     """
 
@@ -311,12 +290,8 @@ class _Session:
             kwargs["journal"] = self.journal
             if self.journal is not None:
                 self._stack.callback(self.journal.close)
-        if "metrics_json" in flags:
-            self._stack.enter_context(_metrics_json(args.metrics_json))
         if "metrics_out" in flags:
-            self._stack.enter_context(
-                _observability(args.metrics_out, args.metrics_port)
-            )
+            self._stack.enter_context(_observability(args.metrics_out))
         # Commands with --run-timeout/--retries hand their verb the
         # executor --jobs asks for; soak passes a bare jobs count.
         if "retries" in flags:
@@ -834,11 +809,6 @@ _JOBS = _Flag(
     "--jobs", type=positive_int, default=1, metavar="N",
     help="run on N worker processes (1 = serial)",
 )
-_METRICS_JSON = _Flag(
-    "--metrics-json", metavar="PATH",
-    help="write campaign metrics (wall-clock, runs/sec, "
-    "completion/failure counts) to PATH as JSON",
-)
 _RUN_TIMEOUT = _Flag(
     "--run-timeout", type=float, default=None, metavar="SECONDS",
     help="per-run wall-clock budget; a run over budget is retried, then "
@@ -858,13 +828,9 @@ _PROGRESS = _Flag(
 _METRICS_OUT = _Flag(
     "--metrics-out", metavar="DIR",
     help="enable the runtime metrics registry and write DIR/metrics.prom "
-    "(Prometheus text exposition) plus DIR/flight.jsonl (periodic "
-    "samples) for this command",
-)
-_METRICS_PORT = _Flag(
-    "--metrics-port", type=int, default=None, metavar="PORT",
-    help="also serve live metrics at http://127.0.0.1:PORT/metrics "
-    "while the command runs",
+    "(Prometheus text exposition), DIR/flight.jsonl (periodic samples) "
+    "and DIR/campaigns.json (each campaign's metrics record) for this "
+    "command",
 )
 _CACHE = _Flag(
     "--cache", metavar="DIR",
@@ -911,8 +877,8 @@ _SANITIZE = _Flag(
 )
 
 #: Flag groups, in the order a subcommand's help lists them.
-_EXECUTOR = (_JOBS, _METRICS_JSON, _RUN_TIMEOUT, _RETRIES)
-_OBS = (_PROGRESS, _METRICS_OUT, _METRICS_PORT)
+_EXECUTOR = (_JOBS, _RUN_TIMEOUT, _RETRIES)
+_OBS = (_PROGRESS, _METRICS_OUT)
 _CACHING = (_CACHE, _CACHE_MAX_BYTES)
 _JOURNALING = (_JOURNAL, _RESUME)
 _TRACING = (_TRACE, _TRACE_FORMAT, _TRACE_FILTER)
@@ -954,12 +920,12 @@ def build_parser() -> argparse.ArgumentParser:
                         help="exit nonzero if any outcome violates SC")
 
     drf = command("drf", _cmd_drf, "check a program against DRF0",
-                  _TEST, _METRICS_JSON)
+                  _TEST, _METRICS_OUT)
     drf.add_argument("--max-executions", type=int, default=None)
 
     explore = command(
         "explore", _cmd_explore, "systematic schedule exploration",
-        _TEST, _POLICY(default="DEF2"), _WARM, _METRICS_JSON, *_OBS,
+        _TEST, _POLICY(default="DEF2"), _WARM, *_OBS,
         *_JOURNALING, *_TRACING, _SANITIZE, _CORE,
     )
     explore.add_argument("--delays", type=int, default=2)
@@ -972,10 +938,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
 
     command("figure1", _cmd_figure1, "regenerate the Figure-1 matrix",
-            _RUNS(default=80), *_EXECUTOR)
+            _RUNS(default=80), *_EXECUTOR, _METRICS_OUT)
 
     fig3 = command("figure3", _cmd_figure3, "regenerate the Figure-3 sweep",
-                   *_EXECUTOR)
+                   *_EXECUTOR, _METRICS_OUT)
     fig3.add_argument("--latencies", type=int, nargs="+",
                       default=[4, 8, 16, 32, 64])
     fig3.add_argument("--seeds", type=int, default=5)
@@ -1075,7 +1041,7 @@ def build_parser() -> argparse.ArgumentParser:
         "chaos-test crash safety: kill a journaled campaign at seeded "
         "points, resume it, and prove exactly-once results",
         _POLICY(default="RELAXED"), _MACHINE(default="net_nocache"),
-        _RUNS(default=24), _SEED(default=12345), _JOBS, _METRICS_JSON, *_OBS,
+        _RUNS(default=24), _SEED(default=12345), _JOBS, *_OBS,
     )
     soak.add_argument("--test", default="fig1_dekker",
                       help="catalog litmus test to campaign on")
@@ -1096,8 +1062,8 @@ def build_parser() -> argparse.ArgumentParser:
     ).add_subparsers(dest="metrics_command", required=True)
     metrics = functools.partial(_command, msub)
     snapshot_help = (
-        "a metrics artifact: .prom text exposition, flight-recorder "
-        "JSONL (last sample wins), or snapshot JSON"
+        "a metrics artifact: flight-recorder JSONL (last sample wins) "
+        "or snapshot JSON"
     )
     snapshot = _Flag("snapshot", help=snapshot_help)
     metrics("show", _cmd_metrics_show, "pretty-print a snapshot", snapshot)

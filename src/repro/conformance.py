@@ -186,6 +186,7 @@ class ConformancePlan:
 
 
 def plan_conformance(
+    *,
     configs: Sequence[MachineConfig] = DEFAULT_CONFIGS,
     policies: Sequence[Callable[[], OrderingPolicy]] = DEFAULT_POLICIES,
     tests: Optional[Sequence[LitmusTest]] = None,
@@ -292,6 +293,7 @@ def judge_conformance(plan: ConformancePlan, campaign) -> ConformanceReport:
 
 
 def run_conformance(
+    *,
     configs: Sequence[MachineConfig] = DEFAULT_CONFIGS,
     policies: Sequence[Callable[[], OrderingPolicy]] = DEFAULT_POLICIES,
     tests: Optional[Sequence[LitmusTest]] = None,

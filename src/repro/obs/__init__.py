@@ -15,9 +15,10 @@ Quick tour::
     snap = METRICS.snapshot()
     print(to_prometheus(snap))
 
-Exporters (:func:`write_prometheus`, :class:`FlightRecorder`,
-:func:`serve_metrics`) live in :mod:`repro.obs.export`; the campaign
-heartbeat (:class:`ProgressReporter`) in :mod:`repro.obs.progress`.
+Exporters (:func:`write_prometheus`, :class:`FlightRecorder`) and the
+snapshot reader (:func:`load_snapshot`) live in :mod:`repro.obs.export`;
+the campaign heartbeat (:class:`ProgressReporter`) in
+:mod:`repro.obs.progress`.
 """
 
 from __future__ import annotations
@@ -26,10 +27,7 @@ import os
 
 from repro.obs.export import (
     FlightRecorder,
-    MetricsServer,
     load_snapshot,
-    parse_prometheus,
-    serve_metrics,
     to_prometheus,
     write_prometheus,
 )
@@ -69,7 +67,6 @@ __all__ = [
     "FlightRecorder",
     "METRICS",
     "MetricsRegistry",
-    "MetricsServer",
     "ProgressReporter",
     "Snapshot",
     "coerce_progress",
@@ -77,8 +74,6 @@ __all__ = [
     "enable_metrics",
     "exponential_buckets",
     "load_snapshot",
-    "parse_prometheus",
-    "serve_metrics",
     "to_prometheus",
     "write_prometheus",
 ]

@@ -1,13 +1,12 @@
 """Exporters for the metrics registry.
 
-Three ways out of the process, all stdlib-only:
+Two ways out of the process, both stdlib-only, both written by the
+CLI's ``--metrics-out DIR``:
 
 * :func:`to_prometheus` / :func:`write_prometheus` — the Prometheus
   text exposition format (``# HELP`` / ``# TYPE`` headers, cumulative
-  ``_bucket{le=...}`` series for histograms), written to a file so any
-  scraper-less workflow can still diff snapshots.
-* :func:`serve_metrics` — a tiny ``ThreadingHTTPServer`` exposing
-  ``/metrics`` for a real scraper, daemonised so it never blocks exit.
+  ``_bucket{le=...}`` series for histograms).  It is an export format
+  only: nothing in the package reads it back.
 * :class:`FlightRecorder` — a daemon thread that appends a registry
   snapshot to a JSONL file every ``interval`` seconds, so a campaign
   that gets SIGKILLed still leaves a time series behind.  ``stop()``
@@ -15,9 +14,8 @@ Three ways out of the process, all stdlib-only:
   ``CampaignMetrics`` in CI.
 
 :func:`load_snapshot` is the matching reader: it accepts a snapshot
-JSON, a flight-recorder JSONL (last sample wins), or a ``.prom`` text
-file, which is what lets ``repro metrics diff`` compare any two
-artifacts regardless of how they were produced.
+JSON or a flight-recorder JSONL (last sample wins), which is what
+``repro metrics show``/``diff``/``export`` take.
 """
 
 from __future__ import annotations
@@ -26,18 +24,9 @@ import json
 import threading
 import time
 from pathlib import Path
-from typing import TYPE_CHECKING, List, Optional, Tuple, Union
+from typing import List, Optional, Union
 
-from repro.obs.registry import (
-    COUNTER,
-    GAUGE,
-    HISTOGRAM,
-    MetricsRegistry,
-    Snapshot,
-)
-
-if TYPE_CHECKING:  # pragma: no cover
-    from http.server import ThreadingHTTPServer
+from repro.obs.registry import HISTOGRAM, MetricsRegistry, Snapshot
 
 
 def _sanitize(name: str) -> str:
@@ -90,109 +79,20 @@ def write_prometheus(
     return path
 
 
-def parse_prometheus(text: str) -> Snapshot:
-    """Parse text exposition back into a :class:`Snapshot`.
-
-    Covers the subset :func:`to_prometheus` emits (which is all
-    ``repro metrics diff`` needs): per-series ``# TYPE`` lines,
-    optional labels, histogram ``_bucket``/``_sum``/``_count`` series
-    with cumulative counts.
-    """
-    data: dict = {}
-    types: dict = {}
-    helps: dict = {}
-    for raw in text.splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("# TYPE "):
-            _, _, rest = line.partition("# TYPE ")
-            mname, _, mtype = rest.partition(" ")
-            types[mname] = mtype.strip()
-            continue
-        if line.startswith("# HELP "):
-            _, _, rest = line.partition("# HELP ")
-            mname, _, mhelp = rest.partition(" ")
-            helps[mname] = mhelp.strip()
-            continue
-        if line.startswith("#"):
-            continue
-        series, _, value_str = line.rpartition(" ")
-        name, key = _split_series(series)
-        value = float(value_str)
-        base, part = _histogram_part(name, types)
-        if base is not None:
-            metric = _ensure(data, base, HISTOGRAM, helps.get(base, ""))
-            if part == "bucket":
-                labels = dict(
-                    item.split("=", 1) for item in key.split(",") if item
-                ) if key else {}
-                bound = labels.pop("le").strip('"')
-                child_key = ",".join(
-                    f"{k}={v}" for k, v in sorted(labels.items())
-                )
-                child = metric["samples"].setdefault(
-                    child_key, {"count": 0, "sum": 0.0, "buckets": {}}
-                )
-                child["buckets"][bound] = value
-            else:
-                child = metric["samples"].setdefault(
-                    key, {"count": 0, "sum": 0.0, "buckets": {}}
-                )
-                child[part] = value if part == "sum" else int(value)
-        else:
-            kind = types.get(name, COUNTER if name.endswith("_total")
-                             else GAUGE)
-            metric = _ensure(data, name, kind, helps.get(name, ""))
-            metric["samples"][key] = value
-    for metric in data.values():  # cumulative -> non-cumulative counts
-        if metric["type"] != HISTOGRAM:
-            continue
-        for child in metric["samples"].values():
-            prev = 0
-            decum = {}
-            for bound, cum in child["buckets"].items():
-                decum[bound] = int(cum - prev)
-                prev = cum
-            child["buckets"] = decum
-    return Snapshot(data)
-
-
-def _split_series(series: str) -> Tuple[str, str]:
-    if "{" not in series:
-        return series, ""
-    name, _, rest = series.partition("{")
-    return name, rest.rstrip("}")
-
-
-def _histogram_part(name, types) -> Tuple[Optional[str], Optional[str]]:
-    for suffix in ("_bucket", "_sum", "_count"):
-        if name.endswith(suffix):
-            base = name[: -len(suffix)]
-            if types.get(base) == HISTOGRAM:
-                return base, suffix[1:]
-    return None, None
-
-
-def _ensure(data: dict, name: str, kind: str, help_text: str) -> dict:
-    return data.setdefault(
-        name, {"type": kind, "help": help_text, "samples": {}}
-    )
-
-
 def load_snapshot(path: Union[str, Path]) -> Snapshot:
-    """Load a snapshot from any artifact this module can write.
-
-    Accepts a ``.prom`` text exposition, a flight-recorder JSONL
-    (the last line's sample wins), or a plain snapshot JSON dict.
+    """Load a snapshot from a snapshot JSON dict or a flight-recorder
+    JSONL (the last line's sample wins); ValueError for anything else,
+    a ``.prom`` text exposition included.
     """
-    path = Path(path)
-    text = path.read_text()
+    text = Path(path).read_text()
     stripped = text.lstrip()
     if not stripped:
         return Snapshot()
     if stripped[0] != "{":
-        return parse_prometheus(text)
+        raise ValueError(
+            "not a snapshot JSON or flight-recorder JSONL "
+            "(.prom text is written, never read)"
+        )
     try:
         # A whole-file JSON document (possibly pretty-printed).
         payload = json.loads(text)
@@ -266,51 +166,3 @@ class FlightRecorder:
 
     def __exit__(self, *exc) -> None:
         self.stop()
-
-
-class MetricsServer:
-    """A running ``/metrics`` endpoint; ``port`` is the bound port."""
-
-    def __init__(self, server: "ThreadingHTTPServer"):
-        self._server = server
-        self.port = server.server_address[1]
-        self._thread = threading.Thread(
-            target=server.serve_forever, name="repro-metrics-http",
-            daemon=True,
-        )
-        self._thread.start()
-
-    def stop(self) -> None:
-        self._server.shutdown()
-        self._server.server_close()
-        self._thread.join(timeout=5.0)
-
-
-def serve_metrics(
-    registry: MetricsRegistry, port: int = 0, host: str = "127.0.0.1"
-) -> MetricsServer:
-    """Serve ``registry`` at ``http://host:port/metrics`` (0 = ephemeral).
-
-    ``http.server`` is imported here, not at package import: only a
-    live endpoint needs it.
-    """
-    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-    class MetricsHandler(BaseHTTPRequestHandler):
-        def do_GET(self):  # noqa: N802 - http.server API
-            if self.path.rstrip("/") not in ("", "/metrics"):
-                self.send_error(404)
-                return
-            body = to_prometheus(registry).encode()
-            self.send_response(200)
-            self.send_header(
-                "Content-Type", "text/plain; version=0.0.4; charset=utf-8"
-            )
-            self.send_header("Content-Length", str(len(body)))
-            self.end_headers()
-            self.wfile.write(body)
-
-        def log_message(self, *args):  # silence per-request stderr spam
-            pass
-
-    return MetricsServer(ThreadingHTTPServer((host, port), MetricsHandler))

@@ -43,7 +43,7 @@ class TestRowExtraction:
         comparisons = compare_policies(
             lambda: critical_section_program(2, 1),
             [Def2Policy],
-            NET_CACHE,
+            config=NET_CACHE,
             runs=2,
         )
         rows = comparison_rows(comparisons)

@@ -16,7 +16,7 @@ import time
 import pytest
 
 from repro.campaign import PolicySpec, ResultCache, RunSpec
-from repro.campaign.cache import EVICT_LOCK_TTL
+from repro.campaign.cache import EVICT_LOCK_TTL, _verified_payload
 from repro.campaign.spec import RunResult
 from repro.litmus.catalog import fig1_dekker
 from repro.memsys.config import NET_NOCACHE
@@ -189,7 +189,8 @@ class TestMultiprocessStress:
         # slack (a final put may land after the last sweep).
         assert not (shared / ".evict.lock").exists()
         for path in shared.glob("*.pkl"):
-            result = pickle.loads(path.read_bytes())
+            # An entry is checksummed; a torn one fails verification.
+            result = pickle.loads(_verified_payload(path.read_bytes()))
             assert isinstance(result, RunResult)
         final = ResultCache(shared, max_bytes=budget)
         assert final.bytes_on_disk() <= budget + entry

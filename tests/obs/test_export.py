@@ -1,15 +1,13 @@
-"""Exporters: Prometheus text round-trip, artifacts, flight recorder,
-and the live HTTP endpoint."""
+"""Exporters: Prometheus text, snapshot artifacts, flight recorder."""
 
 import json
-import urllib.request
+
+import pytest
 
 from repro.obs import (
     FlightRecorder,
     Snapshot,
     load_snapshot,
-    parse_prometheus,
-    serve_metrics,
     to_prometheus,
     write_prometheus,
 )
@@ -37,26 +35,22 @@ class TestPrometheusText:
         assert 'repro_latency_seconds_bucket{le="+Inf"} 2' in text
         assert "repro_latency_seconds_count 2" in text
 
-    def test_parse_round_trips_counters_and_labels(self, metrics):
+    def test_snapshot_renders_like_its_registry(self, metrics):
+        # A snapshot read back from a flight recording exports the same
+        # text as the live registry it was taken from.
         _populate(metrics)
-        parsed = parse_prometheus(to_prometheus(metrics))
-        assert parsed.value("repro_x_total") == 3
-        assert parsed.value("repro_y_total", kind="b") == 5
-        assert parsed.value("repro_depth") == 4.5
-
-    def test_parse_decumulates_histogram_buckets(self, metrics):
-        _populate(metrics)
-        parsed = parse_prometheus(to_prometheus(metrics))
-        sample = parsed.value("repro_latency_seconds")
-        assert sample["count"] == 2
-        assert sample["buckets"] == {"0.001": 1, "0.01": 0, "+Inf": 1}
+        snap = Snapshot.from_dict(
+            json.loads(json.dumps(metrics.snapshot().to_dict()))
+        )
+        assert to_prometheus(snap) == to_prometheus(metrics)
 
 
 class TestArtifacts:
-    def test_load_snapshot_accepts_prom_text(self, metrics, tmp_path):
+    def test_load_snapshot_refuses_prom_text(self, metrics, tmp_path):
         _populate(metrics)
         path = write_prometheus(tmp_path / "m.prom", metrics)
-        assert load_snapshot(path).value("repro_x_total") == 3
+        with pytest.raises(ValueError, match="never read"):
+            load_snapshot(path)
 
     def test_load_snapshot_accepts_snapshot_json(self, metrics, tmp_path):
         _populate(metrics)
@@ -74,7 +68,7 @@ class TestArtifacts:
         assert load_snapshot(tmp_path / "flight.jsonl") == metrics.snapshot()
 
     def test_empty_file_loads_as_empty_snapshot(self, tmp_path):
-        path = tmp_path / "empty.prom"
+        path = tmp_path / "empty.json"
         path.write_text("")
         assert load_snapshot(path) == Snapshot()
 
@@ -98,22 +92,3 @@ class TestFlightRecorder:
         recorder.stop()
         assert "stale" not in path.read_text()
 
-
-class TestHttpEndpoint:
-    def test_scrape_and_404(self, metrics):
-        _populate(metrics)
-        server = serve_metrics(metrics, port=0)
-        try:
-            base = f"http://127.0.0.1:{server.port}"
-            body = urllib.request.urlopen(
-                f"{base}/metrics", timeout=5
-            ).read().decode()
-            assert parse_prometheus(body).value("repro_x_total") == 3
-            try:
-                urllib.request.urlopen(f"{base}/nope", timeout=5)
-                raised = False
-            except urllib.error.HTTPError as exc:
-                raised = exc.code == 404
-            assert raised
-        finally:
-            server.stop()

@@ -175,7 +175,7 @@ class TestCampaignPublication:
         assert metrics.value("repro_campaign_total") == 1
         assert metrics.value("repro_campaign_runs_total") == campaign.metrics.runs
         assert (
-            metrics.value("repro_campaign_completed_total")
+            metrics.value("repro_campaign_completed_runs_total")
             == campaign.metrics.completed_runs
         )
         wall = metrics.value("repro_campaign_wall_seconds")

@@ -18,6 +18,7 @@ import pytest
 
 import repro
 import repro.api as api
+from repro.analysis.comparison import compare_policies, sweep
 from repro.core.program import Program, ThreadBuilder
 from repro.litmus.catalog import fig1_dekker, fig1_dekker_all_sync
 from repro.litmus.runner import LitmusRunner
@@ -113,6 +114,16 @@ ENTRY_POINT_POSITIONALS = {
     ),
     "explore_program": (api.explore_program, ("program", "policy_factory")),
     "run_campaign": (api.run_campaign, ("specs",)),
+    "run_conformance": (api.run_conformance, ()),
+    "plan_conformance": (api.plan_conformance, ()),
+    "crosscheck_models": (api.crosscheck_models, ()),
+    "figure3_sweep": (api.figure3_sweep, ()),
+    "compare_policies": (
+        compare_policies, ("program_factory", "policies"),
+    ),
+    "sweep": (
+        sweep, ("parameter_values", "program_for", "config_for", "policies"),
+    ),
 }
 
 #: Every name ``repro.api`` exports.  Additions are fine but deliberate:
@@ -164,7 +175,7 @@ EXPORTED_NAMES = frozenset(
         "get_logger",
         "METRICS", "MetricsRegistry", "Snapshot", "ProgressReporter",
         "FlightRecorder", "enable_metrics", "disable_metrics",
-        "load_snapshot", "serve_metrics", "to_prometheus",
+        "load_snapshot", "to_prometheus",
         "write_prometheus",
     }
 )

@@ -88,16 +88,20 @@ class TestFaultsOption:
         assert "bad --faults" in str(excinfo.value)
 
 
-class TestMetricsJson:
-    def test_metrics_json_reports_failure_counts(self, tmp_path, capsys):
-        path = tmp_path / "metrics.json"
+def _campaigns(out_dir):
+    """The campaign records ``--metrics-out DIR`` wrote."""
+    return json.loads((out_dir / "campaigns.json").read_text())
+
+
+class TestCampaignsJson:
+    def test_campaigns_json_reports_failure_counts(self, tmp_path, capsys):
         code = main(
             ["litmus", "fig1_dekker", "--policy", "SC",
              "--machine", "net_nocache", "--runs", "6",
-             "--metrics-json", str(path)]
+             "--metrics-out", str(tmp_path)]
         )
         assert code == 0
-        records = json.loads(path.read_text())
+        records = _campaigns(tmp_path)
         assert len(records) == 1
         record = records[0]
         assert record["runs"] == 6
@@ -117,12 +121,11 @@ class TestDrfCommand:
         assert main(["drf", "critical_section"]) == 0
         assert "obeys" in capsys.readouterr().out
 
-    def test_metrics_json(self, tmp_path, capsys):
-        path = tmp_path / "drf.json"
+    def test_metrics_out(self, tmp_path, capsys):
         assert main(
-            ["drf", "critical_section", "--metrics-json", str(path)]
+            ["drf", "critical_section", "--metrics-out", str(tmp_path)]
         ) == 0
-        (record,) = json.loads(path.read_text())
+        (record,) = _campaigns(tmp_path)
         assert record["label"] == "drf:critical_section"
         assert record["completed_runs"] > 0
 
@@ -170,13 +173,12 @@ class TestOtherCommands:
         assert main(argv + ["--jobs", "2"]) == 0
         assert capsys.readouterr().out == serial_out
 
-    def test_figure3_metrics_json(self, tmp_path, capsys):
-        path = tmp_path / "fig3.json"
+    def test_figure3_metrics_out(self, tmp_path, capsys):
         assert main(
             ["figure3", "--latencies", "4", "--seeds", "2",
-             "--metrics-json", str(path)]
+             "--metrics-out", str(tmp_path)]
         ) == 0
-        (record,) = json.loads(path.read_text())
+        (record,) = _campaigns(tmp_path)
         assert record["label"] == "figure3"
         assert record["completed_runs"] == 4  # 1 latency x 2 seeds x 2 policies
 
@@ -291,7 +293,9 @@ class TestObservabilityOptions:
         assert "[litmus:fig1_dekker" in err
         assert "done in" in err
 
-    def test_metrics_out_writes_prom_and_flight(self, tmp_path, capsys):
+    def test_metrics_out_writes_prom_flight_and_campaigns(
+        self, tmp_path, capsys
+    ):
         out_dir = tmp_path / "obs"
         code = main(
             ["litmus", "fig1_dekker", "--policy", "SC",
@@ -301,45 +305,67 @@ class TestObservabilityOptions:
         assert code == 0
         from repro.obs import load_snapshot
 
-        prom = load_snapshot(out_dir / "metrics.prom")
         flight = load_snapshot(out_dir / "flight.jsonl")
-        assert prom.value("repro_sim_runs_total") == 6
-        assert prom.value("repro_campaign_runs_total") == 6
-        # The flight recorder's final sample is the end state.
-        assert flight == prom or flight.to_dict() == prom.to_dict()
+        assert flight.value("repro_sim_runs_total") == 6
+        assert flight.value("repro_campaign_runs_total") == 6
+        (record,) = _campaigns(out_dir)
+        assert record["runs"] == 6
+        # The flight recorder's final sample is the end state that
+        # metrics.prom exports, byte for byte.
+        final = tmp_path / "final.prom"
+        assert main(["metrics", "export", str(out_dir / "flight.jsonl"),
+                     "--format", "prom", "--out", str(final)]) == 0
+        assert final.read_bytes() == (out_dir / "metrics.prom").read_bytes()
 
-    def test_metrics_out_agrees_with_metrics_json(self, tmp_path, capsys):
-        out_dir = tmp_path / "obs"
-        metrics_json = tmp_path / "metrics.json"
-        code = main(
-            ["litmus", "fig1_dekker", "--policy", "SC",
-             "--machine", "net_nocache", "--runs", "5",
-             "--metrics-out", str(out_dir),
-             "--metrics-json", str(metrics_json)]
-        )
-        assert code == 0
+    @pytest.mark.parametrize("jobs", ["1", "2"])
+    def test_every_campaign_count_reaches_the_registry(
+        self, tmp_path, capsys, jobs
+    ):
+        """Each count field of a campaigns.json record equals its
+        ``repro_campaign_<field>_total`` in the final flight sample (a
+        field of 0 may be absent), cold (cache misses, journal appends)
+        and warm (cache hits, journal appends)."""
         from repro.obs import load_snapshot
 
-        record = json.loads(metrics_json.read_text())[0]
-        final = load_snapshot(out_dir / "flight.jsonl")
-        assert final.value("repro_campaign_runs_total") == record["runs"]
-        assert (
-            final.value("repro_campaign_completed_total")
-            == record["completed_runs"]
-        )
+        cache = tmp_path / "cache"
+        nonzero = set()
+        for attempt in ("cold", "warm"):
+            out_dir = tmp_path / attempt
+            assert main(
+                ["conformance", "--runs", "1", "--jobs", jobs,
+                 "--cache", str(cache),
+                 "--journal", str(tmp_path / f"{attempt}.jsonl"),
+                 "--metrics-out", str(out_dir)]
+            ) == 0
+            (record,) = _campaigns(out_dir)
+            final = load_snapshot(out_dir / "flight.jsonl")
+            counts = [
+                name for name, value in record.items()
+                if isinstance(value, int)
+                and name not in ("jobs", "cache_bytes")
+            ]
+            assert len(counts) == 16  # 14 counts and 2 flags
+            for name in counts:
+                published = final.value(f"repro_campaign_{name}_total")
+                assert (published or 0) == record[name], name
+                if record[name]:
+                    nonzero.add((attempt, name))
+        assert {
+            ("cold", "cache_misses"), ("cold", "journal_appends"),
+            ("warm", "cache_hits"), ("warm", "journal_appends"),
+        } <= nonzero
 
     def test_cache_options_feed_campaign_metrics(self, tmp_path, capsys):
-        metrics_json = tmp_path / "metrics.json"
         argv = ["litmus", "fig1_dekker", "--policy", "SC",
                 "--machine", "net_nocache", "--runs", "4",
                 "--cache", str(tmp_path / "cache"),
                 "--cache-max-bytes", "100000000",
-                "--metrics-json", str(metrics_json)]
+                "--metrics-out", str(tmp_path / "obs")]
         assert main(argv) == 0
-        first = json.loads(metrics_json.read_text())[0]
+        (first,) = _campaigns(tmp_path / "obs")
         assert first["cache_misses"] == 4
         assert main(argv) == 0
-        second = json.loads(metrics_json.read_text())[0]
+        (second,) = _campaigns(tmp_path / "obs")
         assert second["cache_hits"] == 4
         assert second["cache_misses"] == 0
 
@@ -363,6 +389,7 @@ class TestObservabilityOptions:
         ) == 0
         assert (out_dir / "metrics.prom").exists()
         assert (out_dir / "flight.jsonl").exists()
+        assert (out_dir / "campaigns.json").exists()
         METRICS.reset()
 
 
@@ -382,12 +409,12 @@ class TestObservabilityOptions:
                 ["explore", "fig1_dekker_sync_warm", "--delays", "2",
                  "--metrics-out", str(out_dir)] + extra
             ) == 0
-            prom = load_snapshot(out_dir / "metrics.prom")
+            final = load_snapshot(out_dir / "flight.jsonl")
             totals.append(tuple(
-                prom.value(name) for name in (
+                final.value(name) for name in (
                     "repro_explore_schedules_total",
                     "repro_campaign_runs_total",
-                    "repro_campaign_completed_total",
+                    "repro_campaign_completed_runs_total",
                 )
             ))
         METRICS.reset()
@@ -397,16 +424,18 @@ class TestObservabilityOptions:
 
 class TestMetricsSubcommand:
     def _write_snapshots(self, tmp_path):
-        from repro.obs import MetricsRegistry, write_prometheus
+        from repro.obs import MetricsRegistry
+
+        def write(path, registry):
+            path.write_text(json.dumps(registry.snapshot().to_dict()))
+            return path
 
         registry = MetricsRegistry(enabled=True)
         registry.inc("repro_x_total", 3, help="Things")
-        before = tmp_path / "before.prom"
-        write_prometheus(before, registry)
+        before = write(tmp_path / "before.json", registry)
         registry.inc("repro_x_total", 4)
         registry.set_gauge("repro_depth", 9)
-        after = tmp_path / "after.prom"
-        write_prometheus(after, registry)
+        after = write(tmp_path / "after.json", registry)
         return before, after
 
     def test_show_renders_table(self, tmp_path, capsys):
@@ -435,11 +464,28 @@ class TestMetricsSubcommand:
                      "--out", str(out_path)]) == 0
         from repro.obs import load_snapshot
 
+        assert load_snapshot(out_path) == load_snapshot(before)
         assert load_snapshot(out_path).value("repro_x_total") == 3
 
     def test_missing_snapshot_errors(self):
         with pytest.raises(SystemExit, match="cannot read"):
-            main(["metrics", "show", "/no/such/file.prom"])
+            main(["metrics", "show", "/no/such/file.json"])
+
+    def test_prom_text_is_not_a_snapshot(self, tmp_path, capsys):
+        # .prom is an export format only: reading one is a clean usage
+        # error, not a traceback.
+        out_dir = tmp_path / "obs"
+        assert main(
+            ["litmus", "fig1_dekker", "--policy", "SC",
+             "--machine", "net_nocache", "--runs", "2",
+             "--metrics-out", str(out_dir)]
+        ) == 0
+        prom = out_dir / "metrics.prom"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["metrics", "show", str(prom)])
+        assert str(excinfo.value).startswith(
+            f"error: cannot parse snapshot {prom}: "
+        )
 
     def test_show_renders_journal_counters(self, tmp_path, capsys):
         # The durable path's counters survive the snapshot file and
@@ -453,11 +499,11 @@ class TestMetricsSubcommand:
         ) == 0
         from repro.obs import load_snapshot
 
-        snapshot = load_snapshot(out_dir / "metrics.prom")
+        snapshot = load_snapshot(out_dir / "flight.jsonl")
         assert snapshot.value("repro_journal_appends_total") >= 4
         assert snapshot.value("repro_journal_fsyncs_total") >= 1
         capsys.readouterr()
-        assert main(["metrics", "show", str(out_dir / "metrics.prom")]) == 0
+        assert main(["metrics", "show", str(out_dir / "flight.jsonl")]) == 0
         out = capsys.readouterr().out
         assert "repro_journal_appends_total" in out
         assert "repro_journal_fsyncs_total" in out
@@ -471,11 +517,9 @@ class TestSoakUniformOptions:
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
-            ["soak", "--jobs", "2", "--metrics-json", "m.json",
-             "--progress", "--metrics-out", "obs/"]
+            ["soak", "--jobs", "2", "--progress", "--metrics-out", "obs/"]
         )
         assert args.jobs == 2
-        assert args.metrics_json == "m.json"
         assert args.progress is True
         assert args.metrics_out == "obs/"
 
@@ -483,11 +527,11 @@ class TestSoakUniformOptions:
         from repro.cli import build_parser
 
         args = build_parser().parse_args(
-            ["fuzz", "--jobs", "3", "--metrics-json", "m.json",
+            ["fuzz", "--jobs", "3", "--metrics-out", "obs/",
              "--progress", "--cache", "c/"]
         )
         assert args.jobs == 3
-        assert args.metrics_json == "m.json"
+        assert args.metrics_out == "obs/"
 
 
 class TestFlagChecks:
