@@ -43,7 +43,11 @@ keyword-only functions (:func:`~repro.api.run`,
 :func:`~repro.api.models`, :func:`~repro.api.crosscheck`).  Four are
 re-exported here; ``explore``, ``campaign`` and ``models`` are reached
 as ``repro.api.*``, because here those names are the subpackages.
-Every ``policy=`` argument has a model-centric alias ``model=``.
+``check_drf0``, ``campaign`` and ``crosscheck`` are the library
+functions themselves (``check_program``, ``run_campaign``,
+``crosscheck_models``); the conformance audit and the crosscheck run
+one litmus grid (:func:`~repro.conformance.plan_conformance`) and judge
+it two ways.
 
 Quickstart::
 

@@ -8,22 +8,23 @@ keyword-only, picklable-spec-based functions:
   conflict-aware pruning);
 * :func:`verify_sc` — the appears-SC check of Definition 2 (or, with
   ``model=``, classification against an axiomatic model);
-* :func:`check_drf0` — the DRF0 program check of Definition 3;
+* :func:`check_drf0` — the DRF0 program check of Definition 3; it is
+  :func:`~repro.drf.drf0.check_program` itself;
 * :func:`campaign` — a batch of :class:`~repro.campaign.spec.RunSpec`
   through the (serial or parallel, optionally cached) campaign layer;
   it is :func:`~repro.campaign.run_campaign` itself;
 * :func:`models` — introspection over every registered memory model:
   summaries, supported cores, and the axiomatic counterpart;
 * :func:`crosscheck` — the operational-vs-axiomatic agreement check
-  over the litmus catalog.
+  over the litmus catalog; it is
+  :func:`~repro.axiomatic.crosscheck.crosscheck_models` itself.
 
 Arguments accept friendly forms everywhere: a policy may be a name
 (``"DEF2"``), a :class:`~repro.campaign.spec.PolicySpec`, a policy
-class, a zero-argument factory, or an instance; every ``policy=``
-parameter has a model-centric alias ``model=`` (pass exactly one); a
-machine may be a name (``"net_cache"``) or a
-:class:`~repro.memsys.config.MachineConfig`; a fault plan may be a spec
-string (``"jitter=12,reorder=20"``) or a :class:`~repro.faults.
+class, a zero-argument factory, or an instance; a machine may be a
+name (``"net_cache"``) or a :class:`~repro.memsys.config.MachineConfig`;
+a litmus test in a grid may be a catalog name; a fault plan may be a
+spec string (``"jitter=12,reorder=20"``) or a :class:`~repro.faults.
 FaultPlan`.
 
 The module also re-exports the curated surface the CLI and downstream
@@ -37,7 +38,7 @@ from __future__ import annotations
 
 from dataclasses import replace
 from pathlib import Path
-from typing import Callable, Iterable, List, Optional, Sequence, Set, Union
+from typing import Callable, Iterable, List, Optional, Set, Union
 
 from repro.analysis.figure3 import figure3_sweep
 from repro.analysis.report import format_table
@@ -184,23 +185,8 @@ MachineLike = Union[str, MachineConfig, None]
 FaultsLike = Union[str, FaultPlan, None]
 
 
-def _coerce_policy(
-    policy: Optional[PolicyLike] = None,
-    core: Optional[str] = None,
-    model: Optional[PolicyLike] = None,
-) -> PolicySpec:
-    if (policy is None) == (model is None):
-        raise TypeError(
-            "pass exactly one of policy= or model= (they are aliases: "
-            "model= is the model-centric spelling of the same argument)"
-        )
-    if policy is None:
-        policy = model
-    if isinstance(policy, str):
-        spec = PolicySpec.of(policy_by_name(policy, core=core))
-        core = None  # already validated and stamped
-    else:
-        spec = PolicySpec.of(policy)
+def _coerce_policy(policy: PolicyLike, core: Optional[str] = None) -> PolicySpec:
+    spec = PolicySpec.of(policy)
     if core is not None and core != spec.core:
         # Validate against the policy's declared capability before
         # overriding whatever the PolicyLike form carried.
@@ -233,9 +219,8 @@ def _coerce_faults(faults: FaultsLike, seed: int) -> Optional[FaultPlan]:
 
 def run(
     program: Program,
-    policy: Optional[PolicyLike] = None,
+    policy: PolicyLike,
     *,
-    model: Optional[PolicyLike] = None,
     machine: MachineLike = None,
     core: Optional[str] = None,
     seed: int = 0,
@@ -248,15 +233,14 @@ def run(
 
     A thin veneer over :meth:`RunSpec.execute`: the call builds the
     picklable spec and runs it in-process, so anything :func:`run` can
-    do also batches verbatim through :func:`campaign`.  ``model`` is
-    the model-centric alias of ``policy`` (pass exactly one).  ``core``
+    do also batches verbatim through :func:`campaign`.  ``core``
     names the processor-core shape (``"simple"``/``"pipelined"``); the
     default keeps whatever the policy form carried (usually
     ``"simple"``).
     """
     spec = RunSpec(
         program=program,
-        policy=_coerce_policy(policy, core=core, model=model),
+        policy=_coerce_policy(policy, core=core),
         config=_coerce_machine(machine),
         seed=seed,
         max_cycles=max_cycles,
@@ -269,9 +253,8 @@ def run(
 
 def explore(
     program: Program,
-    policy: Optional[PolicyLike] = None,
+    policy: PolicyLike,
     *,
-    model: Optional[PolicyLike] = None,
     max_delays: int = 2,
     prune: bool = True,
     machine: MachineLike = None,
@@ -293,13 +276,12 @@ def explore(
     deviates.  With ``journal`` each schedule's result is appended
     durably as it finishes; ``resume=True`` walks a killed exploration
     again from that journal, running only the schedules it lacks;
-    ``progress`` prints a live heartbeat.
-    ``model`` is the model-centric alias of ``policy``.  A (policy,
-    machine) pair that cannot be built raises ``ConfigurationError``.
+    ``progress`` prints a live heartbeat.  A (policy, machine) pair
+    that cannot be built raises ``ConfigurationError``.
     """
     return explore_program(
         program,
-        _coerce_policy(policy, core=core, model=model),
+        _coerce_policy(policy, core=core),
         max_delays=max_delays,
         config=_coerce_machine(machine),
         max_runs=max_runs,
@@ -368,21 +350,9 @@ def verify_sc(
     ]
 
 
-def check_drf0(
-    program: Program,
-    *,
-    model: SynchronizationModel = DRF0,
-    max_executions: Optional[int] = None,
-    prune: bool = True,
-) -> DRFReport:
-    """Definition 3: does ``program`` obey the synchronization model?
-
-    Judges the idealized executions in order and stops at the first
-    racy one; see :func:`repro.drf.drf0.check_program`.
-    """
-    return check_program(
-        program, model=model, max_executions=max_executions, prune=prune
-    )
+#: Definition 3, does a program obey a synchronization model: the facade
+#: name of :func:`repro.drf.drf0.check_program`.
+check_drf0 = check_program
 
 
 #: A batch of :class:`~repro.campaign.spec.RunSpec` through the campaign
@@ -425,55 +395,9 @@ def models() -> List[dict]:
     return rows
 
 
-def crosscheck(
-    *,
-    tests: Optional[Iterable[Union[str, LitmusTest]]] = None,
-    policies: Optional[Sequence[PolicyLike]] = None,
-    configs: Optional[Sequence[MachineLike]] = None,
-    runs_per_test: int = 12,
-    base_seed: int = 2026,
-    max_cycles: int = 1_000_000,
-    executor: Optional[Executor] = None,
-    cache: Union[ResultCache, str, None] = None,
-    max_candidates: int = DEFAULT_MAX_CANDIDATES,
-    progress: Union[bool, "ProgressReporter", None] = None,
-) -> CrosscheckReport:
-    """Assert operational/axiomatic agreement over the litmus catalog.
-
-    The facade form of
-    :func:`~repro.axiomatic.crosscheck.crosscheck_models` with friendly
-    coercions: ``tests`` accepts catalog names or
-    :class:`~repro.litmus.test.LitmusTest` objects (default: the whole
-    standard catalog), ``policies`` accepts names or factories
-    (default: every registered policy), ``configs`` accepts machine
-    names or configs.  See the module docstring of
-    :mod:`repro.axiomatic.crosscheck` for the per-cell agreement
-    contract.
-    """
-    coerced_tests = None
-    if tests is not None:
-        by_name = catalog_by_name()
-        coerced_tests = [
-            by_name[t] if isinstance(t, str) else t for t in tests
-        ]
-    coerced_configs = None
-    if configs is not None:
-        coerced_configs = [_coerce_machine(c) for c in configs]
-    kwargs = {}
-    if coerced_configs is not None:
-        kwargs["configs"] = coerced_configs
-    return crosscheck_models(
-        tests=coerced_tests,
-        policies=policies,
-        runs_per_test=runs_per_test,
-        base_seed=base_seed,
-        max_cycles=max_cycles,
-        executor=executor,
-        cache=cache,
-        max_candidates=max_candidates,
-        progress=progress,
-        **kwargs,
-    )
+#: The operational-vs-axiomatic agreement check: the facade name of
+#: :func:`repro.axiomatic.crosscheck.crosscheck_models`.
+crosscheck = crosscheck_models
 
 
 __all__ = [

@@ -20,38 +20,29 @@ each other over the litmus catalog, cell by (test, policy) cell:
 
 Programs with control flow (spin loops) have no finite candidate space;
 the checker reports them as skipped rather than silently mis-modelling
-them.  Like the conformance grid, the whole check is one flat campaign,
-so a parallel ``executor`` spreads it across cells, tests, and seeds.
+them.  The check runs the conformance grid's own plan
+(:func:`~repro.conformance.plan_conformance`) over the straight-line
+tests and judges the same blocks of runs a second way, so a parallel
+``executor`` spreads it across cells, tests, and seeds, and a result
+cache warmed by the conformance audit serves it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (
-    Callable,
-    Dict,
-    FrozenSet,
-    List,
-    Optional,
-    Sequence,
-    Tuple,
-    Union,
-)
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
-from repro.campaign import (
-    Executor,
-    PolicySpec,
-    ResultCache,
-    RunSpec,
-    program_fingerprint,
-    run_campaign,
+from repro.campaign import Executor, ResultCache, run_campaign
+from repro.conformance import (
+    MachineLike,
+    PolicyLike,
+    TestLike,
+    grid_tests,
+    plan_conformance,
 )
 from repro.core.execution import Observable
-from repro.litmus.catalog import standard_catalog
-from repro.litmus.runner import LitmusRunner
 from repro.litmus.test import LitmusTest
-from repro.memsys.config import MachineConfig, NET_CACHE, NET_NOCACHE
-from repro.memsys.system import ConfigurationError, ensure_compatible
+from repro.memsys.config import NET_CACHE, NET_NOCACHE
 from repro.axiomatic.candidates import (
     DEFAULT_MAX_CANDIDATES,
     allowed_outcomes,
@@ -59,11 +50,7 @@ from repro.axiomatic.candidates import (
 )
 from repro.axiomatic.model import model_for_policy
 
-#: What callers may pass as a policy: a report name or anything
-#: :meth:`PolicySpec.of` accepts (class, factory, spec).
-PolicyLike = Union[str, Callable, PolicySpec]
-
-DEFAULT_CONFIGS: Tuple[MachineConfig, ...] = (NET_NOCACHE, NET_CACHE)
+DEFAULT_CONFIGS: Tuple[MachineLike, ...] = (NET_NOCACHE, NET_CACHE)
 
 
 @dataclass
@@ -110,7 +97,8 @@ class CrosscheckReport:
 
     @property
     def ok(self) -> bool:
-        return all(cell.ok for cell in self.cells)
+        """Every cell agrees, over a campaign that ran to the end."""
+        return not self.preempted and all(cell.ok for cell in self.cells)
 
     @property
     def disagreements(self) -> List[CrosscheckCell]:
@@ -136,48 +124,20 @@ class CrosscheckReport:
                 lines.append(cell.describe())
         for name, reason in self.skipped:
             lines.append(f"skipped {name}: {reason}")
-        lines.append("AGREE" if self.ok else "DISAGREE")
+        if self.preempted:
+            lines.append("PREEMPTED")
+        else:
+            lines.append("AGREE" if self.ok else "DISAGREE")
         return "\n".join(lines)
-
-
-def _policy_spec(policy: PolicyLike) -> PolicySpec:
-    if isinstance(policy, str):
-        from repro.models.policies import policy_by_name
-
-        name = policy
-        return PolicySpec.of(lambda: policy_by_name(name))
-    return PolicySpec.of(policy)
-
-
-def _drf_flags(test: LitmusTest, cache: Dict[str, Tuple[bool, bool]]):
-    """Whether the test's *source* program obeys DRF0 / DRF0-R.
-
-    Judged on the unwarmed program, matching the conformance grid: the
-    Definition-2 contract is about the software as written; warm-up
-    loads are harness scaffolding.  Cached by the program's content,
-    not the test's name: two tests may share a name but not a program.
-    """
-    key = program_fingerprint(test.program)
-    if key not in cache:
-        from repro.drf.drf0 import contract_obeys
-        from repro.drf.models import DRF0, DRF0_R
-
-        cache[key] = (
-            contract_obeys(test.name, test.program, DRF0),
-            contract_obeys(test.name, test.program, DRF0_R),
-        )
-    return cache[key]
 
 
 def crosscheck_models(
     *,
-    tests: Optional[Sequence[LitmusTest]] = None,
+    tests: Optional[Sequence[TestLike]] = None,
     policies: Optional[Sequence[PolicyLike]] = None,
-    configs: Sequence[MachineConfig] = DEFAULT_CONFIGS,
+    configs: Sequence[MachineLike] = DEFAULT_CONFIGS,
     runs_per_test: int = 12,
     base_seed: int = 2026,
-    max_cycles: int = 1_000_000,
-    runner: Optional[LitmusRunner] = None,
     executor: Optional[Executor] = None,
     cache: Union[ResultCache, str, None] = None,
     max_candidates: int = DEFAULT_MAX_CANDIDATES,
@@ -185,65 +145,47 @@ def crosscheck_models(
 ) -> CrosscheckReport:
     """Assert operational/axiomatic agreement over the litmus catalog.
 
-    ``tests`` defaults to the full standard catalog; ``policies`` (names
-    or factories) defaults to every name-constructible policy.  Each
-    policy runs on every compatible configuration in ``configs``; its
-    outcomes are checked against the axiomatic model
-    :func:`~repro.axiomatic.model.model_for_policy` assigns it.
+    ``tests`` (catalog names or tests) defaults to the standard
+    catalog; ``policies`` (registered names or factories) to every
+    registered policy; ``configs`` may name machines.  The straight-line
+    tests run as one :func:`~repro.conformance.plan_conformance` grid,
+    so each policy runs on every compatible configuration; its outcomes
+    are checked against the axiomatic model
+    :func:`~repro.axiomatic.model.model_for_policy` assigns it.  Raises
+    :class:`ValueError` when two tests share a name: cells are looked
+    up by test name.
     """
+    from repro.drf.models import DRF0, DRF0_R
     from repro.models.base import policy_names
 
-    runner = runner or LitmusRunner()
-    tests = list(tests) if tests is not None else standard_catalog()
-    policy_specs = [
-        _policy_spec(p) for p in (policies if policies is not None else policy_names())
-    ]
-
-    # -- plan: one flat campaign over every runnable block ---------------
-    specs: List[RunSpec] = []
-    blocks: List[Tuple[LitmusTest, PolicySpec, MachineConfig, int, int]] = []
-    skipped: List[Tuple[str, str]] = []
     runnable: List[LitmusTest] = []
-    for test in tests:
-        if not is_straightline(test.program):
+    skipped: List[Tuple[str, str]] = []
+    for test in grid_tests(tests):
+        if is_straightline(test.program):
+            runnable.append(test)
+        else:
             skipped.append(
                 (test.name, "control flow: no finite candidate space")
             )
-            continue
-        runnable.append(test)
-        for policy_spec in policy_specs:
-            for config in configs:
-                try:
-                    ensure_compatible(
-                        policy_spec.build(), config, policy_spec.core
-                    )
-                except ConfigurationError:
-                    continue
-                test_specs = runner.campaign_specs(
-                    test, policy_spec, config, runs_per_test, base_seed,
-                    max_cycles=max_cycles,
-                )
-                blocks.append(
-                    (test, policy_spec, config, len(specs), len(test_specs))
-                )
-                specs.extend(test_specs)
-
+    plan = plan_conformance(
+        configs=configs,
+        policies=policy_names() if policies is None else policies,
+        tests=runnable, runs_per_test=runs_per_test, base_seed=base_seed,
+    )
     campaign = run_campaign(
-        specs, executor=executor, cache=cache,
+        plan.specs, executor=executor, cache=cache,
         label="crosscheck", progress=progress,
     )
 
     # -- judge: axiomatic sets vs observed outcomes, per cell ------------
-    drf_cache: Dict[str, Tuple[bool, bool]] = {}
-    models = {spec.name: model_for_policy(spec.name) for spec in policy_specs}
     cells: List[CrosscheckCell] = []
-    for test in runnable:
-        program = runner.executable(test)
-        sc_set = frozenset(runner.verifier.sc_result_set(program))
-        drf0, drf0_r = _drf_flags(test, drf_cache)
+    for test in plan.tests:
+        program = plan.runner.executable(test)
+        sc_set = frozenset(plan.runner.verifier.sc_result_set(program))
+        drf0, drf0_r = plan.obeys(test, DRF0), plan.obeys(test, DRF0_R)
         allowed_cache: Dict[str, FrozenSet[Observable]] = {}
-        for policy_spec in policy_specs:
-            model = models[policy_spec.name]
+        for policy_spec in plan.policies:
+            model = model_for_policy(policy_spec.name)
             if model.name not in allowed_cache:
                 allowed_cache[model.name] = allowed_outcomes(
                     program, model, max_candidates=max_candidates,
@@ -254,10 +196,12 @@ def crosscheck_models(
             observed: set = set()
             config_names: List[str] = []
             failed_runs = 0
-            for blk_test, blk_policy, config, start, count in blocks:
-                if blk_test is not test or blk_policy is not policy_spec:
+            for config in plan.configs:
+                blocks = plan.cells[config, policy_spec]
+                if blocks is None:
                     continue
                 config_names.append(config.name)
+                start, count = blocks[test.name]
                 for result in campaign.results[start : start + count]:
                     if not result.completed or result.observable is None:
                         failed_runs += 1

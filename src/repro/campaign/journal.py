@@ -6,17 +6,15 @@ campaign's progress as it happens: a ``campaign`` header per
 the spec batch, batch size), one ``result`` record per completed
 :class:`~repro.campaign.spec.RunSpec` (keyed by the spec's digest, the
 same content hash the :class:`~repro.campaign.cache.ResultCache` uses),
-periodic ``checkpoint`` markers, and arbitrary consumer checkpoints
-(the delay-bounded explorer records its search identity here).
+and consumer ``checkpoint`` records (the delay-bounded explorer records
+its search identity here).
 
 Durability model:
 
 * **Append-only, fsync'd.**  Every record is one JSON line, flushed and
   ``fsync``'d before the method that wrote it returns (tunable via
   ``fsync_every``), so a ``SIGKILL`` at any instant loses at most the
-  record currently being written.  The automatic ``checkpoint`` marker
-  that :meth:`record` adds every ``checkpoint_interval`` results shares
-  one fsync with the result that triggered it.
+  record currently being written.
 * **The journal fsync is the campaign's durability point.**  A result
   cached behind a journal record is not fsync'd a second time:
   :meth:`durable` says whether a digest's record is on disk, syncing
@@ -109,15 +107,9 @@ class CampaignJournal:
     trade a bounded window of re-executable work for fewer syncs.
     """
 
-    def __init__(
-        self,
-        path: Union[str, Path],
-        fsync_every: int = 1,
-        checkpoint_interval: int = 64,
-    ) -> None:
+    def __init__(self, path: Union[str, Path], fsync_every: int = 1) -> None:
         self.path = Path(path)
         self.fsync_every = max(1, fsync_every)
-        self.checkpoint_interval = max(1, checkpoint_interval)
         #: Digest -> result for every result record already on disk.
         self.replayed: Dict[str, RunResult] = {}
         #: Most recent consumer checkpoint per kind (last one wins).
@@ -134,7 +126,6 @@ class CampaignJournal:
         #: True once this instance has fsync'd the file: records replayed
         #: from disk may predate it and are durable only after that.
         self._synced_once = False
-        self._since_checkpoint = 0
         self._lock = threading.RLock()
         #: True when the existing file ends mid-line (torn tail from a
         #: killed — or still-flushing — previous owner); the first
@@ -251,8 +242,7 @@ class CampaignJournal:
         was already journaled (replayed or recorded earlier).  The
         membership check and the append happen under the journal lock,
         so concurrent campaigns sharing one journal still record each
-        digest at most once.  A due ``checkpoint``
-        marker is appended before the sync, so both share one fsync.
+        digest at most once.
         """
         with self._lock:
             if digest in self.replayed:
@@ -266,13 +256,6 @@ class CampaignJournal:
                 }
             )
             self._unsynced_digests.add(digest)
-            self._since_checkpoint += 1
-            if self._since_checkpoint >= self.checkpoint_interval:
-                self._append(
-                    {"type": "checkpoint", "kind": "",
-                     "completed": len(self.replayed)}
-                )
-                self._since_checkpoint = 0
             self._group_commit()
             return True
 

@@ -59,15 +59,22 @@ class PolicySpec:
 
     @classmethod
     def of(cls, policy_or_factory) -> "PolicySpec":
-        """Coerce a policy instance, class, or zero-arg factory to a spec.
+        """Coerce a policy name, instance, class, or zero-arg factory to
+        a spec.
 
-        A policy instance stamped with a ``core`` attribute (see
-        :func:`repro.models.policies.policy_by_name`) carries that
-        choice into the spec.
+        A name is any registered report name, spelled as
+        :func:`repro.models.policies.policy_by_name` spells it
+        (``"DEF2-R"``, ``"def2_r"``).  A policy instance stamped with a
+        ``core`` attribute (see ``policy_by_name``) carries that choice
+        into the spec.
         """
         if isinstance(policy_or_factory, PolicySpec):
             return policy_or_factory
         policy = policy_or_factory
+        if isinstance(policy, str):
+            from repro.models.policies import policy_by_name
+
+            policy = policy_by_name(policy)
         if not isinstance(policy, OrderingPolicy):
             policy = policy_or_factory()
         if not isinstance(policy, OrderingPolicy):

@@ -82,8 +82,8 @@ from pathlib import Path
 from typing import List, Optional
 
 # The CLI is a consumer of the stable facade: the library comes through
-# repro.api, apart from ensure_compatible and the lazy import of
-# repro.testing.chaos (soak).
+# repro.api, apart from ensure_compatible, grid_tests and the lazy import
+# of repro.testing.chaos (soak).
 import repro.api as api
 from repro.api import (
     EXIT_PREEMPTED,
@@ -122,6 +122,7 @@ from repro.api import (
     unregister_metrics_hook,
     write_trace,
 )
+from repro.conformance import grid_tests
 from repro.memsys.system import ensure_compatible
 
 _log = get_logger("cli")
@@ -220,13 +221,10 @@ class _Session:
             except ValueError as exc:
                 raise SystemExit(f"error: {exc}")
         if flags.get("tests"):
-            catalog = catalog_by_name()
-            for name in args.tests:
-                if name not in catalog:
-                    raise SystemExit(
-                        f"error: {name!r} is not a catalog test "
-                        f"({', '.join(sorted(catalog))})"
-                    )
+            try:
+                grid_tests(args.tests)
+            except ValueError as exc:
+                raise SystemExit(f"error: {exc}")
         if "machine" in flags:
             self.config = config_by_name(args.machine)
             if "policy" in flags:  # an unbuildable pair is a usage error
@@ -496,16 +494,18 @@ def _cmd_conformance(args: argparse.Namespace, session: _Session) -> int:
 
 @_in_session
 def _cmd_crosscheck(args: argparse.Namespace, session: _Session) -> int:
+    if args.machines:
+        session.kwargs["configs"] = args.machines
     report = api.crosscheck(
         tests=args.tests or None,
-        policies=args.policies or None,
-        configs=args.machines or None,
+        policies=args.policies,
         runs_per_test=args.runs,
         base_seed=args.seed,
         max_candidates=args.max_candidates,
         **session.kwargs,
     )
     print(report.describe())
+    session.settle(report)
     return 0 if report.ok else 1
 
 

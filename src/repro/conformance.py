@@ -23,7 +23,7 @@ would misreport it as broken.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.campaign import (
     Executor,
@@ -34,7 +34,7 @@ from repro.campaign import (
     run_campaign,
 )
 from repro.faults import FaultPlan
-from repro.litmus.catalog import standard_catalog
+from repro.litmus.catalog import catalog_by_name, standard_catalog
 from repro.litmus.runner import LitmusRunner
 from repro.litmus.test import LitmusTest
 from repro.memsys.config import (
@@ -45,6 +45,7 @@ from repro.memsys.config import (
     NET_CACHE,
     NET_CACHE_VC,
     NET_NOCACHE,
+    config_by_name,
 )
 from repro.memsys.system import ConfigurationError, ensure_compatible
 from repro.models.base import OrderingPolicy
@@ -60,6 +61,13 @@ from repro.models.policies import (
     SCPolicy,
     TSOPolicy,
 )
+
+#: A grid axis entry: a catalog test name or a test; a machine name or
+#: a config; a registered policy name or anything
+#: :meth:`PolicySpec.of` accepts.
+TestLike = Union[str, LitmusTest]
+MachineLike = Union[str, MachineConfig]
+PolicyLike = Union[str, Callable[[], OrderingPolicy], PolicySpec]
 
 #: Conformance verdicts, strongest first.
 VERDICT_SC = "SC"
@@ -154,45 +162,93 @@ DEFAULT_POLICIES: Tuple[Callable[[], OrderingPolicy], ...] = (
 )
 
 
-def _conforms(test: LitmusTest, model, cache: Dict[tuple, bool]) -> bool:
-    """Does the program obey the policy's synchronization model?
-
-    Cached by the program's content, not the test's name: two tests
-    may share a name but not a program.
-    """
-    from repro.drf.drf0 import contract_obeys
-
-    key = (model.name, program_fingerprint(test.program))
-    if key not in cache:
-        cache[key] = contract_obeys(test.name, test.program, model)
-    return cache[key]
-
-
 @dataclass
 class ConformancePlan:
-    """The flat campaign a conformance grid runs, plus its layout.
+    """A (tests x policies x machines) grid laid out as one flat campaign.
 
     Splitting planning from judging lets a consumer know the complete
     :class:`RunSpec` list — and therefore the campaign's content digest
     — *before* running anything.  :func:`run_conformance` is exactly
     plan, run, judge, so a planned-then-run grid and
-    :func:`run_conformance` produce byte-identical campaigns.
+    :func:`run_conformance` produce byte-identical campaigns.  The
+    crosscheck (:func:`~repro.axiomatic.crosscheck.crosscheck_models`)
+    runs the same plan and judges it against the axiomatic models.
     """
 
     specs: List[RunSpec]
-    cell_plans: List[dict]
     runs_per_test: int
     runner: LitmusRunner
+    #: The grid's axes, names resolved, in spec order.
+    configs: List[MachineConfig]
+    policies: List[PolicySpec]
+    tests: List[LitmusTest]
+    #: ``(machine, policy)`` -> test name -> ``(start, count)`` of the
+    #: test's block of specs; None for a pair that cannot be built.
+    cells: Dict[
+        Tuple[MachineConfig, PolicySpec], Optional[Dict[str, Tuple[int, int]]]
+    ]
+    #: ``(model name, program fingerprint)`` -> :meth:`obeys` verdict.
+    _verdicts: Dict[Tuple[str, str], bool] = field(
+        default_factory=dict, init=False, repr=False
+    )
+
+    def obeys(self, test: LitmusTest, model) -> bool:
+        """Does the test's program obey the synchronization model?
+
+        The premise of the Definition-2 contract, judged on the source
+        program: the contract is about the software as written, and
+        warm-up loads are harness scaffolding.  Kept by the program's
+        content, not the test's name, for the life of the plan.
+        """
+        from repro.drf.drf0 import contract_obeys
+
+        key = (model.name, program_fingerprint(test.program))
+        if key not in self._verdicts:
+            self._verdicts[key] = contract_obeys(
+                test.name, test.program, model
+            )
+        return self._verdicts[key]
+
+
+def grid_tests(tests: Optional[Sequence[TestLike]] = None) -> List[LitmusTest]:
+    """A grid's tests, catalog names resolved; the standard catalog by
+    default.
+
+    Raises :class:`ValueError` for a name the catalog lacks, and when
+    two tests share a name: reports key cells, violations, incomplete
+    tests and run traces by test name.
+    """
+    if tests is None:
+        return standard_catalog()
+    catalog: Optional[Dict[str, LitmusTest]] = None
+    resolved: List[LitmusTest] = []
+    names: set = set()
+    for test in tests:
+        if isinstance(test, str):
+            catalog = catalog or catalog_by_name()
+            if test not in catalog:
+                raise ValueError(
+                    f"{test!r} is not a catalog test "
+                    f"({', '.join(sorted(catalog))})"
+                )
+            test = catalog[test]
+        if test.name in names:
+            raise ValueError(
+                f"two tests are named {test.name!r}; the grid reports "
+                f"tests by name, so names must be unique"
+            )
+        names.add(test.name)
+        resolved.append(test)
+    return resolved
 
 
 def plan_conformance(
     *,
-    configs: Sequence[MachineConfig] = DEFAULT_CONFIGS,
-    policies: Sequence[Callable[[], OrderingPolicy]] = DEFAULT_POLICIES,
-    tests: Optional[Sequence[LitmusTest]] = None,
+    configs: Sequence[MachineLike] = DEFAULT_CONFIGS,
+    policies: Sequence[PolicyLike] = DEFAULT_POLICIES,
+    tests: Optional[Sequence[TestLike]] = None,
     runs_per_test: int = 30,
     base_seed: int = 2024,
-    runner: Optional[LitmusRunner] = None,
     faults: Optional[FaultPlan] = None,
     trace: Optional[TraceSpec] = None,
     sanitize: Optional[str] = None,
@@ -200,87 +256,80 @@ def plan_conformance(
     """Lay out the grid's flat campaign without executing it.
 
     Per compatible (machine, policy) cell, per test, one contiguous
-    block of seed specs; each block's slice is remembered so
-    :func:`judge_conformance` can classify cells from the flat result
-    list.
+    block of seed specs, in that order; each block's slice is
+    remembered so a judge can classify cells from the flat result list.
+    Machines and tests may be given by name, policies by registered
+    name or anything :meth:`PolicySpec.of` accepts.
 
-    Raises :class:`ValueError` when two tests share a name: a cell's
-    violations and incomplete tests, and the run traces, are keyed by
-    test name.
+    Raises :class:`ValueError` when two tests share a name (see
+    :func:`grid_tests`).
     """
-    runner = runner or LitmusRunner()
-    tests = list(tests) if tests is not None else standard_catalog()
-    names: set = set()
-    for test in tests:
-        if test.name in names:
-            raise ValueError(
-                f"two conformance tests are named {test.name!r}; cells "
-                f"report violations by test name, so names must be unique"
-            )
-        names.add(test.name)
+    runner = LitmusRunner()
+    tests = grid_tests(tests)
+    configs = [
+        config_by_name(c) if isinstance(c, str) else c for c in configs
+    ]
+    policy_specs = [PolicySpec.of(p) for p in policies]
     specs: List[RunSpec] = []
-    cell_plans: List[dict] = []
+    cells: dict = {}
     for config in configs:
-        for policy_factory in policies:
-            policy_spec = PolicySpec.of(policy_factory)
+        for policy_spec in policy_specs:
             try:
                 ensure_compatible(policy_spec.build(), config, policy_spec.core)
             except ConfigurationError:
-                cell_plans.append(
-                    {"config": config, "policy": policy_spec, "blocks": None}
-                )
+                cells[config, policy_spec] = None
                 continue
-            blocks = []
+            blocks = cells[config, policy_spec] = {}
             for test in tests:
                 test_specs = runner.campaign_specs(
                     test, policy_spec, config, runs_per_test, base_seed,
                     faults=faults, trace=trace, sanitize=sanitize,
                 )
-                blocks.append((test, len(specs), len(test_specs)))
+                blocks[test.name] = (len(specs), len(test_specs))
                 specs.extend(test_specs)
-            cell_plans.append(
-                {"config": config, "policy": policy_spec, "blocks": blocks}
-            )
     return ConformancePlan(
         specs=specs,
-        cell_plans=cell_plans,
         runs_per_test=runs_per_test,
         runner=runner,
+        configs=configs,
+        policies=policy_specs,
+        tests=tests,
+        cells=cells,
     )
 
 
 def judge_conformance(plan: ConformancePlan, campaign) -> ConformanceReport:
     """Classify every planned cell from its slice of the campaign."""
-    conformance_cache: Dict[tuple, bool] = {}
     cells: List[CellResult] = []
     run_traces: List[Tuple[str, Tuple[TraceEvent, ...]]] = []
-    for cell_plan in plan.cell_plans:
-        config, policy_spec = cell_plan["config"], cell_plan["policy"]
-        if cell_plan["blocks"] is None:
-            cells.append(
-                CellResult(
-                    config_name=config.name,
-                    policy_name=policy_spec.name,
-                    verdict=VERDICT_NA,
-                )
-            )
-            continue
-        for test, start, count in cell_plan["blocks"]:
-            for i, result in enumerate(campaign.results[start : start + count]):
-                if result.trace_events is not None:
-                    run_traces.append(
-                        (
-                            f"{config.name}/{policy_spec.name}/"
-                            f"{test.name}/run{i}",
-                            result.trace_events,
-                        )
+    for config in plan.configs:
+        for policy_spec in plan.policies:
+            blocks = plan.cells[config, policy_spec]
+            if blocks is None:
+                cells.append(
+                    CellResult(
+                        config_name=config.name,
+                        policy_name=policy_spec.name,
+                        verdict=VERDICT_NA,
                     )
-        cells.append(
-            _judge_cell(
-                plan.runner, config, policy_spec, cell_plan["blocks"],
-                campaign.results, conformance_cache,
+                )
+                continue
+            for test in plan.tests:
+                start, count = blocks[test.name]
+                for i, result in enumerate(
+                    campaign.results[start : start + count]
+                ):
+                    if result.trace_events is not None:
+                        run_traces.append(
+                            (
+                                f"{config.name}/{policy_spec.name}/"
+                                f"{test.name}/run{i}",
+                                result.trace_events,
+                            )
+                        )
+            cells.append(
+                _judge_cell(plan, config, policy_spec, blocks, campaign.results)
             )
-        )
     return ConformanceReport(
         cells=cells,
         runs_per_test=plan.runs_per_test,
@@ -294,12 +343,11 @@ def judge_conformance(plan: ConformancePlan, campaign) -> ConformanceReport:
 
 def run_conformance(
     *,
-    configs: Sequence[MachineConfig] = DEFAULT_CONFIGS,
-    policies: Sequence[Callable[[], OrderingPolicy]] = DEFAULT_POLICIES,
-    tests: Optional[Sequence[LitmusTest]] = None,
+    configs: Sequence[MachineLike] = DEFAULT_CONFIGS,
+    policies: Sequence[PolicyLike] = DEFAULT_POLICIES,
+    tests: Optional[Sequence[TestLike]] = None,
     runs_per_test: int = 30,
     base_seed: int = 2024,
-    runner: Optional[LitmusRunner] = None,
     executor: Optional[Executor] = None,
     cache: Optional[ResultCache] = None,
     faults: Optional[FaultPlan] = None,
@@ -337,8 +385,8 @@ def run_conformance(
     """
     plan = plan_conformance(
         configs=configs, policies=policies, tests=tests,
-        runs_per_test=runs_per_test, base_seed=base_seed, runner=runner,
-        faults=faults, trace=trace, sanitize=sanitize,
+        runs_per_test=runs_per_test, base_seed=base_seed, faults=faults,
+        trace=trace, sanitize=sanitize,
     )
     campaign = run_campaign(
         plan.specs, executor=executor, cache=cache,
@@ -348,12 +396,11 @@ def run_conformance(
 
 
 def _judge_cell(
-    runner: LitmusRunner,
+    plan: ConformancePlan,
     config: MachineConfig,
     policy_spec: PolicySpec,
-    blocks: Sequence[Tuple[LitmusTest, int, int]],
+    blocks: Dict[str, Tuple[int, int]],
     results: Sequence,
-    conformance_cache: Dict[tuple, bool],
 ) -> CellResult:
     """Classify one (machine, policy) cell from its slice of the campaign."""
     violations: Dict[str, bool] = {}
@@ -361,8 +408,9 @@ def _judge_cell(
     broke_contract = False
     any_violation = False
     model = policy_spec.build().synchronization_model()
-    for test, start, count in blocks:
-        result = runner.collect(
+    for test in plan.tests:
+        start, count = blocks[test.name]
+        result = plan.runner.collect(
             test, policy_spec.name, config.name, results[start : start + count]
         )
         if result.completed_runs < result.runs:
@@ -371,7 +419,7 @@ def _judge_cell(
         violations[test.name] = violated
         if violated:
             any_violation = True
-            if _conforms(test, model, conformance_cache):
+            if plan.obeys(test, model):
                 broke_contract = True
     if broke_contract:
         verdict = VERDICT_BROKEN

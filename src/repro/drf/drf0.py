@@ -76,6 +76,7 @@ class DRFReport:
 
 def check_program(
     program: Program,
+    *,
     model: SynchronizationModel = DRF0,
     max_executions: Optional[int] = None,
     prune: bool = True,
@@ -337,7 +338,9 @@ def contract_obeys(
     truncated search proves nothing, and counting it as "obeys" could
     turn a weakly ordered verdict into a broken one.
     """
-    report = check_program(program, model, max_executions=CONTRACT_MAX_EXECUTIONS)
+    report = check_program(
+        program, model=model, max_executions=CONTRACT_MAX_EXECUTIONS
+    )
     if not report.exhaustive:
         raise SearchBudgetExceeded(
             f"{test_name}: the {model.name} check stopped at its budget of "
@@ -348,8 +351,10 @@ def contract_obeys(
 
 
 def obeys_drf0(program: Program, max_executions: Optional[int] = None) -> bool:
-    """Shorthand for ``check_program(program, DRF0).obeys``."""
-    return check_program(program, DRF0, max_executions=max_executions).obeys
+    """Shorthand for ``check_program(program, model=DRF0).obeys``."""
+    return check_program(
+        program, model=DRF0, max_executions=max_executions
+    ).obeys
 
 
 def check_execution(

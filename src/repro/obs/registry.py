@@ -38,6 +38,19 @@ COUNTER = "counter"
 GAUGE = "gauge"
 HISTOGRAM = "histogram"
 
+
+def _number(value) -> bool:
+    return isinstance(value, (int, float))
+
+
+#: Whether a value is one sample of each metric type (see :class:`Snapshot`).
+_IS_SAMPLE = {
+    COUNTER: _number,
+    GAUGE: _number,
+    HISTOGRAM: lambda value: isinstance(value, dict)
+    and {"count", "sum", "buckets"} <= value.keys(),
+}
+
 _INF = float("inf")
 
 
@@ -144,6 +157,23 @@ class Snapshot:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Snapshot":
+        """The snapshot :meth:`to_dict` gave; ValueError for anything
+        else: every entry needs a known ``type``, a ``help`` string and a
+        ``samples`` dict holding that type's samples."""
+        if not isinstance(data, dict):
+            raise ValueError(f"a snapshot is an object, not {data!r}")
+        for name, metric in data.items():
+            kind = metric.get("type") if isinstance(metric, dict) else None
+            samples = metric.get("samples") if kind in _IS_SAMPLE else None
+            if (
+                not isinstance(samples, dict)
+                or not isinstance(metric.get("help"), str)
+                or not all(map(_IS_SAMPLE[kind], samples.values()))
+            ):
+                raise ValueError(
+                    f"{name!r} is not a metric with a known type, help "
+                    f"and samples"
+                )
         return cls(dict(data))
 
     def value(self, name: str, **labels) -> Optional[Union[float, dict]]:

@@ -5,6 +5,15 @@ import dataclasses
 import pytest
 
 from repro.axiomatic import CrosscheckCell, CrosscheckReport, crosscheck_models
+from repro.campaign import (
+    ResultCache,
+    SerialExecutor,
+    current_token,
+    register_metrics_hook,
+    unregister_metrics_hook,
+)
+from repro.conformance import plan_conformance, run_conformance
+from repro.drf.models import DRF0
 from repro.litmus.catalog import (
     critical_section,
     fig1_dekker,
@@ -57,18 +66,89 @@ class TestAgreement:
         assert "skipped critical_section" in text
 
 
+class TestOneGrid:
+    """The crosscheck runs the conformance grid's plan and judges it."""
+
     def test_drf_flags_are_the_programs_not_the_names(self):
-        """A racy program named like a DRF0 test listed before it is
-        judged racy: DEF2 may show it non-SC outcomes."""
+        """A racy program under a DRF0 test's name is judged racy: DEF2
+        may show it non-SC outcomes (listing both is refused, see
+        test_two_tests_of_one_name_are_refused)."""
+        racy = dataclasses.replace(
+            fig1_dekker(warm=True), name=fig1_dekker_all_sync(warm=True).name
+        )
+        report = crosscheck_models(
+            tests=[racy], policies=["DEF2"], configs=(NET_CACHE,),
+            runs_per_test=40, base_seed=1,
+        )
+        assert report.ok, report.describe()
+        cell = report.cell(racy.name, "DEF2")
+        assert racy.forbidden in cell.observed_outcomes
+
+    def test_plan_keeps_contract_verdicts_by_program(self):
+        sync = fig1_dekker_all_sync(warm=True)
+        racy = dataclasses.replace(fig1_dekker(warm=True), name=sync.name)
+        plan = plan_conformance(
+            configs=[NET_CACHE], policies=["DEF2"], tests=[sync],
+            runs_per_test=1,
+        )
+        assert plan.obeys(sync, DRF0)
+        assert not plan.obeys(racy, DRF0)
+
+    def test_two_tests_of_one_name_are_refused(self):
         sync = dataclasses.replace(
             fig1_dekker_all_sync(warm=True), name="fig1_dekker_warm"
         )
-        report = crosscheck_models(
-            tests=[sync, fig1_dekker(warm=True)], policies=["DEF2"],
-            configs=(NET_CACHE,), runs_per_test=40, base_seed=1,
-        )
-        assert report.ok, report.describe()
+        with pytest.raises(ValueError, match="'fig1_dekker_warm'"):
+            crosscheck_models(
+                tests=[fig1_dekker(warm=True), sync], policies=["DEF2"],
+                configs=(NET_CACHE,), runs_per_test=1,
+            )
 
+    def test_a_cache_warmed_by_the_conformance_grid_serves_it(self, tmp_path):
+        cache = ResultCache(tmp_path / "cache")
+        grid = dict(
+            tests=[fig1_dekker(warm=True), load_buffering()],
+            policies=["SC", "TSO", "DEF2"],
+            configs=(NET_NOCACHE, NET_CACHE),
+            runs_per_test=3,
+            base_seed=2026,
+        )
+        run_conformance(cache=cache, **grid)
+        records = []
+        register_metrics_hook(records.append)
+        try:
+            report = crosscheck_models(cache=cache, **grid)
+        finally:
+            unregister_metrics_hook(records.append)
+        assert report.ok, report.describe()
+        (record,) = [r for r in records if r.label == "crosscheck"]
+        assert record.cache_misses == 0
+        # 5 buildable (machine, policy) pairs x 2 tests x 3 runs: DEF2
+        # needs caches.
+        assert record.cache_hits == record.runs == 30
+
+
+class StopAfterFirstResult(SerialExecutor):
+    """Asks for a stop from the first result callback, as SIGTERM would."""
+
+    def map(self, batch, on_result=None):
+        def request_stop(index, result):
+            if on_result is not None:
+                on_result(index, result)
+            current_token().request()
+
+        return super().map(batch, on_result=request_stop)
+
+
+class TestPreemption:
+    def test_a_preempted_crosscheck_is_not_a_pass(self):
+        report = crosscheck_models(
+            tests=["fig1_dekker", "message_passing"], policies=["SC", "TSO"],
+            runs_per_test=4, executor=StopAfterFirstResult(),
+        )
+        assert report.preempted
+        assert not report.ok
+        assert report.describe().splitlines()[-1] == "PREEMPTED"
 
 class TestReportShape:
     def test_failing_cell_flips_the_report(self):

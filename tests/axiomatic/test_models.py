@@ -54,8 +54,10 @@ def test_forbidden_outcome_matrix(test_name):
     assert test.forbidden is not None
     runner = LitmusRunner()
     program = runner.executable(test)
-    drf0 = check_program(test.program, DRF0, max_executions=5_000).obeys
-    drf0_r = check_program(test.program, DRF0_R, max_executions=5_000).obeys
+    drf0 = check_program(test.program, model=DRF0, max_executions=5_000).obeys
+    drf0_r = check_program(
+        test.program, model=DRF0_R, max_executions=5_000
+    ).obeys
     for model_name in MODELS:
         allowed = allowed_outcomes(
             program, model_by_name(model_name), drf0=drf0, drf0_r=drf0_r
@@ -76,7 +78,9 @@ class TestConditionalModels:
         runner = LitmusRunner()
         program = runner.executable(test)
         sc_set = frozenset(runner.verifier.sc_result_set(program))
-        assert check_program(test.program, DRF0, max_executions=5_000).obeys
+        assert check_program(
+            test.program, model=DRF0, max_executions=5_000
+        ).obeys
         assert allowed_outcomes(
             program, model_by_name("WO-DRF0"), drf0=True, drf0_r=True
         ) == sc_set

@@ -6,7 +6,6 @@ fsync'd again.  A cache used alone fsyncs every entry.  Either way a
 cache entry that did not survive a power loss intact reads as a miss.
 """
 
-import json
 import os
 import pickle
 
@@ -60,9 +59,7 @@ class TestFsyncBudget:
         self, tmp_path, fsyncs
     ):
         specs = _specs(10)
-        # A short checkpoint interval puts automatic checkpoints in the
-        # run; each must share its triggering result's fsync.
-        journal = CampaignJournal(tmp_path / "j.jsonl", checkpoint_interval=4)
+        journal = CampaignJournal(tmp_path / "j.jsonl")
         cache = ResultCache(tmp_path / "cache")
         run_campaign(specs, cache=cache, journal=journal)
         journal.close()
@@ -73,18 +70,6 @@ class TestFsyncBudget:
         specs = _specs(5)
         run_campaign(specs, cache=ResultCache(tmp_path / "cache"))
         assert len(fsyncs) == len(specs)
-
-    def test_checkpoint_shares_the_result_fsync(self, tmp_path, fsyncs):
-        result = _specs(1)[0].execute()
-        with CampaignJournal(tmp_path / "j.jsonl", checkpoint_interval=2) as j:
-            for i in range(4):
-                j.record(f"d{i}", result)
-            assert len(fsyncs) == 4
-        kinds = [
-            json.loads(line)["type"]
-            for line in (tmp_path / "j.jsonl").read_text().splitlines()
-        ]
-        assert kinds.count("checkpoint") == 2
 
 
 class TestJournalDurableQuery:

@@ -118,15 +118,6 @@ class TestJournalBasics:
             assert journal.campaigns[0]["already_completed"] == 0
             assert journal.campaigns[1]["already_completed"] == 3
 
-    def test_periodic_checkpoint_markers(self, tmp_path):
-        path = tmp_path / "j.jsonl"
-        with CampaignJournal(path, checkpoint_interval=2) as journal:
-            for i, spec in enumerate(_specs(5)):
-                journal.record(spec.digest(), spec.execute())
-        raw = [json.loads(line) for line in path.read_text().splitlines()]
-        marks = [r for r in raw if r["type"] == "checkpoint"]
-        assert [m["completed"] for m in marks] == [2, 4]
-
 
 class TestCrashRecovery:
     def test_torn_tail_is_skipped_not_fatal(self, tmp_path):

@@ -216,9 +216,7 @@ class TestIdentityComputedOncePerObject:
         ids = [id(p) for p in seen]
         assert len(ids) == len(set(ids))
         programs = {id(s.program) for s in plan.specs} | {
-            id(test.program)
-            for cell in plan.cell_plans
-            for test, _, _ in cell["blocks"] or ()
+            id(test.program) for test in plan.tests
         }
         assert set(ids) <= programs
         # The standard catalog: 21 tests, 8 of them warmed, so 29

@@ -5,8 +5,7 @@ import weakref
 
 import pytest
 
-from repro.axiomatic.crosscheck import _drf_flags
-from repro.conformance import _conforms
+from repro.conformance import plan_conformance
 from repro.core import memo
 from repro.core.program import Program, ThreadBuilder
 from repro.drf import drf0
@@ -117,7 +116,7 @@ class TestLoudFailures:
             [ThreadBuilder("P0").store(location, 1).load("r", location).build()]
         )
         with pytest.raises(AugmentationError):
-            check_program(program, model)
+            check_program(program, model=model)
 
     def test_kernel_race_without_oracle_race_raises(self, monkeypatch):
         monkeypatch.setattr(drf0, "find_races", lambda *args, **kwargs: [])
@@ -130,20 +129,22 @@ class TestContractBudget:
         test = catalog_critical_section()
         assert contract_obeys(test.name, test.program, DRF0)
 
-    def test_truncated_contract_check_raises(self, monkeypatch):
+    @pytest.mark.parametrize("model", (DRF0, DRF0_R), ids=lambda m: m.name)
+    def test_truncated_contract_check_raises(self, monkeypatch, model):
+        # The grid's contract verdict, which both the conformance audit
+        # and the crosscheck read.
         monkeypatch.setattr(drf0, "CONTRACT_MAX_EXECUTIONS", 1)
         test = catalog_critical_section()
+        plan = plan_conformance(policies=["SC"], tests=[test], runs_per_test=1)
         with pytest.raises(SearchBudgetExceeded, match="critical_section.*budget of 1"):
-            _conforms(test, DRF0, {})
-        with pytest.raises(SearchBudgetExceeded, match="critical_section.*budget of 1"):
-            _drf_flags(test, {})
+            plan.obeys(test, model)
 
     @pytest.mark.parametrize("model", (DRF0, DRF0_R), ids=lambda m: m.name)
     def test_budget_the_tree_fits_exactly_is_exhaustive(self, model):
         program = catalog_critical_section().program
-        assert check_program(program, model).executions_checked == 8
+        assert check_program(program, model=model).executions_checked == 8
         reports = [
-            check_program(program, model, max_executions=budget)
+            check_program(program, model=model, max_executions=budget)
             for budget in (7, 8, 9)
         ]
         assert [report.obeys for report in reports] == [True] * 3
@@ -180,7 +181,7 @@ class TestCheckerLifetime:
         gc.disable()
         try:
             memo._SLOT.clear()
-            report = check_program(program(), model)
+            report = check_program(program(), model=model)
             assert report.executions_checked > 0
             del report
             memo._SLOT.clear()

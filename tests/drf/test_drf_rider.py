@@ -63,7 +63,7 @@ def _key(report):
 def _standalone(program, model, budget):
     memo._SLOT.clear()
     try:
-        return check_program(program, model, max_executions=budget)
+        return check_program(program, model=model, max_executions=budget)
     finally:
         memo._SLOT.clear()
 
@@ -93,7 +93,7 @@ def test_memo_served_report_equals_standalone(program, order, walks):
         memo._SLOT.clear()
         walks[0] = 0
         served = [
-            check_program(program, model, max_executions=budget)
+            check_program(program, model=model, max_executions=budget)
             for model in ORDERS[order]
         ]
         if order == "DRF0-first":
@@ -115,7 +115,7 @@ def test_every_ask_order_shares_one_walk_somewhere(walks):
             memo._SLOT.clear()
             walks[0] = 0
             for model in models:
-                check_program(program, model)
+                check_program(program, model=model)
             shared += walks[0] == 1
         assert shared > 0, [m.name for m in models]
 
@@ -133,8 +133,8 @@ def test_a_riders_race_is_vetted_by_find_races(monkeypatch, walks):
 
     monkeypatch.setattr(drf0, "find_races", blind_to_drf0_r)
     memo._SLOT.clear()
-    assert not check_program(program, DRF0).obeys
+    assert not check_program(program, model=DRF0).obeys
     with pytest.raises(RaceKernelMismatch, match="DRF0-R"):
-        check_program(program, DRF0_R)
+        check_program(program, model=DRF0_R)
     assert walks[0] == 1
 

@@ -119,7 +119,7 @@ def test_kernel_equals_find_races(program, model, prune):
         if expected and first_racy is None:
             first_racy = index + 1
     if prune:
-        report = check_program(program, model)
+        report = check_program(program, model=model)
         assert report.obeys == (first_racy is None)
         if first_racy is not None:
             assert report.executions_checked == first_racy
@@ -129,8 +129,8 @@ def test_the_mixed_locks_split_the_models():
     """The family is not vacuous: some program obeys both models, some
     only DRF0, and some neither."""
     verdicts = {
-        program.name: (check_program(program, DRF0).obeys,
-                       check_program(program, DRF0_R).obeys)
+        program.name: (check_program(program, model=DRF0).obeys,
+                       check_program(program, model=DRF0_R).obeys)
         for program in PROGRAMS
     }
     assert set(verdicts.values()) == {

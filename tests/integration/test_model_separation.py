@@ -31,15 +31,15 @@ def verifier():
 class TestTheSeparatingProgram:
     def test_obeys_drf0_but_not_drf0r(self):
         program = fig1_dekker_all_sync().program
-        assert check_program(program, DRF0).obeys
-        assert not check_program(program, DRF0_R).obeys
+        assert check_program(program, model=DRF0).obeys
+        assert not check_program(program, model=DRF0_R).obeys
 
     def test_lock_discipline_obeys_both(self):
         from repro.workloads.locks import critical_section_program
 
         program = critical_section_program(2, 1)
-        assert check_program(program, DRF0).obeys
-        assert check_program(program, DRF0_R).obeys
+        assert check_program(program, model=DRF0).obeys
+        assert check_program(program, model=DRF0_R).obeys
 
     def test_read_only_sync_spin_fails_drf0r(self):
         """The conservative edge of the formalization: a Test spin's
@@ -48,7 +48,7 @@ class TestTheSeparatingProgram:
         from repro.litmus.catalog import message_passing_sync
 
         assert not check_program(
-            message_passing_sync().program, DRF0_R
+            message_passing_sync().program, model=DRF0_R
         ).obeys
 
 
@@ -79,7 +79,7 @@ class TestHardwareSeparation:
 
         for program_seed in range(5):
             program = random_drf0_program(program_seed)
-            assert check_program(program, DRF0_R).obeys
+            assert check_program(program, model=DRF0_R).obeys
             sc_set = verifier.sc_result_set(program)
             for seed in range(4):
                 run = run_program(

@@ -57,9 +57,11 @@ def axiomatic_sets(runner):
     sets = {}
     for name, test in _battery().items():
         program = runner.executable(test)
-        drf0 = check_program(test.program, DRF0, max_executions=5_000).obeys
+        drf0 = check_program(
+            test.program, model=DRF0, max_executions=5_000
+        ).obeys
         drf0_r = check_program(
-            test.program, DRF0_R, max_executions=5_000
+            test.program, model=DRF0_R, max_executions=5_000
         ).obeys
         for policy in POLICIES:
             model = model_for_policy(policy)

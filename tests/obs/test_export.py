@@ -72,6 +72,29 @@ class TestArtifacts:
         path.write_text("")
         assert load_snapshot(path) == Snapshot()
 
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            {"foo": 1},
+            {"foo": {"samples": {}}},
+            {"foo": {"type": "summary", "help": "", "samples": {}}},
+            {"foo": {"type": "counter", "help": "", "samples": [1]}},
+            {"foo": {"type": "counter", "samples": {"": 1}}},
+            {"foo": {"type": "histogram", "help": "", "samples": {"": 1}}},
+            {"foo": {"type": "histogram", "help": "", "samples": {"": {}}}},
+            {"sample": [1]},
+        ],
+        ids=["number", "no-type", "unknown-type", "list-samples", "no-help",
+             "number-histogram", "empty-histogram", "flight-list"],
+    )
+    def test_load_snapshot_refuses_what_is_not_a_snapshot(
+        self, tmp_path, payload
+    ):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(payload))
+        with pytest.raises(ValueError):
+            load_snapshot(path)
+
 
 class TestFlightRecorder:
     def test_final_sample_reflects_end_state(self, metrics, tmp_path):

@@ -41,8 +41,7 @@ def _shape(fn):
 FACADE_SHAPES = {
     "run": (
         ("program", "POSITIONAL_OR_KEYWORD", False),
-        ("policy", "POSITIONAL_OR_KEYWORD", True),
-        ("model", "KEYWORD_ONLY", True),
+        ("policy", "POSITIONAL_OR_KEYWORD", False),
         ("machine", "KEYWORD_ONLY", True),
         ("core", "KEYWORD_ONLY", True),
         ("seed", "KEYWORD_ONLY", True),
@@ -53,8 +52,7 @@ FACADE_SHAPES = {
     ),
     "explore": (
         ("program", "POSITIONAL_OR_KEYWORD", False),
-        ("policy", "POSITIONAL_OR_KEYWORD", True),
-        ("model", "KEYWORD_ONLY", True),
+        ("policy", "POSITIONAL_OR_KEYWORD", False),
         ("max_delays", "KEYWORD_ONLY", True),
         ("prune", "KEYWORD_ONLY", True),
         ("machine", "KEYWORD_ONLY", True),
@@ -97,7 +95,6 @@ FACADE_SHAPES = {
         ("configs", "KEYWORD_ONLY", True),
         ("runs_per_test", "KEYWORD_ONLY", True),
         ("base_seed", "KEYWORD_ONLY", True),
-        ("max_cycles", "KEYWORD_ONLY", True),
         ("executor", "KEYWORD_ONLY", True),
         ("cache", "KEYWORD_ONLY", True),
         ("max_candidates", "KEYWORD_ONLY", True),
@@ -114,6 +111,7 @@ ENTRY_POINT_POSITIONALS = {
     ),
     "explore_program": (api.explore_program, ("program", "policy_factory")),
     "run_campaign": (api.run_campaign, ("specs",)),
+    "check_program": (api.check_program, ("program",)),
     "run_conformance": (api.run_conformance, ()),
     "plan_conformance": (api.plan_conformance, ()),
     "crosscheck_models": (api.crosscheck_models, ()),
@@ -258,21 +256,14 @@ class TestFacadeBehaviour:
         # One campaign function: the facade name is the engine itself.
         assert api.campaign is api.run_campaign
 
+    def test_check_drf0_is_check_program(self):
+        assert api.check_drf0 is api.check_program
+
+    def test_crosscheck_is_crosscheck_models(self):
+        assert api.crosscheck is api.crosscheck_models
+
 
 class TestModelCentricSurface:
-    def test_run_accepts_model_alias(self):
-        program = fig1_dekker().executable_program()
-        result = api.run(program, model="TSO", machine="net_nocache", seed=3)
-        assert result.completed
-        assert result.observable is not None
-
-    def test_policy_and_model_are_exclusive(self):
-        program = fig1_dekker().executable_program()
-        with pytest.raises(TypeError, match="exactly one"):
-            api.run(program, "SC", model="TSO")
-        with pytest.raises(TypeError, match="exactly one"):
-            api.run(program)
-
     def test_verify_sc_model_keyword_matches_enumeration_for_sc(self):
         program = fig1_dekker().executable_program()
         assert api.verify_sc(program, model="SC") == api.verify_sc(program)

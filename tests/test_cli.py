@@ -487,6 +487,18 @@ class TestMetricsSubcommand:
             f"error: cannot parse snapshot {prom}: "
         )
 
+    @pytest.mark.parametrize("verb", ["show", "export"])
+    def test_json_that_is_not_a_snapshot_is_a_usage_error(
+        self, tmp_path, verb
+    ):
+        path = tmp_path / "foo.json"
+        path.write_text('{"foo": 1}')
+        with pytest.raises(SystemExit) as excinfo:
+            main(["metrics", verb, str(path)])
+        assert str(excinfo.value).startswith(
+            f"error: cannot parse snapshot {path}: "
+        )
+
     def test_show_renders_journal_counters(self, tmp_path, capsys):
         # The durable path's counters survive the snapshot file and
         # render next to the campaign's own.
@@ -508,6 +520,33 @@ class TestMetricsSubcommand:
         assert "repro_journal_appends_total" in out
         assert "repro_journal_fsyncs_total" in out
         assert "repro_campaign_runs_total" in out
+
+
+class TestCrosscheckCommand:
+    def test_preempted_crosscheck_exits_75_and_never_agrees(
+        self, monkeypatch, capsys
+    ):
+        from repro import cli
+        from tests.axiomatic.test_crosscheck import StopAfterFirstResult
+
+        monkeypatch.setattr(
+            cli, "default_executor", lambda *a, **k: StopAfterFirstResult()
+        )
+        code = main(
+            ["crosscheck", "fig1_dekker", "message_passing",
+             "--policy", "SC", "--policy", "TSO", "--runs", "4"]
+        )
+        out = capsys.readouterr().out
+        assert code == 75
+        assert out.splitlines()[-1] == "PREEMPTED"
+        assert "AGREE" not in out
+
+    def test_two_tests_of_one_name_are_a_usage_error(self):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["crosscheck", "fig1_dekker", "fig1_dekker"])
+        assert str(excinfo.value).startswith(
+            "error: two tests are named 'fig1_dekker'"
+        )
 
 
 class TestSoakUniformOptions:
